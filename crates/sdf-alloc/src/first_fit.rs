@@ -728,7 +728,9 @@ mod tests {
     fn ledger_sum_matches_traced_instruments() {
         let w = fragmented_wig();
         let recorder = std::sync::Arc::new(sdf_trace::Recorder::new());
-        let (_, log) = sdf_trace::scoped(&recorder, || {
+        // Thread-scoped: concurrently running tests allocate too, and
+        // their counters must not reach this recorder.
+        let (_, log) = sdf_trace::scoped_thread(&recorder, || {
             allocate_with_provenance(&w, AllocationOrder::Insertion, PlacementPolicy::FirstFit)
         });
         let snap = recorder.snapshot();

@@ -1810,7 +1810,11 @@ mod tests {
     fn write_fig2() -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("sdfmem-cli-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("fig2-{}.sdf", std::process::id()));
+        // One file per call: tests run concurrently, and a shared path
+        // could be read while another test truncates it.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("fig2-{}-{seq}.sdf", std::process::id()));
         std::fs::write(&path, "graph fig2\nedge A B 20 10\nedge B C 20 10\n")
             .expect("write temp graph");
         path

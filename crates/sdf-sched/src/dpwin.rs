@@ -1,4 +1,4 @@
-//! Execution modes and the shared lazy solver for the chain DPs.
+//! Execution modes and the scans behind the chain DPs.
 //!
 //! Both DPPO (Eqs. 2–4) and SDPPO (Eq. 5) minimise, for every subchain
 //! `[i..=j]` of the lexical order, over a split position `k ∈ [i, j)`:
@@ -13,10 +13,46 @@
 //! * [`DpMode::Exact`] fills the whole triangular table bottom-up and
 //!   scans every `k` — Θ(n³) crossing-cost probes, the textbook
 //!   recurrence.
-//! * [`DpMode::Windowed`] computes cells lazily, narrowing each cell's
-//!   scan with an admissible lower bound and resolving candidates
-//!   best-first, so only splits whose optimistic score could still win are
-//!   ever evaluated exactly.
+//! * [`DpMode::Windowed`] gives each recurrence the scan that measures
+//!   best on it, both exact by construction:
+//!   - SDPPO (`max`) uses the **pruned fill** below: the same bottom-up
+//!     table, but a split's crossing cost is only evaluated when its
+//!     exact children could still beat the best split so far;
+//!   - DPPO (`+`) uses the **best-first scan** below: cells are computed
+//!     lazily, narrowed by an admissible lower bound, so only splits
+//!     whose optimistic score could still win are evaluated.
+//!
+//! Values **and** split tables are byte-for-byte identical to
+//! [`DpMode::Exact`] in both cases (enforced by tests over the registry
+//! and random chains).
+//!
+//! # Why each recurrence gets its own scan
+//!
+//! Under `+` the per-pair lower bounds below add up to a tight bound on
+//! long homogeneous stretches: the best-first scan probes about 0.3
+//! splits per DPPO cell on the pipeline bench's `scale` corpus and never
+//! materialises most cells.  Under `max` they do not add up — the max
+//! of pair bounds is loose — so the same scan resolved every SDPPO cell,
+//! probed every split twice and paid heap and recursion on top: 88.6
+//! probes per cell, and 1,391,422 probes on `scale_chain_128` where the
+//! dense scan makes 699,008.  The pruned fill compares against *exact*
+//! children instead, which the bottom-up order has ready: 36.1 probes
+//! per cell, and `scale` compiles 6.8× faster end to end (36.4 → 5.4 ms
+//! geomean).  The same fill for DPPO would compute every cell the lazy
+//! scan skips; measured, it cut `corpus` p95 (184 → 77 ms) but slowed
+//! `scale` (5.4 → 9.4 ms geomean), so DPPO stays lazy.
+//!
+//! # The pruned fill
+//!
+//! Cells are filled by increasing span, so when `[i..=j]` is scanned
+//! every strictly shorter subchain is final.  Crossing costs are
+//! non-negative, hence `cost(k) ≥ combine(v[i, k], v[k+1, j])`; once
+//! that child term alone reaches the best cost so far, `k` cannot be a
+//! strict improvement and its crossing cost is skipped (counted in
+//! [`Solver::pruned`]).  `k` ascends and only a strictly smaller cost
+//! replaces the incumbent, so the recorded split is the smallest argmin —
+//! the exact scan's tie-break.  Without a memo, probes plus pruned splits
+//! equal the dense scan's `(n³ − n) / 6` on every run.
 //!
 //! # Why not the Knuth–Yao split window
 //!
@@ -30,7 +66,7 @@
 //!
 //! # The admissible bound
 //!
-//! For every position pair `(u, v)` the solver precomputes
+//! For every position pair `(u, v)` the best-first scan precomputes
 //!
 //! ```text
 //! lb(u, v) = pair_tnse(u, v) / gcd(q[u..=v]) + pair_delay(u, v)
@@ -39,28 +75,23 @@
 //! In any R-schedule of a span containing both positions, the edges
 //! `u → v` cross exactly one split, whose enclosing span `[lo, hi]`
 //! contains `[u, v]`; since `gcd(q[lo..=hi])` divides `gcd(q[u..=v])`,
-//! those edges pay at least `lb(u, v)` there.  Dense O(n²) recurrences
-//! then give `LB[i][j] ≤ v[i, j]`: the sum of `lb` over pairs inside the
-//! span for [`Combine::Sum`] (every pair crosses exactly one split), the
-//! max for [`Combine::Max`] (every pair's split cost survives at least one
-//! `max` chain to the root).  Both DP cost families dominate the bound —
-//! DPPO's factored crossing cost and both SDPPO factoring policies charge
-//! each crossing edge at least its `lb` share.
+//! those edges pay at least `lb(u, v)` there.  Every pair crosses exactly
+//! one split, so the dense O(n²) sum of `lb` over the pairs inside a
+//! span gives `LB[i][j] ≤ v[i, j]` for DPPO, whose factored crossing cost
+//! charges each crossing edge at least its `lb` share.
 //!
 //! # The best-first scan
 //!
 //! Each cell pushes every candidate `k` into a min-heap keyed by
 //! `(optimistic score, k, resolved)` where the optimistic score is
-//! `combine(LB[i,k], LB[k+1,j]) + crossing(i, k, j)`.  Popping an
-//! unresolved candidate computes its children exactly (recursing into
-//! this same scan) and re-pushes its true cost; the first *resolved* pop
-//! is the cell's answer.  The tuple ordering makes the returned `k` the
+//! `LB[i,k] + LB[k+1,j] + crossing(i, k, j)`.  Popping an unresolved
+//! candidate computes its children exactly (recursing into this same
+//! scan) and re-pushes its true cost; the first *resolved* pop is the
+//! cell's answer.  The tuple ordering makes the returned `k` the
 //! smallest argmin — any candidate with a smaller true cost, or an equal
 //! cost and smaller `k`, would have popped first — which is exactly the
-//! tie-break of the ascending exact scan.  Values **and** split tables
-//! are therefore byte-for-byte identical to [`DpMode::Exact`] (enforced
-//! by tests over the registry and random chains), and the worst case per
-//! cell degrades to the full scan plus heap overhead.
+//! tie-break of the ascending exact scan.  The worst case per cell
+//! degrades to the full scan plus heap overhead.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,15 +99,16 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::chain::ChainTables;
-use crate::memo::{MemoEntry, MemoStore};
+use crate::memo::{MemoEntry, MemoKey, MemoStore};
 
 /// How the chain DPs scan split positions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum DpMode {
     /// Probe every split `k ∈ [i, j)` — Θ(n³) total probes.
     Exact,
-    /// Lazy bound-guided best-first scan — same values and schedule trees
-    /// as [`DpMode::Exact`], far fewer probes on long chains.
+    /// Exact-by-construction pruned scans — the bottom-up pruned fill for
+    /// SDPPO, the lazy best-first scan for DPPO — with the same values and
+    /// schedule trees as [`DpMode::Exact`] and far fewer probes.
     #[default]
     Windowed,
 }
@@ -136,12 +168,13 @@ impl Combine {
 /// the same no-overflow assumption the dense recurrence always made.
 const UNSET: u64 = u64::MAX;
 
-/// The chain-DP driver: a triangular value/split table filled either
-/// densely ([`DpMode::Exact`]) or lazily ([`DpMode::Windowed`]).
+/// The chain-DP driver: a triangular value/split table filled bottom-up
+/// ([`DpMode::Exact`], and [`DpMode::Windowed`] with [`Combine::Max`]) or
+/// lazily ([`DpMode::Windowed`] with [`Combine::Sum`]).
 ///
-/// `crossing(i, k, j)` must be a pure function of its arguments and must
-/// dominate the per-pair lower bounds described in the module docs (all
-/// crate cost models do).
+/// `crossing(i, k, j)` must be a pure, non-negative function of its
+/// arguments; for the best-first scan it must also dominate the per-pair
+/// lower bounds described in the module docs (all crate cost models do).
 pub(crate) struct Solver<'a, C: Fn(usize, usize, usize) -> u64> {
     ct: &'a ChainTables,
     mode: DpMode,
@@ -149,10 +182,11 @@ pub(crate) struct Solver<'a, C: Fn(usize, usize, usize) -> u64> {
     crossing: C,
     /// Cross-run memo: the store and this DP's domain tag.  Only active
     /// in windowed mode on tables built with a content hasher; a hit
-    /// replays exactly the (value, smallest-argmin split) the scan below
+    /// replays exactly the (value, smallest-argmin split) the scans below
     /// would recompute, so results are bit-identical either way.
     memo: Option<(&'a MemoStore, u8)>,
-    /// Admissible lower bounds `LB[i*n + j]`; empty in exact mode.
+    /// Admissible lower bounds `LB[i*n + j]`; only the best-first scan
+    /// builds them.
     lb: Vec<u64>,
     /// `v[i*n + j]` for `i <= j`; diagonal 0, [`UNSET`] where unfilled.
     value: Vec<u64>,
@@ -160,6 +194,9 @@ pub(crate) struct Solver<'a, C: Fn(usize, usize, usize) -> u64> {
     split: Vec<usize>,
     /// Crossing-cost evaluations so far (the `split_probes` counter).
     probes: u64,
+    /// Splits the pruned fill skipped without a crossing-cost evaluation
+    /// (the `splits_pruned` counter).
+    pruned: u64,
 }
 
 impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
@@ -193,44 +230,56 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             value: vec![UNSET; n * n],
             split: vec![0; n * n],
             probes: 0,
+            pruned: 0,
         };
         for i in 0..n {
             s.value[i * n + i] = 0;
         }
-        match mode {
-            DpMode::Exact => s.fill_dense(),
-            DpMode::Windowed => s.build_bounds(),
+        match (mode, combine) {
+            (DpMode::Exact, _) => s.fill(false),
+            (DpMode::Windowed, Combine::Max) => s.fill(true),
+            (DpMode::Windowed, Combine::Sum) => s.build_bounds(),
         }
         s
     }
 
-    /// The textbook bottom-up fill, ascending `k` so ties resolve to the
-    /// smallest argmin.
-    fn fill_dense(&mut self) {
+    /// The bottom-up fill, ascending `k` so ties resolve to the smallest
+    /// argmin.  With `prune`, a split whose exact children alone already
+    /// reach the best cost so far skips its crossing cost (the pruned
+    /// fill of the module docs).
+    fn fill(&mut self, prune: bool) {
         let n = self.ct.len();
         for span in 1..n {
             for i in 0..(n - span) {
                 let j = i + span;
+                let key = self.memo_key(i, j);
+                if self.replay(key, i, j) {
+                    continue;
+                }
                 let mut best = UNSET;
                 let mut best_k = i;
                 for k in i..j {
-                    self.probes += 1;
-                    let cost = self
+                    let children = self
                         .combine
-                        .apply(self.value[i * n + k], self.value[(k + 1) * n + j])
-                        .saturating_add((self.crossing)(i, k, j));
+                        .apply(self.value[i * n + k], self.value[(k + 1) * n + j]);
+                    if prune && children >= best {
+                        self.pruned += 1;
+                        continue;
+                    }
+                    self.probes += 1;
+                    let cost = children.saturating_add((self.crossing)(i, k, j));
                     if cost < best {
                         best = cost;
                         best_k = k;
                     }
                 }
-                self.value[i * n + j] = best;
-                self.split[i * n + j] = best_k;
+                self.settle(key, i, j, best, best_k);
             }
         }
     }
 
-    /// Fills `LB[i][j]` from the per-pair bounds in O(n²).
+    /// Fills `LB[i][j]`, the sum of the per-pair bounds inside the span,
+    /// in O(n²).
     fn build_bounds(&mut self) {
         let n = self.ct.len();
         let mut lb = vec![0u64; n * n];
@@ -239,22 +288,58 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
                 let j = i + span;
                 let (t, d) = self.ct.pair_weights(i, j);
                 let edge = t / self.ct.gcd_range(i, j) + d;
-                lb[i * n + j] = match self.combine {
-                    // Inclusion–exclusion over the pairs inside the span;
-                    // the subtraction cannot underflow because the pair
-                    // set of [i, j-1] contains that of [i+1, j-1].
-                    Combine::Sum => (lb[i * n + (j - 1)] - lb[(i + 1) * n + (j - 1)])
-                        .saturating_add(lb[(i + 1) * n + j])
-                        .saturating_add(edge),
-                    Combine::Max => lb[i * n + (j - 1)].max(lb[(i + 1) * n + j]).max(edge),
-                };
+                // Inclusion–exclusion over the pairs inside the span; the
+                // subtraction cannot underflow because the pair set of
+                // [i, j-1] contains that of [i+1, j-1].
+                lb[i * n + j] = (lb[i * n + (j - 1)] - lb[(i + 1) * n + (j - 1)])
+                    .saturating_add(lb[(i + 1) * n + j])
+                    .saturating_add(edge);
             }
         }
         self.lb = lb;
     }
 
+    /// The cross-run memo key of subchain `[i..=j]`: a content hash of
+    /// exactly the inputs the scans read.  `None` without a memo.
+    fn memo_key(&self, i: usize, j: usize) -> Option<MemoKey> {
+        let (_, tag) = self.memo?;
+        let hasher = self.ct.hasher().expect("memo implies hasher");
+        Some(hasher.subchain_key(i, j, tag))
+    }
+
+    /// Fills cell `[i..=j]` from the memo; `false` on a miss.
+    fn replay(&mut self, key: Option<MemoKey>, i: usize, j: usize) -> bool {
+        let (Some((store, _)), Some(key)) = (self.memo, key) else {
+            return false;
+        };
+        let Some(entry) = store.lookup(&key) else {
+            return false;
+        };
+        let idx = i * self.ct.len() + j;
+        self.value[idx] = entry.value;
+        self.split[idx] = i + entry.split_rel as usize;
+        true
+    }
+
+    /// Records the resolved cell `[i..=j]` in the table and the memo.
+    fn settle(&mut self, key: Option<MemoKey>, i: usize, j: usize, value: u64, k: usize) {
+        let idx = i * self.ct.len() + j;
+        self.value[idx] = value;
+        self.split[idx] = k;
+        if let (Some((store, _)), Some(key)) = (self.memo, key) {
+            store.insert(
+                key,
+                MemoEntry {
+                    value,
+                    split_rel: (k - i) as u32,
+                },
+            );
+        }
+    }
+
     /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`),
-    /// computing it on demand in windowed mode.
+    /// computing it on demand with the best-first scan when the table was
+    /// not filled up front.
     pub(crate) fn value(&mut self, i: usize, j: usize) -> u64 {
         if i >= j {
             return 0;
@@ -265,66 +350,42 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             return self.value[idx];
         }
         debug_assert!(
-            matches!(self.mode, DpMode::Windowed),
-            "dense fill missed cell ({i}, {j})"
+            matches!((self.mode, self.combine), (DpMode::Windowed, Combine::Sum)),
+            "bottom-up fill missed cell ({i}, {j})"
         );
-        // Cross-run memo probe: the key is a content hash of exactly the
-        // inputs the scan below reads, so a hit short-circuits the cell
-        // (and, transitively, every child it would have resolved).
-        let key = self.memo.map(|(_, tag)| {
-            self.ct
-                .hasher()
-                .expect("memo implies hasher")
-                .subchain_key(i, j, tag)
-        });
-        if let (Some((store, _)), Some(key)) = (self.memo, key) {
-            if let Some(entry) = store.lookup(&key) {
-                self.value[idx] = entry.value;
-                self.split[idx] = i + entry.split_rel as usize;
-                return entry.value;
-            }
+        // A memo hit short-circuits the cell and, transitively, every
+        // child it would have resolved.
+        let key = self.memo_key(i, j);
+        if self.replay(key, i, j) {
+            return self.value[idx];
         }
         let mut heap: BinaryHeap<Reverse<(u64, usize, bool)>> =
             BinaryHeap::with_capacity(j - i + 1);
         for k in i..j {
             self.probes += 1;
-            let opt = self
-                .combine
-                .apply(self.lb[i * n + k], self.lb[(k + 1) * n + j])
+            let opt = self.lb[i * n + k]
+                .saturating_add(self.lb[(k + 1) * n + j])
                 .saturating_add((self.crossing)(i, k, j));
             heap.push(Reverse((opt, k, false)));
         }
         loop {
             let Reverse((score, k, resolved)) = heap.pop().expect("candidate heap never drains");
             if resolved {
-                self.value[idx] = score;
-                self.split[idx] = k;
-                if let (Some((store, _)), Some(key)) = (self.memo, key) {
-                    store.insert(
-                        key,
-                        MemoEntry {
-                            value: score,
-                            split_rel: (k - i) as u32,
-                        },
-                    );
-                }
+                self.settle(key, i, j, score, k);
                 return score;
             }
             let l = self.value(i, k);
             let r = self.value(k + 1, j);
             self.probes += 1;
-            let cost = self
-                .combine
-                .apply(l, r)
-                .saturating_add((self.crossing)(i, k, j));
+            let cost = l.saturating_add(r).saturating_add((self.crossing)(i, k, j));
             heap.push(Reverse((cost, k, true)));
         }
     }
 
     /// The smallest argmin split of subchain `[i..=j]`, for tree
-    /// construction.  Works in both modes: the windowed tie-break provably
-    /// matches the exact scan's, and resolving a cell always computes the
-    /// two children its tree decision will visit next.
+    /// construction.  Works in every mode: both windowed scans provably
+    /// reproduce the exact scan's tie-break, and resolving a cell lazily
+    /// always computes the two children its tree decision visits next.
     pub(crate) fn tree_split(&mut self, i: usize, j: usize) -> usize {
         debug_assert!(i < j);
         self.value(i, j);
@@ -334,6 +395,12 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
     /// Crossing-cost evaluations performed so far.
     pub(crate) fn probes(&self) -> u64 {
         self.probes
+    }
+
+    /// Splits the pruned fill skipped without evaluating their crossing
+    /// cost (0 for the other scans).
+    pub(crate) fn pruned(&self) -> u64 {
+        self.pruned
     }
 }
 
@@ -392,6 +459,38 @@ mod tests {
                     assert_eq!(e.tree_split(i, j), w.tree_split(i, j), "split ({i}, {j})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pruned_fill_keeps_the_smallest_argmin_on_equal_split_costs() {
+        // Every split costs the same, so ties are everywhere: with a zero
+        // crossing every split of every cell ties at 0, with a unit
+        // crossing the balanced splits tie.  The pruned fill must record
+        // the smallest argmin exactly as the dense scan does.
+        let (_, _, ct) = chain_tables(&[(1, 1, 0); 12]);
+        let n = ct.len();
+        for cost in [0u64, 1] {
+            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Max, |_, _, _| cost);
+            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Max, |_, _, _| cost);
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let v = e.value(i, j);
+                    assert_eq!(v, w.value(i, j), "value ({i}, {j})");
+                    let k = w.tree_split(i, j);
+                    assert_eq!(e.tree_split(i, j), k, "split ({i}, {j})");
+                    let smallest = (i..j)
+                        .find(|&k| e.value(i, k).max(e.value(k + 1, j)) + cost == v)
+                        .unwrap();
+                    assert_eq!(k, smallest, "cost {cost}, cell ({i}, {j})");
+                }
+            }
+            if cost == 0 {
+                // Only the first split of each cell is probed.
+                assert_eq!(w.probes(), (n * (n - 1) / 2) as u64);
+            }
+            let n = n as u64;
+            assert_eq!(w.probes() + w.pruned(), (n * n * n - n) / 6);
         }
     }
 

@@ -183,14 +183,16 @@ pub fn sdppo_from_tables_memo(
     });
     if sdf_trace::enabled() {
         // Actual probes, not the closed form — the windowed scan does far
-        // fewer and the regression sentinel gates on this counter.
+        // fewer and the regression sentinel gates on this counter.  Probes
+        // plus pruned splits make up the dense scan's `(n³ − n) / 6`,
+        // less whatever the memo answered.
         let nn = n as u64;
         sdf_trace::counter_inc("sched.sdppo.runs");
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
         sdf_trace::counter_add("sched.sdppo.split_probes", solver.borrow().probes());
+        sdf_trace::counter_add("sched.sdppo.splits_pruned", solver.borrow().pruned());
         // Factored decisions the schedule actually takes (one candidate
-        // per tree split) — the lazy windowed table no longer materialises
-        // every cell, so the old whole-table census is gone.
+        // per tree split), not a census of the whole table.
         sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits.get());
     }
     SdppoResult { tree, shared_cost }
@@ -339,6 +341,51 @@ mod tests {
             let windowed = sdppo_from_tables(&ct, &q, policy, DpMode::Windowed);
             assert_eq!(exact.shared_cost, windowed.shared_cost, "{policy:?}");
             assert_eq!(exact.tree, windowed.tree, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn probes_and_pruned_splits_cover_the_dense_scan() {
+        // Without a memo every split of every cell is either probed or
+        // pruned, so the two counters sum to the dense `(n³ − n) / 6`;
+        // the exact scan prunes nothing.
+        let edges = [
+            (3, 2, 0),
+            (5, 3, 2),
+            (2, 5, 0),
+            (1, 1, 0),
+            (4, 1, 1),
+            (1, 2, 0),
+        ];
+        let mut g = SdfGraph::new("mixed");
+        let ids: Vec<_> = (0..=edges.len())
+            .map(|i| g.add_actor(format!("a{i}")))
+            .collect();
+        for (w, &(p, c, d)) in edges.iter().enumerate() {
+            g.add_edge_with_delay(ids[w], ids[w + 1], p, c, d).unwrap();
+        }
+        let q = RepetitionsVector::compute(&g).unwrap();
+        let ct = ChainTables::build(&g, &q, &ids).unwrap();
+        let n = ct.len() as u64;
+        let counter = |counters: &[(String, u64)], name: &str| {
+            counters
+                .iter()
+                .find(|(c, _)| c == name)
+                .map_or(0, |&(_, v)| v)
+        };
+        for mode in DpMode::ALL {
+            let recorder = std::sync::Arc::new(sdf_trace::Recorder::new());
+            sdf_trace::scoped_thread(&recorder, || {
+                sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, mode)
+            });
+            let counters = recorder.counters();
+            let probes = counter(&counters, "sched.sdppo.split_probes");
+            let pruned = counter(&counters, "sched.sdppo.splits_pruned");
+            assert_eq!(probes + pruned, (n * n * n - n) / 6, "{mode}");
+            match mode {
+                DpMode::Exact => assert_eq!(pruned, 0),
+                DpMode::Windowed => assert!(pruned > 0, "nothing pruned"),
+            }
         }
     }
 

@@ -17,7 +17,8 @@
 //!   inclusive/exclusive times (see [`TraceSnapshot`]).
 //!
 //! Everything is hand-rolled on `std` only — no external dependencies —
-//! and compiles to a no-op when no global [`Recorder`] is installed: the
+//! and compiles to a no-op when no [`Recorder`] is installed, globally or
+//! for a thread ([`scoped_thread`]): the
 //! disabled fast path is a single relaxed atomic load, so instrumented
 //! algorithms behave bit-for-bit identically with tracing off.
 //!
@@ -53,7 +54,7 @@ pub use flight::{CacheStatus, FlightRecord, FlightRecorder, StageSpan};
 pub use metrics::{quantile_from_buckets, Histogram};
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -269,7 +270,11 @@ impl Default for Recorder {
 // ---------------------------------------------------------------------
 // Global facade.
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// Bit 0: a global recorder is installed; the bits above count live
+/// [`scoped_thread`] scopes.  Non-zero means some recorder may listen.
+static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+const GLOBAL_INSTALLED: usize = 1;
+const THREAD_SCOPE: usize = 2;
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -290,6 +295,7 @@ fn scope_lock() -> &'static Mutex<()> {
 thread_local! {
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static THREAD_RECORDER: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
 }
 
 /// Installs `recorder` as the process-global collector, enabling all
@@ -297,28 +303,32 @@ thread_local! {
 /// the install with the uninstall and serialises concurrent scopes.
 pub fn install(recorder: Arc<Recorder>) {
     *lock(slot()) = Some(recorder);
-    ENABLED.store(true, Ordering::SeqCst);
+    ACTIVE.fetch_or(GLOBAL_INSTALLED, Ordering::SeqCst);
 }
 
 /// Removes the global recorder (tracing becomes a no-op again) and
 /// returns it, if one was installed.
 pub fn uninstall() -> Option<Arc<Recorder>> {
-    ENABLED.store(false, Ordering::SeqCst);
+    ACTIVE.fetch_and(!GLOBAL_INSTALLED, Ordering::SeqCst);
     lock(slot()).take()
 }
 
-/// Whether a global recorder is installed. This is the disabled fast
-/// path: one relaxed atomic load.
+/// Whether a global recorder is installed or some thread runs inside
+/// [`scoped_thread`]. This is the disabled fast path: one relaxed atomic
+/// load.
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-/// The installed recorder, if any.
+/// The recorder the calling thread reports to: its [`scoped_thread`]
+/// recorder if it has one, else the globally installed one, if any.
 pub fn current() -> Option<Arc<Recorder>> {
     if !enabled() {
         return None;
     }
-    lock(slot()).clone()
+    THREAD_RECORDER
+        .with(|r| r.borrow().clone())
+        .or_else(|| lock(slot()).clone())
 }
 
 /// Runs `f` with `recorder` installed, uninstalling on the way out
@@ -335,6 +345,46 @@ pub fn scoped<T>(recorder: &Arc<Recorder>, f: impl FnOnce() -> T) -> T {
     }
     install(Arc::clone(recorder));
     let _uninstall = Uninstall;
+    f()
+}
+
+/// Runs `f` with `recorder` receiving the spans and instruments of the
+/// calling thread only, restoring the thread's previous scope on the way
+/// out (including on panic).
+///
+/// Unlike [`scoped`] this takes no global lock and is isolated both
+/// ways: work on other threads — concurrently running tests, other
+/// requests — never reaches `recorder`, and the calling thread reports
+/// nothing to a globally installed one meanwhile. It therefore suits
+/// serial regions only; work `f` hands to other threads goes unrecorded.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use sdf_trace::Recorder;
+///
+/// let recorder = Arc::new(Recorder::new());
+/// sdf_trace::scoped_thread(&recorder, || {
+///     sdf_trace::counter_add("mine", 1);
+///     std::thread::spawn(|| sdf_trace::counter_add("elsewhere", 1))
+///         .join()
+///         .unwrap();
+/// });
+/// assert_eq!(recorder.counters(), vec![("mine".to_string(), 1)]);
+/// ```
+pub fn scoped_thread<T>(recorder: &Arc<Recorder>, f: impl FnOnce() -> T) -> T {
+    struct Restore(Option<Arc<Recorder>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let previous = self.0.take();
+            THREAD_RECORDER.with(|r| *r.borrow_mut() = previous);
+            ACTIVE.fetch_sub(THREAD_SCOPE, Ordering::SeqCst);
+        }
+    }
+    ACTIVE.fetch_add(THREAD_SCOPE, Ordering::SeqCst);
+    let previous = THREAD_RECORDER.with(|r| r.borrow_mut().replace(Arc::clone(recorder)));
+    let _restore = Restore(previous);
     f()
 }
 
@@ -693,6 +743,39 @@ mod tests {
         let snap = CounterSnapshot::capture();
         counter_add("a", 9);
         assert!(snap.delta_since().is_empty());
+    }
+
+    #[test]
+    fn thread_scope_is_isolated_both_ways() {
+        // Holds the scope lock so `disabled_tracing_is_inert` never sees
+        // this test's global install.
+        let _serial = lock(scope_lock());
+        let global = Arc::new(Recorder::new());
+        let local = Arc::new(Recorder::new());
+        install(Arc::clone(&global));
+        scoped_thread(&local, || {
+            counter_add("mine", 1);
+            let _span = span!("local");
+            std::thread::spawn(|| counter_add("other", 1))
+                .join()
+                .unwrap();
+            // Nested scopes restore the outer one on exit.
+            scoped_thread(&Arc::new(Recorder::new()), || counter_add("inner", 1));
+            counter_add("mine", 1);
+        });
+        counter_add("after", 1);
+        uninstall();
+        assert!(!enabled());
+        assert_eq!(local.counters(), vec![("mine".to_string(), 2)]);
+        assert_eq!(local.snapshot().events.len(), 1);
+        // Other tests may add unscoped traffic to the global recorder, so
+        // check only the names this test owns.
+        let global = global.counters();
+        let owned = |name: &str| global.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(owned("other"), Some(1));
+        assert_eq!(owned("after"), Some(1));
+        assert_eq!(owned("mine"), None);
+        assert_eq!(owned("inner"), None);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! recorder and distils the run into an [`sdf_regress::Profile`].
 //!
 //! The capture is always **serial** — per-candidate counter attribution
-//! and stable lattice ordering need exclusive use of the shared
-//! recorder — and repeats the run [`CaptureOptions::repeats`] times so
+//! and stable lattice ordering need one thread's work alone — and records
+//! on a thread-scoped recorder ([`sdf_trace::scoped_thread`]), so work on
+//! other threads of the process never bleeds into its counters. It
+//! repeats the run [`CaptureOptions::repeats`] times so
 //! the profile's timings carry a median and a MAD noise band. The work
 //! counters must come out identical on every repeat (they are
 //! deterministic functions of the graph); a mismatch aborts the capture
@@ -120,7 +122,7 @@ pub fn capture_profile(graph: &SdfGraph, options: &CaptureOptions) -> Result<Pro
         // the interpreter oracle inside the same recorder scope, so the
         // `codegen.*` / `exec.*` counters join the baseline and every
         // baseline graph is re-proven safe on each capture.
-        let synthesis = sdf_trace::scoped(&recorder, || -> Result<_, String> {
+        let synthesis = sdf_trace::scoped_thread(&recorder, || -> Result<_, String> {
             let synthesis = builder
                 .run_full(graph)
                 .map_err(|e| format!("engine failed on {}: {e}", graph.name()))?;

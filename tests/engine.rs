@@ -191,7 +191,9 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
     use std::collections::BTreeMap;
     for graph in [table1_systems().remove(0), homogeneous_grid(3, 3)] {
         let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
-        let traced = sdfmem::trace::scoped(&recorder, || {
+        // Serial, so a thread-scoped recorder sees the whole run and none
+        // of the tests running beside it.
+        let traced = sdfmem::trace::scoped_thread(&recorder, || {
             AnalysisBuilder::new()
                 .loop_opts(LoopVariant::ALL)
                 .parallel(false)
@@ -339,5 +341,50 @@ fn exact_and_windowed_dp_agree_on_every_app_graph() {
             "{}",
             graph.name()
         );
+    }
+}
+
+/// Split probes of one SDPPO run over `order`, read from a thread-scoped
+/// recorder so concurrently running tests cannot bleed into the count.
+fn sdppo_probes(
+    graph: &SdfGraph,
+    order: &[sdfmem::core::ActorId],
+    mode: sdfmem::sched::DpMode,
+) -> u64 {
+    use sdfmem::sched::{sdppo_from_tables, ChainTables, FactoringPolicy};
+    let q = RepetitionsVector::compute(graph).expect("consistent");
+    let ct = ChainTables::build(graph, &q, order).expect("topological");
+    let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
+    sdfmem::trace::scoped_thread(&recorder, || {
+        sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, mode)
+    });
+    recorder
+        .counters()
+        .into_iter()
+        .find(|(name, _)| name == "sched.sdppo.split_probes")
+        .map_or(0, |(_, v)| v)
+}
+
+#[test]
+fn windowed_sdppo_never_probes_more_than_exact() {
+    use sdfmem::sched::DpMode;
+    let mut graphs = all_app_graphs();
+    graphs.push(sdfmem::apps::scale::scale_chain(128));
+    for graph in graphs {
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        for order in [
+            rpmc(&graph, &q).expect("acyclic"),
+            apgan(&graph, &q).expect("acyclic"),
+        ] {
+            let exact = sdppo_probes(&graph, &order, DpMode::Exact);
+            let windowed = sdppo_probes(&graph, &order, DpMode::Windowed);
+            let n = order.len() as u64;
+            assert_eq!(exact, (n * n * n - n) / 6, "{}", graph.name());
+            assert!(
+                windowed <= exact,
+                "{}: windowed SDPPO probed {windowed} > exact {exact}",
+                graph.name()
+            );
+        }
     }
 }

@@ -158,7 +158,9 @@ proptest! {
             // plain allocator.
             let plain = allocate(&wig, ord, pol);
             let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
-            let (alloc, log) = sdfmem::trace::scoped(&recorder, || {
+            // Thread-scoped: other tests of this binary run concurrently
+            // and must not bleed into the counters read below.
+            let (alloc, log) = sdfmem::trace::scoped_thread(&recorder, || {
                 allocate_with_provenance(&wig, ord, pol)
             });
             prop_assert_eq!(plain.offsets(), alloc.offsets());
@@ -371,7 +373,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The bound-guided windowed DP must be bit-identical to the dense
+    /// The windowed DP must be bit-identical to the dense
     /// exact scan — values, bufmem AND chosen split trees — on random
     /// rate-changing chains with sporadic delays, for both the Sum (DPPO)
     /// and Max (SDPPO) recurrences.
@@ -414,6 +416,93 @@ proptest! {
         let ws = sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, DpMode::Windowed);
         prop_assert_eq!(es.shared_cost, ws.shared_cost);
         prop_assert_eq!(es.tree, ws.tree);
+    }
+}
+
+/// One chain edge: `(prod, cons, delay)` plus an optional parallel edge
+/// `(rate multiplier, delay)` over the same actor pair.
+type ChainEdgeSpec = ((u64, u64, u64), Option<(u64, u64)>);
+
+/// A random rate-changing chain with sporadic delays and parallel edges
+/// (each parallel edge scales its twin's rates, so the chain stays
+/// consistent).
+fn random_chain_spec(seed: u64) -> Vec<ChainEdgeSpec> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let edges = 1 + (seed % 26) as usize;
+    (0..edges)
+        .map(|_| {
+            let (prod, cons) = if rng.gen_bool(0.6) {
+                (1, 1)
+            } else {
+                [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)][rng.gen_range(0..6)]
+            };
+            let delay = if rng.gen_bool(0.2) {
+                cons * rng.gen_range(1..=3u64)
+            } else {
+                0
+            };
+            let twin = rng
+                .gen_bool(0.25)
+                .then(|| (rng.gen_range(2..=3u64), rng.gen_range(0..=2u64) * cons));
+            ((prod, cons, delay), twin)
+        })
+        .collect()
+}
+
+fn chain_from_spec(spec: &[ChainEdgeSpec]) -> (sdfmem::core::SdfGraph, Vec<sdfmem::core::ActorId>) {
+    let mut g = sdfmem::core::SdfGraph::new("chain");
+    let ids: Vec<_> = (0..=spec.len())
+        .map(|i| g.add_actor(format!("a{i}")))
+        .collect();
+    for (w, &((prod, cons, delay), twin)) in spec.iter().enumerate() {
+        g.add_edge_with_delay(ids[w], ids[w + 1], prod, cons, delay)
+            .expect("rates");
+        if let Some((m, d)) = twin {
+            g.add_edge_with_delay(ids[w], ids[w + 1], prod * m, cons * m, d)
+                .expect("rates");
+        }
+    }
+    (g, ids)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Windowed SDPPO (the pruned bottom-up fill) against the dense exact
+    /// scan under every factoring policy: same cost and same tree, cold,
+    /// with a memo store partially warmed by an edited sibling chain, and
+    /// with the store fully warm.
+    #[test]
+    fn windowed_sdppo_matches_exact_cold_and_warm(seed in 0u64..1_000_000, edit in 0usize..64) {
+        use sdfmem::sched::{
+            sdppo_from_tables, sdppo_from_tables_memo, ChainTables, DpMode, FactoringPolicy,
+            MemoStore,
+        };
+        let spec = random_chain_spec(seed);
+        // The sibling differs in one edge's delay: every subchain avoiding
+        // that edge keeps its memo key, the rest miss.
+        let mut sibling = spec.clone();
+        let e = edit % sibling.len();
+        sibling[e].0 .2 += sibling[e].0 .1;
+        let (g, order) = chain_from_spec(&spec);
+        let (gs, order_s) = chain_from_spec(&sibling);
+        let q = RepetitionsVector::compute(&g).expect("consistent by construction");
+        let qs = RepetitionsVector::compute(&gs).expect("consistent by construction");
+        let plain = ChainTables::build(&g, &q, &order).expect("topological");
+        let hashed = ChainTables::build_hashed(&g, &q, &order).expect("topological");
+        let hashed_s = ChainTables::build_hashed(&gs, &qs, &order_s).expect("topological");
+        let store = MemoStore::new();
+        for policy in [FactoringPolicy::Heuristic, FactoringPolicy::Always, FactoringPolicy::Never] {
+            let exact = sdppo_from_tables(&plain, &q, policy, DpMode::Exact);
+            let cold = sdppo_from_tables(&plain, &q, policy, DpMode::Windowed);
+            sdppo_from_tables_memo(&hashed_s, &qs, policy, DpMode::Windowed, Some(&store));
+            let partial = sdppo_from_tables_memo(&hashed, &q, policy, DpMode::Windowed, Some(&store));
+            let warm = sdppo_from_tables_memo(&hashed, &q, policy, DpMode::Windowed, Some(&store));
+            for (label, r) in [("cold", &cold), ("partial", &partial), ("warm", &warm)] {
+                prop_assert_eq!(exact.shared_cost, r.shared_cost, "{:?} {}", policy, label);
+                prop_assert_eq!(&exact.tree, &r.tree, "{:?} {}", policy, label);
+            }
+        }
     }
 }
 
