@@ -120,7 +120,7 @@ pub fn dppo_from_tables_memo(
         |i, k, j| ct.split_cost(i, k, j),
         memo.map(|s| (s, DOMAIN_DPPO)),
     );
-    let bufmem = solver.value(0, n - 1);
+    let (bufmem, fell_back) = solver.root_value();
     // Tree decisions read argmin splits straight from the solver: the
     // windowed scan provably reproduces the exact scan's smallest-k
     // tie-break, and resolving a cell always computes the two children
@@ -138,6 +138,7 @@ pub fn dppo_from_tables_memo(
         // windowed scan does far fewer and the regression sentinel gates
         // on this counter.
         sdf_trace::counter_add("sched.dppo.split_probes", solver.borrow().probes());
+        sdf_trace::counter_add("sched.dppo.fallbacks", u64::from(fell_back));
     }
     DppoResult { tree, bufmem }
 }

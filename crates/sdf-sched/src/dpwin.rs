@@ -20,7 +20,9 @@
 //!     exact children could still beat the best split so far;
 //!   - DPPO (`+`) uses the **best-first scan** below: cells are computed
 //!     lazily, narrowed by an admissible lower bound, so only splits
-//!     whose optimistic score could still win are evaluated.
+//!     whose optimistic score could still win are evaluated.  The scan
+//!     has a budget of a quarter of the dense scan's probes; a run that
+//!     spends it hands the rest of the table to the pruned fill.
 //!
 //! Values **and** split tables are byte-for-byte identical to
 //! [`DpMode::Exact`] in both cases (enforced by tests over the registry
@@ -38,9 +40,30 @@
 //! dense scan makes 699,008.  The pruned fill compares against *exact*
 //! children instead, which the bottom-up order has ready: 36.1 probes
 //! per cell, and `scale` compiles 6.8× faster end to end (36.4 → 5.4 ms
-//! geomean).  The same fill for DPPO would compute every cell the lazy
-//! scan skips; measured, it cut `corpus` p95 (184 → 77 ms) but slowed
-//! `scale` (5.4 → 9.4 ms geomean), so DPPO stays lazy.
+//! geomean).
+//!
+//! The same fill for DPPO would compute every cell the lazy scan skips;
+//! measured, it cut `corpus` p95 (184 → 77 ms) but slowed `scale` (5.4 →
+//! 9.4 ms geomean), so DPPO starts lazy.  On most graphs the lazy scan
+//! wins by far: 0.5 % of the dense probes on `scale_chain_128`, 1.3 % on
+//! `qmf12_5d`, at most 23 % on the other registry graphs of 12 actors or
+//! more.  It loses where nearly every edge changes rate by coprime
+//! factors and the pair bounds are loose: on `qmf235_5d` it made
+//! 2,115,447 probes where the dense scan makes 1,107,414, and with its
+//! heap and recursion it ran 6× slower than that scan (137.6 against
+//! 21.7 ms on a 2-CPU VM); `qmf235_3d` and `qmf23_3d` lose the same way.
+//!
+//! The scan's own probe count tells the two cases apart, so
+//! `Solver::root_value` gives the scan a budget of a quarter of the
+//! dense `(n³ − n) / 6` probes.  A run that spends it abandons the scan,
+//! and the pruned fill completes the table, keeping every cell the scan
+//! already resolved.  The worst case drops from about 1.9× to 1.25× the
+//! dense probes (`qmf235_5d`: 1,220,010 probes, 40.3 ms); a run under
+//! budget is unchanged.  An eighth of the dense probes would also trip on
+//! 20-actor graphs (`qmf23_2d` needs 14 %), where the lazy scan is about
+//! 3× faster than the fill.  The quarter still trips on the smallest
+//! graphs (`cd2dat`, `overAddFFT`), where either scan takes a few
+//! microseconds.
 //!
 //! # The pruned fill
 //!
@@ -91,7 +114,14 @@
 //! smallest argmin — any candidate with a smaller true cost, or an equal
 //! cost and smaller `k`, would have popped first — which is exactly the
 //! tie-break of the ascending exact scan.  The worst case per cell
-//! degrades to the full scan plus heap overhead.
+//! degrades to the full scan plus heap overhead, about 2× the dense
+//! probes over a table; the budget above caps that.
+//!
+//! Once the budget is spent the scan unwinds with `None` from every
+//! cell still open, leaving them unset for the fill; an explicit
+//! `Option` rather than the `UNSET` sentinel, which a saturated cost
+//! can also reach.  The abort and the fill sit in a DPPO-only entry
+//! point, so the SDPPO solver's code is unchanged.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -170,7 +200,8 @@ const UNSET: u64 = u64::MAX;
 
 /// The chain-DP driver: a triangular value/split table filled bottom-up
 /// ([`DpMode::Exact`], and [`DpMode::Windowed`] with [`Combine::Max`]) or
-/// lazily ([`DpMode::Windowed`] with [`Combine::Sum`]).
+/// lazily ([`DpMode::Windowed`] with [`Combine::Sum`], bottom-up after
+/// all once the lazy scan exceeds its budget).
 ///
 /// `crossing(i, k, j)` must be a pure, non-negative function of its
 /// arguments; for the best-first scan it must also dominate the per-pair
@@ -236,8 +267,8 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             s.value[i * n + i] = 0;
         }
         match (mode, combine) {
-            (DpMode::Exact, _) => s.fill(false),
-            (DpMode::Windowed, Combine::Max) => s.fill(true),
+            (DpMode::Exact, _) => s.fill::<false>(false),
+            (DpMode::Windowed, Combine::Max) => s.fill::<false>(true),
             (DpMode::Windowed, Combine::Sum) => s.build_bounds(),
         }
         s
@@ -246,12 +277,18 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
     /// The bottom-up fill, ascending `k` so ties resolve to the smallest
     /// argmin.  With `prune`, a split whose exact children alone already
     /// reach the best cost so far skips its crossing cost (the pruned
-    /// fill of the module docs).
-    fn fill(&mut self, prune: bool) {
+    /// fill of the module docs).  With `RESUME`, cells already resolved
+    /// (by an abandoned best-first scan) are kept; it is a const
+    /// parameter because the check, even never taken, slowed the SDPPO
+    /// fill by a third or more.
+    fn fill<const RESUME: bool>(&mut self, prune: bool) {
         let n = self.ct.len();
         for span in 1..n {
             for i in 0..(n - span) {
                 let j = i + span;
+                if RESUME && self.value[i * n + j] != UNSET {
+                    continue;
+                }
                 let key = self.memo_key(i, j);
                 if self.replay(key, i, j) {
                     continue;
@@ -337,6 +374,24 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
         }
     }
 
+    /// The exact DP value of the whole chain, for DPPO, and whether the
+    /// best-first scan was abandoned (the `fallbacks` counter).  The scan
+    /// runs under a budget of a quarter of the dense scan's probes; if the
+    /// budget runs out, the pruned fill computes every cell the scan left
+    /// unresolved.  Both are exact with the same tie-break, so the value
+    /// and every split are those of [`DpMode::Exact`] either way.
+    pub(crate) fn root_value(&mut self) -> (u64, bool) {
+        let n = self.ct.len();
+        let nn = n as u64;
+        match self.scan(0, n - 1, (nn * nn * nn - nn) / 6 / 4) {
+            Some(value) => (value, false),
+            None => {
+                self.fill::<true>(true);
+                (self.value[n - 1], true)
+            }
+        }
+    }
+
     /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`),
     /// computing it on demand with the best-first scan when the table was
     /// not filled up front.
@@ -344,8 +399,7 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
         if i >= j {
             return 0;
         }
-        let n = self.ct.len();
-        let idx = i * n + j;
+        let idx = i * self.ct.len() + j;
         if self.value[idx] != UNSET {
             return self.value[idx];
         }
@@ -353,11 +407,30 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             matches!((self.mode, self.combine), (DpMode::Windowed, Combine::Sum)),
             "bottom-up fill missed cell ({i}, {j})"
         );
+        self.scan(i, j, u64::MAX)
+            .expect("an unbudgeted scan always finishes")
+    }
+
+    /// The best-first scan of subchain `[i..=j]`; `None` once the solver
+    /// has made `budget` probes, leaving every cell it did not finish
+    /// unset.
+    fn scan(&mut self, i: usize, j: usize, budget: u64) -> Option<u64> {
+        if i >= j {
+            return Some(0);
+        }
+        let n = self.ct.len();
+        let idx = i * n + j;
+        if self.value[idx] != UNSET {
+            return Some(self.value[idx]);
+        }
         // A memo hit short-circuits the cell and, transitively, every
         // child it would have resolved.
         let key = self.memo_key(i, j);
         if self.replay(key, i, j) {
-            return self.value[idx];
+            return Some(self.value[idx]);
+        }
+        if self.probes >= budget {
+            return None;
         }
         let mut heap: BinaryHeap<Reverse<(u64, usize, bool)>> =
             BinaryHeap::with_capacity(j - i + 1);
@@ -372,10 +445,13 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             let Reverse((score, k, resolved)) = heap.pop().expect("candidate heap never drains");
             if resolved {
                 self.settle(key, i, j, score, k);
-                return score;
+                return Some(score);
             }
-            let l = self.value(i, k);
-            let r = self.value(k + 1, j);
+            let l = self.scan(i, k, budget)?;
+            let r = self.scan(k + 1, j, budget)?;
+            if self.probes >= budget {
+                return None;
+            }
             self.probes += 1;
             let cost = l.saturating_add(r).saturating_add((self.crossing)(i, k, j));
             heap.push(Reverse((cost, k, true)));
@@ -495,6 +571,43 @@ mod tests {
     }
 
     #[test]
+    fn abandoned_scan_leaves_the_exact_table() {
+        // Every edge changes rate by a factor of 2, 3 or 5, so the pair
+        // bounds are loose everywhere and the best-first scan runs out of
+        // budget; CD-DAT trips it too.  The pruned fill that finishes the
+        // table must reproduce every value and split of the dense scan.
+        let factors: [(u64, u64, u64); 6] = [
+            (2, 3, 0),
+            (5, 2, 0),
+            (3, 5, 0),
+            (3, 2, 0),
+            (2, 5, 0),
+            (5, 3, 0),
+        ];
+        let mixed: Vec<_> = (0..24).map(|i| factors[(i * 7) % 6]).collect();
+        for (_, _, ct) in [cd_dat(), chain_tables(&mixed)] {
+            let n = ct.len();
+            let cost = |i, k, j| ct.split_cost(i, k, j);
+            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, cost);
+            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, cost);
+            let (value, fell_back) = w.root_value();
+            assert!(fell_back, "n = {n}: the scan stayed under budget");
+            assert_eq!(e.root_value(), (value, false));
+            let dense = (n * n * n - n) as u64 / 6;
+            assert!(w.probes() * 4 <= dense * 5 + 4 * n as u64, "n = {n}");
+            // The fill completed the table: no cell is computed on demand.
+            let probes = w.probes();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    assert_eq!(e.value(i, j), w.value(i, j), "value ({i}, {j})");
+                    assert_eq!(e.tree_split(i, j), w.tree_split(i, j), "split ({i}, {j})");
+                }
+            }
+            assert_eq!(w.probes(), probes);
+        }
+    }
+
+    #[test]
     fn windowed_root_probes_far_fewer_on_sparse_rate_changes() {
         // CD-DAT-style structure: long homogeneous filter stretches with
         // sparse sample-rate changers.  Inside a stretch the pair bound is
@@ -525,7 +638,7 @@ mod tests {
         let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, |i, k, j| {
             ct.split_cost(i, k, j)
         });
-        assert_eq!(e.value(0, n - 1), w.value(0, n - 1));
+        assert_eq!((e.value(0, n - 1), false), w.root_value());
         assert!(
             w.probes() * 4 < e.probes(),
             "windowed {} not well under exact {}",

@@ -8,12 +8,12 @@
 //! reports [`CacheLookup::Collision`] on mismatch, which the server
 //! treats as a miss (and counts under `service.cache.collisions`).
 //!
-//! Recency is tracked lazily: each touch appends a `(stamp, key)`
-//! record to a queue, and eviction pops records until it finds one
-//! whose stamp still matches the entry's latest stamp.  That keeps
-//! both hit and insert O(1) amortised without a linked list.
+//! Recency is a stamp per entry: a hit restamps its entry in O(1) and
+//! allocates nothing, and an insert over capacity evicts the entry with
+//! the smallest stamp, an O(capacity) scan paid only on a miss that
+//! already ran the engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One cached result.
@@ -22,7 +22,8 @@ struct Entry {
     canonical: String,
     /// The serialized payload document.
     payload: Arc<String>,
-    /// The stamp of this entry's newest recency record.
+    /// When this entry was last inserted or hit; the smallest is the
+    /// least recently used.
     stamp: u64,
 }
 
@@ -43,7 +44,6 @@ pub enum CacheLookup {
 pub struct ResultCache {
     capacity: usize,
     map: HashMap<String, Entry>,
-    recency: VecDeque<(u64, String)>,
     next_stamp: u64,
 }
 
@@ -54,7 +54,6 @@ impl ResultCache {
         ResultCache {
             capacity,
             map: HashMap::new(),
-            recency: VecDeque::new(),
             next_stamp: 0,
         }
     }
@@ -83,7 +82,6 @@ impl ResultCache {
             Some(entry) if entry.canonical != canonical => CacheLookup::Collision,
             Some(entry) => {
                 entry.stamp = stamp;
-                self.recency.push_back((stamp, key.to_string()));
                 CacheLookup::Hit(Arc::clone(&entry.payload))
             }
         }
@@ -94,7 +92,6 @@ impl ResultCache {
     /// evicted.
     pub fn insert(&mut self, key: String, canonical: String, payload: Arc<String>) -> usize {
         let stamp = self.stamp();
-        self.recency.push_back((stamp, key.clone()));
         self.map.insert(
             key,
             Entry {
@@ -105,21 +102,14 @@ impl ResultCache {
         );
         let mut evicted = 0;
         while self.map.len() > self.capacity {
-            match self.recency.pop_front() {
-                None => break, // unreachable: every entry has a record
-                Some((record_stamp, record_key)) => {
-                    // Stale record (the entry was touched again later):
-                    // skip it, the newer record protects the entry.
-                    let is_current = self
-                        .map
-                        .get(&record_key)
-                        .is_some_and(|e| e.stamp == record_stamp);
-                    if is_current {
-                        self.map.remove(&record_key);
-                        evicted += 1;
-                    }
-                }
-            }
+            let lru = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(k, _)| k.clone())
+                .expect("over capacity implies an entry");
+            self.map.remove(&lru);
+            evicted += 1;
         }
         evicted
     }
@@ -175,6 +165,25 @@ mod tests {
         assert_eq!(evicted, 1);
         assert!(c.is_empty());
         assert!(matches!(c.get("k", "k"), CacheLookup::Miss));
+    }
+
+    #[test]
+    fn eviction_after_many_hits_removes_the_true_lru_entry() {
+        let mut c = ResultCache::new(3);
+        for k in ["a", "b", "c"] {
+            c.insert(k.into(), k.into(), payload(k));
+        }
+        // 100K hits that never touch `b`, in an order that leaves `a` and
+        // `c` both more recent than it.
+        for i in 0..100_000 {
+            let k = if i % 2 == 0 { "a" } else { "c" };
+            assert!(matches!(c.get(k, k), CacheLookup::Hit(_)));
+        }
+        assert_eq!(c.insert("d".into(), "d".into(), payload("D")), 1);
+        assert!(matches!(c.get("b", "b"), CacheLookup::Miss));
+        for k in ["a", "c", "d"] {
+            assert!(matches!(c.get(k, k), CacheLookup::Hit(_)), "{k}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use sdfmem::lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdfmem::lifetime::tree::ScheduleTree;
 use sdfmem::lifetime::wig::IntersectionGraph;
 use sdfmem::pipeline::Analysis;
-use sdfmem::sched::{apgan, rpmc, sdppo, LoopVariant};
+use sdfmem::sched::{apgan, rpmc, sdppo, ChainTables, DpMode, LoopVariant};
 use sdfmem::{AnalysisBuilder, Heuristic};
 
 fn all_app_graphs() -> Vec<SdfGraph> {
@@ -306,7 +306,6 @@ fn exact_and_windowed_dp_agree_on_every_app_graph() {
     // The windowed DP is exact by construction; the whole synthesis —
     // schedules, allocations, pool totals — must be bit-for-bit
     // identical under both modes on every graph the workspace ships.
-    use sdfmem::sched::DpMode;
     for graph in all_app_graphs() {
         let exact = AnalysisBuilder::new()
             .loop_opts(LoopVariant::ALL)
@@ -344,47 +343,111 @@ fn exact_and_windowed_dp_agree_on_every_app_graph() {
     }
 }
 
-/// Split probes of one SDPPO run over `order`, read from a thread-scoped
-/// recorder so concurrently running tests cannot bleed into the count.
-fn sdppo_probes(
+type DpRun = fn(&ChainTables, &RepetitionsVector, DpMode);
+
+fn run_dppo(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) {
+    sdfmem::sched::dppo_from_tables(ct, q, mode);
+}
+
+fn run_sdppo(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) {
+    use sdfmem::sched::{sdppo_from_tables, FactoringPolicy};
+    sdppo_from_tables(ct, q, FactoringPolicy::Heuristic, mode);
+}
+
+/// The counters of one DP run over `order`, read from a thread-scoped
+/// recorder so concurrently running tests cannot bleed into them.
+fn dp_counters(
     graph: &SdfGraph,
     order: &[sdfmem::core::ActorId],
-    mode: sdfmem::sched::DpMode,
-) -> u64 {
-    use sdfmem::sched::{sdppo_from_tables, ChainTables, FactoringPolicy};
+    mode: DpMode,
+    run: DpRun,
+) -> impl Fn(&str) -> u64 {
     let q = RepetitionsVector::compute(graph).expect("consistent");
     let ct = ChainTables::build(graph, &q, order).expect("topological");
     let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
-    sdfmem::trace::scoped_thread(&recorder, || {
-        sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, mode)
-    });
-    recorder
-        .counters()
-        .into_iter()
-        .find(|(name, _)| name == "sched.sdppo.split_probes")
-        .map_or(0, |(_, v)| v)
+    sdfmem::trace::scoped_thread(&recorder, || run(&ct, &q, mode));
+    let counters = recorder.counters();
+    move |name| {
+        counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
 }
 
-#[test]
-fn windowed_sdppo_never_probes_more_than_exact() {
-    use sdfmem::sched::DpMode;
+/// Every registry graph plus the `scale` chain, each under both heuristic
+/// orders.
+fn graphs_and_orders() -> Vec<(SdfGraph, Vec<sdfmem::core::ActorId>)> {
     let mut graphs = all_app_graphs();
     graphs.push(sdfmem::apps::scale::scale_chain(128));
+    let mut out = Vec::new();
     for graph in graphs {
         let q = RepetitionsVector::compute(&graph).expect("consistent");
         for order in [
             rpmc(&graph, &q).expect("acyclic"),
             apgan(&graph, &q).expect("acyclic"),
         ] {
-            let exact = sdppo_probes(&graph, &order, DpMode::Exact);
-            let windowed = sdppo_probes(&graph, &order, DpMode::Windowed);
-            let n = order.len() as u64;
-            assert_eq!(exact, (n * n * n - n) / 6, "{}", graph.name());
-            assert!(
-                windowed <= exact,
-                "{}: windowed SDPPO probed {windowed} > exact {exact}",
+            out.push((graph.clone(), order));
+        }
+    }
+    out
+}
+
+#[test]
+fn windowed_sdppo_never_probes_more_than_exact() {
+    for (graph, order) in graphs_and_orders() {
+        let exact =
+            dp_counters(&graph, &order, DpMode::Exact, run_sdppo)("sched.sdppo.split_probes");
+        let windowed =
+            dp_counters(&graph, &order, DpMode::Windowed, run_sdppo)("sched.sdppo.split_probes");
+        let n = order.len() as u64;
+        assert_eq!(exact, (n * n * n - n) / 6, "{}", graph.name());
+        assert!(
+            windowed <= exact,
+            "{}: windowed SDPPO probed {windowed} > exact {exact}",
+            graph.name()
+        );
+    }
+}
+
+#[test]
+fn windowed_dppo_probes_at_most_a_quarter_over_exact() {
+    // The best-first scan gives up after a quarter of the dense probes
+    // (plus at most one cell's candidates) and the pruned fill never
+    // probes more than the dense scan.
+    for (graph, order) in graphs_and_orders() {
+        let windowed =
+            dp_counters(&graph, &order, DpMode::Windowed, run_dppo)("sched.dppo.split_probes");
+        let n = order.len() as u64;
+        let dense = (n * n * n - n) / 6;
+        assert!(
+            windowed * 4 <= dense * 5 + 4 * n,
+            "{}: windowed DPPO probed {windowed}, dense {dense}",
+            graph.name()
+        );
+    }
+}
+
+#[test]
+fn dppo_fallbacks_count_abandoned_scans() {
+    let filterbank = sdfmem::apps::registry::by_name("qmf235_5d").expect("registry graph");
+    let chain = sdfmem::apps::scale::scale_chain(128);
+    for (graph, expected) in [(filterbank, 1), (chain, 0)] {
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        for order in [
+            rpmc(&graph, &q).expect("acyclic"),
+            apgan(&graph, &q).expect("acyclic"),
+        ] {
+            let counter = dp_counters(&graph, &order, DpMode::Windowed, run_dppo);
+            assert_eq!(counter("sched.dppo.runs"), 1, "{}", graph.name());
+            assert_eq!(
+                counter("sched.dppo.fallbacks"),
+                expected,
+                "{}",
                 graph.name()
             );
+            let exact = dp_counters(&graph, &order, DpMode::Exact, run_dppo);
+            assert_eq!(exact("sched.dppo.fallbacks"), 0, "{}", graph.name());
         }
     }
 }

@@ -506,6 +506,74 @@ proptest! {
     }
 }
 
+/// A chain whose every edge changes rate by a factor of 2, 3 or 5, with
+/// sporadic delays: the per-pair bounds are loose everywhere, so windowed
+/// DPPO's best-first scan usually runs out of budget and hands the table
+/// to the pruned fill.  Each prime's exponent in the running rate ratio
+/// stays within ±2, which keeps the repetitions vector small.
+fn mixed_factor_chain_spec(seed: u64) -> Vec<ChainEdgeSpec> {
+    const FACTORS: [u64; 4] = [1, 2, 3, 5];
+    const PRIMES: [u64; 3] = [2, 3, 5];
+    let shift = |(prod, cons): (u64, u64), f: u64| (prod == f) as i32 - (cons == f) as i32;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut exps = [0i32; 3];
+    let mut spec = Vec::new();
+    for _ in 0..4 + (seed % 24) {
+        let valid: Vec<_> = FACTORS
+            .into_iter()
+            .flat_map(|p| FACTORS.map(|c| (p, c)))
+            .filter(|&(p, c)| p != c)
+            .filter(|&r| {
+                PRIMES
+                    .iter()
+                    .zip(exps)
+                    .all(|(&f, e)| (e + shift(r, f)).abs() <= 2)
+            })
+            .collect();
+        let (prod, cons) = valid[rng.gen_range(0..valid.len())];
+        for (e, &f) in exps.iter_mut().zip(&PRIMES) {
+            *e += shift((prod, cons), f);
+        }
+        let delay = if rng.gen_bool(0.15) { cons } else { 0 };
+        spec.push(((prod, cons, delay), None));
+    }
+    spec
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Windowed DPPO against the dense exact scan on chains that make the
+    /// best-first scan give up: same bufmem and same tree, cold, with a
+    /// memo store partially warmed by an edited sibling chain, and with
+    /// the store fully warm.
+    #[test]
+    fn windowed_dppo_matches_exact_when_the_scan_gives_up(seed in 0u64..1_000_000, edit in 0usize..64) {
+        use sdfmem::sched::{dppo_from_tables, dppo_from_tables_memo, ChainTables, DpMode, MemoStore};
+        let spec = mixed_factor_chain_spec(seed);
+        let mut sibling = spec.clone();
+        let e = edit % sibling.len();
+        sibling[e].0 .2 += sibling[e].0 .1;
+        let (g, order) = chain_from_spec(&spec);
+        let (gs, order_s) = chain_from_spec(&sibling);
+        let q = RepetitionsVector::compute(&g).expect("consistent by construction");
+        let qs = RepetitionsVector::compute(&gs).expect("consistent by construction");
+        let plain = ChainTables::build(&g, &q, &order).expect("topological");
+        let hashed = ChainTables::build_hashed(&g, &q, &order).expect("topological");
+        let hashed_s = ChainTables::build_hashed(&gs, &qs, &order_s).expect("topological");
+        let store = MemoStore::new();
+        let exact = dppo_from_tables(&plain, &q, DpMode::Exact);
+        let cold = dppo_from_tables(&plain, &q, DpMode::Windowed);
+        dppo_from_tables_memo(&hashed_s, &qs, DpMode::Windowed, Some(&store));
+        let partial = dppo_from_tables_memo(&hashed, &q, DpMode::Windowed, Some(&store));
+        let warm = dppo_from_tables_memo(&hashed, &q, DpMode::Windowed, Some(&store));
+        for (label, r) in [("cold", &cold), ("partial", &partial), ("warm", &warm)] {
+            prop_assert_eq!(exact.bufmem, r.bufmem, "{}", label);
+            prop_assert_eq!(&exact.tree, &r.tree, "{}", label);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
