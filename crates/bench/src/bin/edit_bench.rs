@@ -1,4 +1,4 @@
-//! Benchmarks the incremental re-synthesis path on edit-heavy traffic:
+//! Benchmarks edit sessions on edit-heavy traffic:
 //! a deterministic stream of small edits (delay tweaks and
 //! ratio-preserving rate scalings) replayed through an
 //! [`IncrementalSession`] over the `sdf_apps::scale` chain corpus, timed
@@ -184,10 +184,6 @@ struct TierSample {
     warm_max_us: f64,
     memo_hits: u64,
     memo_misses: u64,
-    lifetimes_reused: u64,
-    placements_reused: u64,
-    cells_spliced: u64,
-    cells_recomputed: u64,
     dirty_edges_total: u64,
     verify: Verify,
 }
@@ -234,10 +230,6 @@ fn measure_tier(n: usize, steps: &[EditScript], verify: Verify) -> Result<TierSa
         warm_max_us: 0.0,
         memo_hits: 0,
         memo_misses: 0,
-        lifetimes_reused: 0,
-        placements_reused: 0,
-        cells_spliced: 0,
-        cells_recomputed: 0,
         dirty_edges_total: 0,
         verify,
     };
@@ -281,10 +273,6 @@ fn measure_tier(n: usize, steps: &[EditScript], verify: Verify) -> Result<TierSa
         }
         tier.memo_hits += s.memo_hits;
         tier.memo_misses += s.memo_misses;
-        tier.lifetimes_reused += s.lifetimes_reused;
-        tier.placements_reused += s.placements_reused;
-        tier.cells_spliced += s.cells_spliced;
-        tier.cells_recomputed += s.cells_recomputed;
         tier.dirty_edges_total += s.dirty_edges;
         if verify == Verify::All || (verify == Verify::Final && k + 1 == steps.len()) {
             let t = Instant::now();
@@ -310,7 +298,7 @@ fn measure_tier(n: usize, steps: &[EditScript], verify: Verify) -> Result<TierSa
 }
 
 /// One `bench_trajectory` point per tier, same envelope as the
-/// engine-sweep and scale-bench trajectories.
+/// engine-sweep trajectory.
 fn trajectory_point(tier: &TierSample) -> String {
     let unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -321,8 +309,6 @@ fn trajectory_point(tier: &TierSample) -> String {
          \"cold_runs\":{},\"cold_mean_us\":{:.3},\"seed_us\":{:.3},\
          \"warm_total_us\":{:.3},\"warm_mean_us\":{:.3},\"warm_max_us\":{:.3},\
          \"speedup\":{:.3},\"memo_hits\":{},\"memo_misses\":{},\
-         \"lifetimes_reused\":{},\"placements_reused\":{},\
-         \"cells_spliced\":{},\"cells_recomputed\":{},\
          \"dirty_edges_total\":{},\"verify\":\"{}\"}}",
         tier.n,
         tier.graph,
@@ -336,10 +322,6 @@ fn trajectory_point(tier: &TierSample) -> String {
         tier.speedup(),
         tier.memo_hits,
         tier.memo_misses,
-        tier.lifetimes_reused,
-        tier.placements_reused,
-        tier.cells_spliced,
-        tier.cells_recomputed,
         tier.dirty_edges_total,
         tier.verify.as_str(),
     )

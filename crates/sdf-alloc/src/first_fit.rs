@@ -153,12 +153,8 @@ pub fn allocate_with_provenance<G: ConflictGraph + ?Sized>(
 }
 
 /// The deterministic placement sequence `order` induces on `wig` — the
-/// exact enumeration [`allocate`] walks, exposed so the incremental
-/// allocator can compare sequences across runs.
-pub fn placement_sequence<G: ConflictGraph + ?Sized>(
-    wig: &G,
-    order: AllocationOrder,
-) -> Vec<usize> {
+/// exact enumeration [`allocate`] walks.
+fn placement_sequence<G: ConflictGraph + ?Sized>(wig: &G, order: AllocationOrder) -> Vec<usize> {
     let n = wig.len();
     let mut sequence: Vec<usize> = (0..n).collect();
     match order {
@@ -294,96 +290,6 @@ fn best_fit_offset(ranges: &[(u64, u64)], size: u64) -> u64 {
         Some((_, offset)) => offset,
         None => cursor,
     }
-}
-
-/// Reuse accounting of one [`allocate_incremental`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocSpliceStats {
-    /// Placements copied from the previous allocation (the clean
-    /// sequence prefix).
-    pub reused_placements: u64,
-    /// Placements recomputed by the first-fit scan.
-    pub recomputed_placements: u64,
-}
-
-/// Delta-driven first-fit: replays the previous allocation's placement
-/// prefix and re-runs the scan only from the first position where the
-/// enumeration diverges or meets a dirty buffer.
-///
-/// First-fit placement is sequential: the address of the buffer at
-/// position `p` depends only on the sizes, conflicts and offsets of the
-/// buffers placed at positions `0..p`. If the new and previous placement
-/// sequences agree on a prefix of clean buffers (unchanged lifetimes,
-/// hence unchanged sizes, starts, durations and pairwise conflicts), the
-/// previous offsets of that prefix are exactly what a cold run would
-/// compute, so they are copied and the loop resumes at the first
-/// divergent or dirty position. The result is bit-identical to
-/// [`allocate`] on the same `wig` under the cleanliness contract of
-/// [`sdf_lifetime::wig::IntersectionGraph::build_spliced`]; callers
-/// still run [`validate_allocation`] and byte-level equality asserts
-/// rather than assuming it.
-///
-/// `dirty` flags follow WIG buffer indices (SDF edge order) of the NEW
-/// wig; `prev_wig`/`prev_alloc` are the previous run's intersection
-/// graph and allocation under the same enumeration `order`.
-pub fn allocate_incremental<G: ConflictGraph + ?Sized, H: ConflictGraph + ?Sized>(
-    wig: &G,
-    order: AllocationOrder,
-    policy: PlacementPolicy,
-    prev_wig: &H,
-    prev_alloc: &Allocation,
-    dirty: &[bool],
-) -> (Allocation, AllocSpliceStats) {
-    let n = wig.len();
-    assert_eq!(dirty.len(), n, "one dirty flag per buffer");
-    let sequence = placement_sequence(wig, order);
-    let prev_sequence = placement_sequence(prev_wig, order);
-    // Longest common prefix of the two enumerations consisting solely of
-    // clean buffers: those placements replay bit-for-bit.
-    let mut reuse = 0usize;
-    while reuse < sequence.len()
-        && reuse < prev_sequence.len()
-        && sequence[reuse] == prev_sequence[reuse]
-        && !dirty[sequence[reuse]]
-    {
-        reuse += 1;
-    }
-
-    let mut offsets = vec![0u64; n];
-    let mut placed = vec![false; n];
-    let mut total = 0u64;
-    for &i in &sequence[..reuse] {
-        offsets[i] = prev_alloc.offset(i);
-        placed[i] = true;
-        total = total.max(offsets[i] + wig.size(i));
-    }
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for &i in &sequence[reuse..] {
-        let size = wig.size(i);
-        ranges.clear();
-        ranges.extend(
-            wig.conflicts(i)
-                .iter()
-                .filter(|&&j| placed[j])
-                .map(|&j| (offsets[j], offsets[j] + wig.size(j))),
-        );
-        ranges.sort_unstable();
-        crate::provenance::coalesce_ranges(&mut ranges);
-        let offset = match policy {
-            PlacementPolicy::FirstFit => first_fit_offset(&ranges, size),
-            PlacementPolicy::BestFit => best_fit_offset(&ranges, size),
-        };
-        offsets[i] = offset;
-        placed[i] = true;
-        total = total.max(offset + size);
-    }
-    (
-        Allocation { offsets, total },
-        AllocSpliceStats {
-            reused_placements: reuse as u64,
-            recomputed_placements: (n - reuse) as u64,
-        },
-    )
 }
 
 /// Checks that no two time-overlapping buffers occupy overlapping address
@@ -755,84 +661,6 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap()
         });
-    }
-
-    #[test]
-    fn incremental_matches_cold_on_dirty_suffix() {
-        // Previous instance: four solid lifetimes. The edit perturbs
-        // buffer 2's duration and size; buffers 0/1 stay clean.
-        let prev_w = wig_of(vec![
-            PeriodicLifetime::solid(0, 9, 4),
-            PeriodicLifetime::solid(1, 7, 3),
-            PeriodicLifetime::solid(2, 5, 2),
-            PeriodicLifetime::solid(3, 3, 6),
-        ]);
-        let next_w = wig_of(vec![
-            PeriodicLifetime::solid(0, 9, 4),
-            PeriodicLifetime::solid(1, 7, 3),
-            PeriodicLifetime::solid(2, 8, 5),
-            PeriodicLifetime::solid(3, 3, 6),
-        ]);
-        let dirty = [false, false, true, false];
-        for order in [
-            AllocationOrder::DurationDescending,
-            AllocationOrder::StartAscending,
-            AllocationOrder::Insertion,
-        ] {
-            for policy in [PlacementPolicy::FirstFit, PlacementPolicy::BestFit] {
-                let prev_a = allocate(&prev_w, order, policy);
-                let cold = allocate(&next_w, order, policy);
-                let (warm, stats) =
-                    allocate_incremental(&next_w, order, policy, &prev_w, &prev_a, &dirty);
-                assert_eq!(warm, cold, "{order:?}/{policy:?}");
-                validate_allocation(&next_w, &warm).unwrap();
-                assert_eq!(
-                    stats.reused_placements + stats.recomputed_placements,
-                    next_w.len() as u64
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_reuses_the_clean_prefix() {
-        // ffstart enumerates by ascending start: 0,1,2,3. Buffer 3 is the
-        // only dirty one, so three placements replay.
-        let prev_w = wig_of(vec![
-            PeriodicLifetime::solid(0, 4, 4),
-            PeriodicLifetime::solid(1, 4, 3),
-            PeriodicLifetime::solid(2, 4, 2),
-            PeriodicLifetime::solid(3, 4, 6),
-        ]);
-        let next_w = wig_of(vec![
-            PeriodicLifetime::solid(0, 4, 4),
-            PeriodicLifetime::solid(1, 4, 3),
-            PeriodicLifetime::solid(2, 4, 2),
-            PeriodicLifetime::solid(3, 9, 1),
-        ]);
-        let prev_a = allocate(
-            &prev_w,
-            AllocationOrder::StartAscending,
-            PlacementPolicy::FirstFit,
-        );
-        let (warm, stats) = allocate_incremental(
-            &next_w,
-            AllocationOrder::StartAscending,
-            PlacementPolicy::FirstFit,
-            &prev_w,
-            &prev_a,
-            &[false, false, false, true],
-        );
-        assert_eq!(stats.reused_placements, 3);
-        assert_eq!(stats.recomputed_placements, 1);
-        assert_eq!(
-            warm,
-            allocate(
-                &next_w,
-                AllocationOrder::StartAscending,
-                PlacementPolicy::FirstFit
-            )
-        );
     }
 
     #[test]

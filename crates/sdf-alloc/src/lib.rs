@@ -34,9 +34,8 @@ pub mod provenance;
 pub mod stats;
 
 pub use first_fit::{
-    allocate, allocate_both_orders, allocate_incremental, allocate_with_provenance,
-    placement_sequence, range_of_edge, validate_allocation, AllocSpliceStats, Allocation,
-    AllocationOrder, AllocationReport, PlacementPolicy,
+    allocate, allocate_both_orders, allocate_with_provenance, range_of_edge, validate_allocation,
+    Allocation, AllocationOrder, AllocationReport, PlacementPolicy,
 };
 pub use optimal::{optimal_allocation, optimal_allocation_with_provenance, OptimalResult};
 pub use provenance::{DecisionEngine, GapRejection, PlacementDecision, ProvenanceLog, RejectedGap};

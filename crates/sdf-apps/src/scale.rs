@@ -1,4 +1,5 @@
-//! Large synthetic systems for the scale benchmark (`scale_bench`).
+//! Large synthetic systems for the scale benchmarks (the `scale`
+//! workload of `pipeline_bench`, and `edit_bench`'s chains).
 //!
 //! The registry graphs top out below 200 actors, which hides the
 //! asymptotic cost of the loop-hierarchy DPs and the WIG build.  This

@@ -307,7 +307,7 @@ impl ExecutablePlan {
             s,
             "\"graph\":\"{}\",\
              \"model\":\"{}\",\"pool_words\":{},\"token_bytes\":{},\"bindings\":[",
-            json_escape(&self.graph),
+            sdf_trace::json::escape(&self.graph),
             self.model.as_str(),
             self.pool_words,
             self.token_bytes,
@@ -321,8 +321,8 @@ impl ExecutablePlan {
                 "{{\"edge\":{},\"src\":\"{}\",\"snk\":\"{}\",\"offset\":{},\"size\":{},\
                  \"prod\":{},\"cons\":{},\"delay\":{}}}",
                 b.edge,
-                json_escape(&b.src),
-                json_escape(&b.snk),
+                sdf_trace::json::escape(&b.src),
+                sdf_trace::json::escape(&b.snk),
                 b.offset,
                 b.size,
                 b.prod,
@@ -340,7 +340,7 @@ impl ExecutablePlan {
                     let _ = write!(
                         s,
                         "{{\"op\":\"fire\",\"actor\":\"{}\",\"count\":{}}}",
-                        json_escape(&self.actors[*actor].name),
+                        sdf_trace::json::escape(&self.actors[*actor].name),
                         count
                     );
                 }
@@ -356,24 +356,6 @@ impl ExecutablePlan {
         let _ = write!(s, "],\"op_count\":{}}}", self.ops.len());
         s
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -50,6 +50,9 @@ pub enum SdfError {
     /// A schedule that must be single-appearance mentioned some actor more
     /// than once (or not at all).
     NotSingleAppearance(ActorId),
+    /// An exact integer quantity the analysis needs (such as a
+    /// repetitions count) does not fit in a `u64`.
+    Overflow(String),
 }
 
 impl fmt::Display for SdfError {
@@ -85,6 +88,7 @@ impl fmt::Display for SdfError {
             SdfError::NotSingleAppearance(a) => {
                 write!(f, "schedule is not single-appearance for actor {a}")
             }
+            SdfError::Overflow(what) => write!(f, "arithmetic overflow: {what}"),
         }
     }
 }

@@ -69,11 +69,23 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `q == 0` or if the (cross-reduced) product overflows `u64`.
+    /// Panics if `q == 0` or if the (cross-reduced) product overflows `u64`;
+    /// [`Rational::checked_mul_ratio`] reports the overflow instead.
     pub fn mul_ratio(self, p: u64, q: u64) -> Self {
+        self.checked_mul_ratio(p, q)
+            .expect("rational product overflows u64")
+    }
+
+    /// Returns `self * (p / q)`, or `None` if the (cross-reduced) numerator
+    /// or denominator overflows `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q == 0`.
+    pub fn checked_mul_ratio(self, p: u64, q: u64) -> Option<Self> {
         assert!(q != 0, "rational denominator must be nonzero");
         if self.numer == 0 || p == 0 {
-            return Rational::ZERO;
+            return Some(Rational::ZERO);
         }
         // Reduce the incoming ratio, then diagonally, so the result is in
         // lowest terms with small intermediates.
@@ -81,13 +93,9 @@ impl Rational {
         let (p, q) = (p / g0, q / g0);
         let g1 = gcd(self.numer, q);
         let g2 = gcd(p, self.denom);
-        let numer = (self.numer / g1)
-            .checked_mul(p / g2)
-            .expect("rational numerator overflow");
-        let denom = (self.denom / g2)
-            .checked_mul(q / g1)
-            .expect("rational denominator overflow");
-        Rational { numer, denom }
+        let numer = (self.numer / g1).checked_mul(p / g2)?;
+        let denom = (self.denom / g2).checked_mul(q / g1)?;
+        Some(Rational { numer, denom })
     }
 
     /// Returns the integer value if this rational is a whole number.

@@ -9,7 +9,7 @@
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, EdgeId, SdfGraph};
-use crate::math::{gcd_iter, lcm};
+use crate::math::{gcd, gcd_iter};
 use crate::rational::Rational;
 
 /// The minimal positive repetitions vector of a consistent SDF graph.
@@ -53,6 +53,7 @@ impl RepetitionsVector {
     /// * [`SdfError::EmptyGraph`] if the graph has no actors.
     /// * [`SdfError::Inconsistent`] if some balance equation has no positive
     ///   solution.
+    /// * [`SdfError::Overflow`] if some firing count does not fit in a `u64`.
     pub fn compute(graph: &SdfGraph) -> Result<Self, SdfError> {
         let n = graph.actor_count();
         if n == 0 {
@@ -67,13 +68,15 @@ impl RepetitionsVector {
                 continue;
             }
             let component = Self::propagate(graph, root, &mut rate)?;
-            Self::normalise(&component, &rate, &mut q);
+            Self::normalise(&component, &rate, &mut q)?;
         }
         let result = RepetitionsVector { q };
         // Double-check every edge: propagation covers spanning-tree edges,
         // this validates the rest (and catches inconsistency on multi-edges).
+        // The products are exact in u128.
         for (id, e) in graph.edges() {
-            if e.prod * result.get(e.src) != e.cons * result.get(e.snk) {
+            let produced = u128::from(e.prod) * u128::from(result.get(e.src));
+            if produced != u128::from(e.cons) * u128::from(result.get(e.snk)) {
                 return Err(SdfError::Inconsistent { edge: id });
             }
         }
@@ -95,7 +98,9 @@ impl RepetitionsVector {
             // Forward edges: q(snk) = q(src) * prod / cons.
             for &eid in graph.out_edges(a) {
                 let e = graph.edge(eid);
-                let expected = ra.mul_ratio(e.prod, e.cons);
+                let expected = ra
+                    .checked_mul_ratio(e.prod, e.cons)
+                    .ok_or_else(|| overflow(eid))?;
                 match rate[e.snk.index()] {
                     None => {
                         rate[e.snk.index()] = Some(expected);
@@ -111,7 +116,9 @@ impl RepetitionsVector {
             // Backward edges: q(src) = q(snk) * cons / prod.
             for &eid in graph.in_edges(a) {
                 let e = graph.edge(eid);
-                let expected = ra.mul_ratio(e.cons, e.prod);
+                let expected = ra
+                    .checked_mul_ratio(e.cons, e.prod)
+                    .ok_or_else(|| overflow(eid))?;
                 match rate[e.src.index()] {
                     None => {
                         rate[e.src.index()] = Some(expected);
@@ -130,18 +137,31 @@ impl RepetitionsVector {
 
     /// Scales one component's rational rates to the minimal positive integer
     /// vector and writes it into `q`.
-    fn normalise(component: &[ActorId], rate: &[Option<Rational>], q: &mut [u64]) {
+    fn normalise(
+        component: &[ActorId],
+        rate: &[Option<Rational>],
+        q: &mut [u64],
+    ) -> Result<(), SdfError> {
+        let rate_of = |a: &ActorId| rate[a.index()].expect("component actor must have a rate");
+        let too_large = || {
+            SdfError::Overflow(format!(
+                "repetitions of the component containing actor {} exceed u64",
+                component[0]
+            ))
+        };
         let scale = component
             .iter()
-            .map(|a| {
-                rate[a.index()]
-                    .expect("component actor must have a rate")
-                    .denom()
+            .try_fold(1u64, |acc, a| {
+                let d = rate_of(a).denom();
+                (acc / gcd(acc, d)).checked_mul(d)
             })
-            .fold(1u64, lcm);
-        for &a in component {
-            let r = rate[a.index()].expect("component actor must have a rate");
-            q[a.index()] = r.numer() * (scale / r.denom());
+            .ok_or_else(too_large)?;
+        for a in component {
+            let r = rate_of(a);
+            q[a.index()] = r
+                .numer()
+                .checked_mul(scale / r.denom())
+                .ok_or_else(too_large)?;
         }
         // Divide out any common factor so the solution is minimal.
         let g = gcd_iter(component.iter().map(|a| q[a.index()]));
@@ -150,6 +170,7 @@ impl RepetitionsVector {
                 q[a.index()] /= g;
             }
         }
+        Ok(())
     }
 
     /// Returns `q(a)`, the firings of actor `a` per schedule period.
@@ -184,6 +205,12 @@ impl RepetitionsVector {
         let edge = graph.edge(e);
         edge.prod * self.get(edge.src)
     }
+}
+
+/// The error for a firing-rate ratio that overflows `u64` while
+/// propagating across `edge`.
+fn overflow(edge: EdgeId) -> SdfError {
+    SdfError::Overflow(format!("firing-rate ratio across edge {edge} exceeds u64"))
 }
 
 /// Returns true if `graph` is consistent (its balance equations admit a
@@ -360,5 +387,29 @@ mod tests {
         }
         let q = RepetitionsVector::compute(&g).unwrap();
         assert!(q.as_slice().iter().all(|&x| x == 1));
+    }
+
+    #[test]
+    fn oversized_firing_counts_are_a_typed_error() {
+        let is_overflow =
+            |g: &SdfGraph| matches!(RepetitionsVector::compute(g), Err(SdfError::Overflow(_)));
+        // Propagation: q(C) = 2 · (2^64 − 1) · q(A).
+        let mut g = SdfGraph::new("ratio");
+        let (a, b, c) = (g.add_actor("A"), g.add_actor("B"), g.add_actor("C"));
+        g.add_edge(a, b, u64::MAX, 1).unwrap();
+        g.add_edge(b, c, 20, 10).unwrap();
+        assert!(is_overflow(&g));
+        // Normalisation's lcm: two coprime denominators near 2^33.
+        let mut g = SdfGraph::new("lcm");
+        let (a, b, c) = (g.add_actor("A"), g.add_actor("B"), g.add_actor("C"));
+        g.add_edge(a, b, 1, (1 << 33) + 1).unwrap();
+        g.add_edge(a, c, 1, (1 << 33) + 3).unwrap();
+        assert!(is_overflow(&g));
+        // Normalisation's scaling: q(C) = 3 · 2^63.
+        let mut g = SdfGraph::new("scale");
+        let (a, b, c) = (g.add_actor("A"), g.add_actor("B"), g.add_actor("C"));
+        g.add_edge(a, b, 1, 3).unwrap();
+        g.add_edge(a, c, 1 << 63, 1).unwrap();
+        assert!(is_overflow(&g));
     }
 }

@@ -59,4 +59,4 @@ pub use merge::{CbpSpec, MergedGraph};
 pub use modes::{ModeBuffer, ModeBufferKind, ModeConflictGraph};
 pub use occupancy::{OccupancySample, OccupancyTimeline};
 pub use tree::{ScheduleTree, TreeNodeId};
-pub use wig::{Buffer, ConflictGraph, IntersectionGraph, WigSpliceStats};
+pub use wig::{Buffer, ConflictGraph, IntersectionGraph};

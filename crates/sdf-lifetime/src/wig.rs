@@ -161,19 +161,6 @@ impl ConflictGraph for IntersectionGraph {
     }
 }
 
-/// Reuse accounting of one [`IntersectionGraph::build_spliced`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WigSpliceStats {
-    /// Buffers cloned from the previous WIG (clean edges).
-    pub reused_buffers: u64,
-    /// Buffers whose lifetimes were re-derived (dirty edges).
-    pub recomputed_buffers: u64,
-    /// Clean adjacency pairs copied from the previous WIG.
-    pub reused_pairs: u64,
-    /// Pairs touching a dirty buffer that were precisely re-tested.
-    pub retested_pairs: u64,
-}
-
 /// The weighted intersection graph of all buffers of a schedule.
 ///
 /// # Examples
@@ -253,92 +240,6 @@ impl IntersectionGraph {
             sdf_trace::counter_add("lifetime.wig.conflicts", conflicts);
         }
         IntersectionGraph { buffers, adjacency }
-    }
-
-    /// Delta-driven rebuild: clean edges reuse the previous WIG's buffer
-    /// lifetimes and clean-pair adjacency verbatim; only lifetimes of
-    /// dirty edges and pairs touching a dirty buffer are recomputed.
-    ///
-    /// The result is bit-identical to [`IntersectionGraph::build`] on the
-    /// same `(graph, q, tree)` **provided** the caller's cleanliness
-    /// contract holds: for every `i` with `dirty[i] == false`, edge `i`
-    /// of `graph` has the same record (endpoints, rates, delay) as edge
-    /// `i` of the graph `prev` was built from, and `prev` was built under
-    /// the same repetitions vector and an equal schedule tree. Lifetimes
-    /// are pure per-edge functions of exactly those inputs
-    /// ([`buffer_lifetime`]), so clean reuse cannot diverge; the
-    /// incremental pipeline still asserts equality end-to-end rather than
-    /// assuming it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dirty.len() != graph.edge_count()`, or if a clean index
-    /// has no positionally matching buffer in `prev`.
-    pub fn build_spliced(
-        graph: &SdfGraph,
-        q: &RepetitionsVector,
-        tree: &ScheduleTree,
-        prev: &IntersectionGraph,
-        dirty: &[bool],
-    ) -> (Self, WigSpliceStats) {
-        let n = graph.edge_count();
-        assert_eq!(dirty.len(), n, "one dirty flag per edge");
-        let mut stats = WigSpliceStats::default();
-        let buffers: Vec<Buffer> = (0..n)
-            .map(|i| {
-                let id = EdgeId::from_index(i);
-                if !dirty[i] {
-                    let b = &prev.buffers[i];
-                    assert_eq!(b.edge, id, "clean buffer must match positionally");
-                    stats.reused_buffers += 1;
-                    b.clone()
-                } else {
-                    stats.recomputed_buffers += 1;
-                    Buffer {
-                        edge: id,
-                        lifetime: buffer_lifetime(graph, q, tree, id),
-                    }
-                }
-            })
-            .collect();
-        let mut adjacency = vec![Vec::new(); n];
-        // Clean-clean pairs come straight from the previous adjacency
-        // (dropping neighbours past the new edge count — those buffers no
-        // longer exist); each such pair appears once with j > i.
-        for i in 0..n {
-            if dirty[i] {
-                continue;
-            }
-            for &j in &prev.adjacency[i] {
-                if j > i && j < n && !dirty[j] {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                    stats.reused_pairs += 1;
-                }
-            }
-        }
-        // Every pair with at least one dirty member is re-tested, with
-        // the same envelope pruning the sweep applies.
-        for i in 0..n {
-            for j in 0..i {
-                if !(dirty[i] || dirty[j]) {
-                    continue;
-                }
-                let (a, b) = (&buffers[i].lifetime, &buffers[j].lifetime);
-                if a.start() >= b.envelope_end() || b.start() >= a.envelope_end() {
-                    continue;
-                }
-                stats.retested_pairs += 1;
-                if a.intersects(b) {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                }
-            }
-        }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-        }
-        (IntersectionGraph { buffers, adjacency }, stats)
     }
 
     /// Brute-force all-pairs construction — the sweep's executable
@@ -529,89 +430,6 @@ mod tests {
         let w = wig_of(vec![]);
         assert!(w.is_empty());
         assert_eq!(w.total_size(), 0);
-    }
-
-    mod splice {
-        use super::*;
-
-        /// A four-stage chain with an editable delay on the middle edge;
-        /// rates are uniform so the repetitions vector (and thus any
-        /// fixed schedule tree) is delay-independent.
-        fn chain(delay: u64) -> SdfGraph {
-            let mut g = SdfGraph::new("chain4");
-            let a = g.add_actor("A");
-            let b = g.add_actor("B");
-            let c = g.add_actor("C");
-            let d = g.add_actor("D");
-            g.add_edge(a, b, 2, 1).unwrap();
-            g.add_edge_with_delay(b, c, 1, 1, delay).unwrap();
-            g.add_edge(c, d, 1, 2).unwrap();
-            g
-        }
-
-        fn tree_for(g: &SdfGraph, q: &RepetitionsVector) -> ScheduleTree {
-            use sdf_core::schedule::{SasNode, SasTree};
-            let ids: Vec<_> = g.actors().collect();
-            // A (2 BC) D — matches q = (1, 2, 2, 1).
-            let sas = SasTree::new(SasNode::branch(
-                1,
-                SasNode::leaf(ids[0], 1),
-                SasNode::branch(
-                    1,
-                    SasNode::branch(2, SasNode::leaf(ids[1], 1), SasNode::leaf(ids[2], 1)),
-                    SasNode::leaf(ids[3], 1),
-                ),
-            ));
-            ScheduleTree::build(g, q, &sas).unwrap()
-        }
-
-        #[test]
-        fn spliced_build_matches_cold_build() {
-            let base = chain(0);
-            let q = RepetitionsVector::compute(&base).unwrap();
-            let prev = IntersectionGraph::build(&base, &q, &tree_for(&base, &q));
-            for delay in [1, 3, 7] {
-                let edited = chain(delay);
-                assert_eq!(RepetitionsVector::compute(&edited).unwrap(), q);
-                let tree = tree_for(&edited, &q);
-                let cold = IntersectionGraph::build(&edited, &q, &tree);
-                let dirty = vec![false, true, false];
-                let (warm, stats) =
-                    IntersectionGraph::build_spliced(&edited, &q, &tree, &prev, &dirty);
-                assert_eq!(warm.len(), cold.len());
-                for i in 0..cold.len() {
-                    assert_eq!(warm.buffer(i).edge, cold.buffer(i).edge, "delay {delay}");
-                    assert_eq!(
-                        warm.buffer(i).lifetime,
-                        cold.buffer(i).lifetime,
-                        "delay {delay} buffer {i}"
-                    );
-                    assert_eq!(warm.neighbours(i), cold.neighbours(i), "delay {delay}");
-                }
-                assert_eq!(stats.reused_buffers, 2);
-                assert_eq!(stats.recomputed_buffers, 1);
-            }
-        }
-
-        #[test]
-        fn all_dirty_splice_matches_cold_build() {
-            let g = chain(2);
-            let q = RepetitionsVector::compute(&g).unwrap();
-            let tree = tree_for(&g, &q);
-            let cold = IntersectionGraph::build(&g, &q, &tree);
-            // Splicing against an unrelated previous WIG with everything
-            // dirty must ignore the previous state entirely.
-            let other = chain(0);
-            let prev = IntersectionGraph::build(&other, &q, &tree_for(&other, &q));
-            let (warm, stats) =
-                IntersectionGraph::build_spliced(&g, &q, &tree, &prev, &[true, true, true]);
-            for i in 0..cold.len() {
-                assert_eq!(warm.buffer(i).lifetime, cold.buffer(i).lifetime);
-                assert_eq!(warm.neighbours(i), cold.neighbours(i));
-            }
-            assert_eq!(stats.reused_buffers, 0);
-            assert_eq!(stats.reused_pairs, 0);
-        }
     }
 
     mod sweep_equivalence {

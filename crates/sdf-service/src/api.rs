@@ -640,10 +640,10 @@ pub enum ResponsePayload {
     /// `edit`: the edited graph's synthesis plus the edit delta.
     ///
     /// Every member is a deterministic function of (base graph, edit
-    /// script): the delta path is bit-identical to a cold run, so this
-    /// payload is cacheable. Session statistics (memo hits, splice
-    /// counts, elapsed time) are *not* here — they depend on daemon
-    /// history and travel in the per-request telemetry instead.
+    /// script): the session path is bit-identical to a cold run, so this
+    /// payload is cacheable. Session statistics (memo hits, elapsed
+    /// time) are *not* here — they depend on daemon history and travel
+    /// in the per-request telemetry instead.
     Edit {
         /// The edited graph.
         graph: SdfGraph,
@@ -654,7 +654,7 @@ pub enum ResponsePayload {
         /// Operations the edit script applied.
         edits_applied: usize,
         /// Edited-graph edges whose record or endpoints changed from
-        /// the base (positional diff, as the delta path sees it).
+        /// the base (positional diff, as the session sees it).
         dirty_edges: usize,
     },
     /// `modes`: the multi-mode synthesis (merged pool, per-mode plans,

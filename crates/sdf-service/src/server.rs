@@ -139,11 +139,6 @@ impl Shared {
             r.counter_add("engine.incremental.dirty_edges", s.dirty_edges);
             r.counter_add("engine.incremental.memo.hits", s.memo_hits);
             r.counter_add("engine.incremental.memo.misses", s.memo_misses);
-            r.counter_add("engine.incremental.lifetimes.reused", s.lifetimes_reused);
-            r.counter_add(
-                "engine.incremental.alloc.placements_reused",
-                s.placements_reused,
-            );
         }
         let memo = self.sessions.memo_stats();
         r.gauge_set("engine.incremental.memo.occupancy", memo.occupancy);
@@ -294,10 +289,10 @@ fn worker_loop(shared: &Shared) {
         // the module docs for why that would break byte identity;
         // stages are measured directly by the timed executor instead.
         let (response, mut stages) = match &job.request {
-            // Edits route through the stateful session registry: delta
-            // path on a live session, cold seed otherwise. Payload
-            // bytes are identical either way (the incremental module's
-            // bit-identity contract), so the result cache stays sound.
+            // Edits route through the stateful session registry: a live
+            // session's warm memo store, or a cold seed otherwise.
+            // Payload bytes are identical either way (a session run is
+            // an engine run), so the result cache stays sound.
             ServiceRequest::Edit { graph, edits } => {
                 let (response, stages, stats) = shared.sessions.execute_edit_timed(graph, edits);
                 shared.record_incremental(stats.as_ref());

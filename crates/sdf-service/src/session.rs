@@ -4,20 +4,21 @@
 //! [`IncrementalSession`]s keyed by the fingerprint of their current
 //! graph's canonical text, all sharing one cross-request
 //! [`MemoStore`]. An `edit` request naming a base graph the registry
-//! has seen rides the delta path (chain-DP memo hits, lifetime/WIG/
-//! allocation splicing); an unknown base falls back to a cold
-//! synthesis that *seeds* a session, so the next edit against the
-//! edited graph chains. After every edit the session is re-keyed under
-//! the edited graph's fingerprint.
+//! has seen applies the edits to that session (a *delta* run: the
+//! engine on the edited graph, chain-DP cells resolved from the warm
+//! store); an unknown base falls back to a cold synthesis that *seeds*
+//! a session, so the next edit against the edited graph chains. After
+//! every edit the session is re-keyed under the edited graph's
+//! fingerprint.
 //!
-//! The payload stays deterministic either way: both paths are
-//! bit-identical to a cold [`AnalysisBuilder`] run (the incremental
-//! module's contract, enforced by its test suite), and the payload is
-//! assembled by the same [`edit_payload`] the stateless in-process
-//! backend uses. Session-history-dependent numbers — memo hits,
-//! splice counts, elapsed time — travel in [`DeltaStats`], which the
-//! daemon worker folds into its private recorder and the per-request
-//! telemetry, never into cached payload bytes.
+//! The payload stays deterministic either way: a session run is an
+//! [`AnalysisBuilder`] run with a memo store installed, bit-identical
+//! to a cold run without one, and the payload is assembled by the same
+//! [`edit_payload`] the stateless in-process backend uses.
+//! Session-history-dependent numbers — memo hits, elapsed time —
+//! travel in [`DeltaStats`], which the daemon worker folds into its
+//! private recorder and the per-request telemetry, never into cached
+//! payload bytes.
 //!
 //! [`AnalysisBuilder`]: sdfmem::engine::AnalysisBuilder
 
@@ -35,8 +36,8 @@ use crate::api::{
 use crate::hash::fingerprint;
 
 /// How many live sessions the registry retains (LRU eviction). Each
-/// session holds one graph plus per-stage delta state; the shared memo
-/// store is bounded separately.
+/// session holds one graph; the shared memo store is bounded
+/// separately.
 const SESSION_CAPACITY: usize = 32;
 
 /// A bounded pool of incremental sessions sharing one memo store.
@@ -179,7 +180,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{execute_request, ServiceRequest};
+    use crate::api::{execute_request, ErrorCode, ServiceRequest};
 
     const FIG2: &str = "graph fig2\nedge A B 20 10\nedge B C 20 10\n";
 
@@ -242,6 +243,44 @@ mod tests {
         assert_eq!(registry.session_count(), 1, "session survives a bad edit");
         // And the stream continues on the delta path afterwards.
         let (ok, _, stats) = registry.execute_edit_timed(edited, "set-delay A B 9\n");
+        assert!(matches!(ok, ServiceResponse::Ok(_)));
+        assert!(!stats.expect("stats").cold);
+    }
+
+    #[test]
+    fn overflowing_edits_return_error_envelopes() {
+        // Each script drives a repetitions count past u64. Seed a session
+        // keyed by FIG2 first, so the edits take the delta path as well
+        // as the stateless one; both must answer with an engine error,
+        // not a panic, and the session must survive.
+        let registry = SessionRegistry::new();
+        let (seed, _, _) = registry.execute_edit_timed(
+            "graph fig2\nedge A B 20 10 delay 1\nedge B C 20 10\n",
+            "set-delay A B 0\n",
+        );
+        assert!(matches!(seed, ServiceResponse::Ok(_)));
+        for edits in [
+            "set-rate A B 18446744073709551615 1\n",
+            "add-edge C D 4294967296 1\nadd-edge D E 4294967296 1\nadd-edge E F 4294967296 1\n",
+        ] {
+            let stateless = execute_request(&ServiceRequest::Edit {
+                graph: FIG2.into(),
+                edits: edits.into(),
+            });
+            let (delta, _, stats) = registry.execute_edit_timed(FIG2, edits);
+            assert!(stats.is_none(), "{edits}");
+            for response in [&stateless, &delta] {
+                let ServiceResponse::Err(error) = response else {
+                    panic!("{edits}: expected an error, got {}", response.status());
+                };
+                assert_eq!(error.code, ErrorCode::EngineError, "{edits}");
+                assert!(error.message.contains("overflow"), "{}", error.message);
+                let line = response.to_json("r1", false);
+                assert!(line.contains("\"status\":\"error\""), "{line}");
+            }
+        }
+        assert_eq!(registry.session_count(), 1, "session survives the errors");
+        let (ok, _, stats) = registry.execute_edit_timed(FIG2, "set-delay A B 2\n");
         assert!(matches!(ok, ServiceResponse::Ok(_)));
         assert!(!stats.expect("stats").cold);
     }

@@ -571,27 +571,11 @@ impl fmt::Display for EngineReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str(s: &mut String, key: &str, value: &str) {
     s.push('"');
     s.push_str(key);
     s.push_str("\":\"");
-    s.push_str(&json_escape(value));
+    s.push_str(&sdf_trace::json::escape(value));
     s.push('"');
 }
 
@@ -633,7 +617,10 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn run_engine(graph: &SdfGraph, options: &SynthesisOptions) -> Result<Synthesis, SdfError> {
+pub(crate) fn run_engine(
+    graph: &SdfGraph,
+    options: &SynthesisOptions,
+) -> Result<Synthesis, SdfError> {
     let _run_span = sdf_trace::span!("engine.run", graph = graph.name());
     let t_run = Instant::now();
     if options.heuristics.is_empty()

@@ -1,29 +1,25 @@
-//! Incremental re-synthesis for edit-heavy traffic.
+//! Edit sessions for edit-heavy traffic.
 //!
 //! Interactive callers — a designer nudging one rate, a daemon serving a
-//! stream of small graph edits — re-run the full engine today and pay
-//! the quadratic chain-DP sweep every time. This module adds the delta
-//! path: an [`IncrementalSession`] holds the previous synthesis state
-//! and a cross-run [`MemoStore`], an [`EditScript`] describes a small
-//! change against the current graph, and [`IncrementalSession::apply_edits`]
-//! re-synthesises by recomputing only what the edit invalidated:
+//! stream of small graph edits — re-synthesise a graph that differs from
+//! the previous one by a few edges. An [`IncrementalSession`] holds the
+//! current graph and a cross-run [`MemoStore`], an [`EditScript`]
+//! describes a small change against that graph, and
+//! [`IncrementalSession::apply_edits`] applies it and runs the engine on
+//! the edited graph with the session's store installed
+//! ([`SynthesisOptions::memo`]).
 //!
-//! * **chain-DP cells** are content-addressed in the memo store
-//!   ([`sdf_sched::memo`]) — subchains untouched by the edit resolve to
-//!   stored `(value, split)` pairs without re-running the DP;
-//! * **lifetime envelopes** of clean edges are reused verbatim
-//!   ([`IntersectionGraph::build_spliced`]) when the schedule tree and
-//!   repetitions vector are unchanged;
-//! * **WIG adjacency** between clean buffer pairs is copied; only pairs
-//!   touching a dirty buffer are re-tested;
-//! * **first-fit placements** replay the previous allocation's clean
-//!   sequence prefix ([`allocate_incremental`]).
+//! The store is what makes an edit cheap: chain-DP cells are
+//! content-addressed ([`sdf_sched::memo`]), so every subchain the edit
+//! left untouched resolves to its stored `(value, split)` pair without
+//! re-running the DP. Orders, lifetimes, the WIG and first-fit are
+//! recomputed on every edit.
 //!
-//! Every incremental result is bit-for-bit identical to a cold run on
-//! the edited graph — asserted, not assumed: allocations are always
-//! re-validated, and the test suite (plus the CI smoke job) compares
-//! schedules, offsets and the full `ExecutablePlan` JSON byte-wise
-//! against cold reference runs at every step.
+//! Because a session *is* the engine plus a store, every result is
+//! bit-for-bit identical to a cold [`crate::engine::AnalysisBuilder`]
+//! run on the edited graph; the test suite (plus the CI smoke job)
+//! compares schedules, offsets and the full `ExecutablePlan` JSON
+//! byte-wise against cold reference runs at every step.
 //!
 //! # Examples
 //!
@@ -45,24 +41,16 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sdf_alloc::{allocate, allocate_incremental, validate_allocation, Allocation, PlacementPolicy};
 use sdf_codegen::ExecutablePlan;
 use sdf_core::error::SdfError;
-use sdf_core::graph::{ActorId, SdfGraph};
-use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::schedule::SasTree;
-use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
-use sdf_lifetime::tree::ScheduleTree;
-use sdf_lifetime::wig::IntersectionGraph;
-use sdf_sched::variant::{schedule_variant_from_tables_memo, LoopVariant};
-use sdf_sched::{apgan, dppo_from_tables_memo, rpmc, ChainTables, MemoStats, MemoStore};
+use sdf_core::graph::SdfGraph;
+use sdf_sched::{MemoStats, MemoStore};
 
-use crate::engine::{Heuristic, SynthesisOptions};
+use crate::engine::{run_engine, SynthesisOptions};
 use crate::pipeline::Analysis;
 
 /// One edit against the current graph. Edges are addressed by endpoint
@@ -416,62 +404,15 @@ pub fn dirty_edges(prev: &SdfGraph, next: &SdfGraph) -> Vec<bool> {
         .collect()
 }
 
-/// A delay-insensitive structural fingerprint (actors, topology, rates).
-/// APGAN clusters on repetitions counts and rate products only — it
-/// never reads edge delays — so its order can be reused across edits
-/// that change delays alone. The reuse is additionally asserted by a
-/// test replaying random delay edits, not just claimed here.
-fn rate_topology_fingerprint(graph: &SdfGraph) -> u64 {
-    // FNV-1a over the delay-free description.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(&(graph.actor_count() as u64).to_le_bytes());
-    for a in graph.actors() {
-        eat(graph.actor_name(a).as_bytes());
-        eat(&[0xff]);
-    }
-    for (_, e) in graph.edges() {
-        eat(&(e.src.index() as u64).to_le_bytes());
-        eat(&(e.snk.index() as u64).to_le_bytes());
-        eat(&e.prod.to_le_bytes());
-        eat(&e.cons.to_le_bytes());
-    }
-    h
-}
-
-/// Reuse accounting of one incremental run.
+/// Accounting of one session run.
 #[derive(Clone, Debug, Default)]
 pub struct DeltaStats {
-    /// True when no previous state existed (full synthesis).
+    /// True when no previous graph existed (a seeding run).
     pub cold: bool,
     /// Edges invalidated by the edit, out of `total_edges`.
     pub dirty_edges: u64,
     /// Edge count of the (edited) graph.
     pub total_edges: u64,
-    /// Whether the APGAN order was reused from the previous run.
-    pub apgan_order_reused: bool,
-    /// Lattice cells whose lifetime/WIG/alloc stages spliced against the
-    /// previous run's state.
-    pub cells_spliced: u64,
-    /// Lattice cells evaluated from scratch.
-    pub cells_recomputed: u64,
-    /// Buffer lifetimes reused verbatim across all spliced cells.
-    pub lifetimes_reused: u64,
-    /// Buffer lifetimes recomputed.
-    pub lifetimes_recomputed: u64,
-    /// Clean WIG adjacency pairs copied.
-    pub wig_pairs_reused: u64,
-    /// WIG pairs precisely re-tested.
-    pub wig_pairs_retested: u64,
-    /// First-fit placements replayed from previous allocations.
-    pub placements_reused: u64,
-    /// First-fit placements recomputed.
-    pub placements_recomputed: u64,
     /// Memo-store hits during this run.
     pub memo_hits: u64,
     /// Memo-store misses during this run.
@@ -489,7 +430,7 @@ pub struct IncrementalResult {
     /// [`crate::engine::AnalysisBuilder::run`] with the same options on
     /// the same graph.
     pub analysis: Analysis,
-    /// Reuse accounting for this run.
+    /// Memo and dirty-edge accounting for this run.
     pub stats: DeltaStats,
 }
 
@@ -506,38 +447,19 @@ impl IncrementalResult {
     }
 }
 
-/// Everything one evaluated lattice cell leaves behind for the next
-/// edit to splice against.
-struct PrevCell {
-    heuristic: Heuristic,
-    loop_opt: LoopVariant,
-    schedule: SasTree,
-    wig: IntersectionGraph,
-    /// One allocation per configured allocation order, in axis order.
-    allocations: Vec<Allocation>,
-    mco: u64,
-    mcp: u64,
-}
-
-struct SessionState {
-    graph: SdfGraph,
-    q: RepetitionsVector,
-    apgan_fp: u64,
-    apgan_order: Option<Vec<ActorId>>,
-    cells: Vec<PrevCell>,
-}
-
 /// A stateful synthesis session over an evolving graph.
 ///
-/// The session owns (or shares) a [`MemoStore`] and the previous run's
-/// per-cell state; [`IncrementalSession::synthesize`] seeds it from a
-/// full graph and [`IncrementalSession::apply_edits`] advances it by an
-/// [`EditScript`]. The `parallel` option is ignored — the incremental
-/// walk is serial (warm stages are too cheap to amortise threads).
+/// The session owns (or shares) a [`MemoStore`] and the current graph;
+/// [`IncrementalSession::synthesize`] seeds it from a full graph and
+/// [`IncrementalSession::apply_edits`] advances it by an [`EditScript`].
+/// Runs are always serial, whatever the options say: with a warm store
+/// most of an edit's DP work is lookups, and the parallel engine measured
+/// 2.3–2.6× slower than serial per edit on a 64-actor chain and
+/// 1.1–1.3× slower on a 512-actor one (2-CPU VM).
 pub struct IncrementalSession {
     options: SynthesisOptions,
     memo: Arc<MemoStore>,
-    state: Option<SessionState>,
+    graph: Option<SdfGraph>,
 }
 
 impl IncrementalSession {
@@ -548,15 +470,15 @@ impl IncrementalSession {
 
     /// A session sharing `store` with other sessions — the daemon keeps
     /// one process-wide store so concurrent edit streams cross-seed each
-    /// other's subchains.
+    /// other's subchains. Any store or `parallel` flag on `options` is
+    /// replaced by `store` and serial evaluation.
     pub fn with_store(mut options: SynthesisOptions, store: Arc<MemoStore>) -> Self {
-        // The walk wires the store through explicitly; a stale handle on
-        // the options would shadow it.
-        options.memo = None;
+        options.memo = Some(Arc::clone(&store));
+        options.parallel = false;
         IncrementalSession {
             options,
             memo: store,
-            state: None,
+            graph: None,
         }
     }
 
@@ -567,28 +489,24 @@ impl IncrementalSession {
 
     /// The current graph, if the session has been seeded.
     pub fn graph(&self) -> Option<&SdfGraph> {
-        self.state.as_ref().map(|s| &s.graph)
+        self.graph.as_ref()
     }
 
     /// Full synthesis of `graph`, seeding (or re-seeding) the session.
     /// The memo store persists across seeds, so re-synthesising a
-    /// related graph is already warm.
+    /// related graph is already warm. On error the session keeps its
+    /// previous graph.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`crate::engine::AnalysisBuilder::run`].
     pub fn synthesize(&mut self, graph: &SdfGraph) -> Result<IncrementalResult, SdfError> {
-        let prev = self.state.take();
-        let result = self.walk(graph.clone(), None);
-        if result.is_err() {
-            self.state = prev;
-        }
-        result
+        self.run(graph.clone(), None)
     }
 
-    /// Applies `script` to the current graph and re-synthesises along
-    /// the delta path. On error the session keeps its previous graph and
-    /// state, so a bad edit does not wedge the stream.
+    /// Applies `script` to the current graph and re-synthesises the
+    /// edited graph against the warm store. On error the session keeps
+    /// its previous graph, so a bad edit does not wedge the stream.
     ///
     /// # Errors
     ///
@@ -596,267 +514,40 @@ impl IncrementalSession {
     /// addresses nonexistent edges, or with any engine error on the
     /// edited graph.
     pub fn apply_edits(&mut self, script: &EditScript) -> Result<IncrementalResult, SdfError> {
-        let state = self.state.take().ok_or_else(|| {
+        let base = self.graph.as_ref().ok_or_else(|| {
             SdfError::InvalidSchedule(
                 "incremental session has no base graph; synthesize one first".to_string(),
             )
         })?;
-        let next = match apply_edits(&state.graph, script) {
-            Ok(g) => g,
-            Err(e) => {
-                self.state = Some(state);
-                return Err(e);
-            }
-        };
-        let result = self.walk(next, Some(&state));
-        if result.is_err() {
-            self.state = Some(state);
-        }
-        result
+        let next = apply_edits(base, script)?;
+        let dirty = dirty_edges(base, &next).iter().filter(|&&d| d).count() as u64;
+        self.run(next, Some(dirty))
     }
 
-    /// The serial candidate-lattice walk with delta splicing. Mirrors
-    /// `engine::run_engine` stage for stage — same order construction,
-    /// same cell assembly, same flattening, same winner rule — so its
-    /// winner is the engine's winner; bit-identity is enforced by the
-    /// test suite and the CI smoke job rather than assumed.
-    fn walk(
-        &mut self,
-        graph: SdfGraph,
-        prev: Option<&SessionState>,
-    ) -> Result<IncrementalResult, SdfError> {
+    /// One engine run on `graph` with the session's store; `dirty` is
+    /// the edit's dirty-edge count, `None` for a seeding run.
+    fn run(&mut self, graph: SdfGraph, dirty: Option<u64>) -> Result<IncrementalResult, SdfError> {
         let t_run = Instant::now();
-        let options = &self.options;
-        if options.heuristics.is_empty()
-            || options.loop_opts.is_empty()
-            || options.allocation_orders.is_empty()
-        {
-            return Err(SdfError::InvalidSchedule(
-                "empty candidate lattice: every SynthesisOptions axis needs at least one entry"
-                    .to_string(),
-            ));
-        }
-        let mut stats = DeltaStats {
-            cold: prev.is_none(),
-            ..DeltaStats::default()
-        };
         let memo_before = self.memo.stats();
-        let q = RepetitionsVector::compute(&graph)?;
-        let dirty: Option<Vec<bool>> = prev.map(|p| dirty_edges(&p.graph, &graph));
-        stats.total_edges = graph.edge_count() as u64;
-        stats.dirty_edges = dirty
-            .as_ref()
-            .map(|d| d.iter().filter(|&&b| b).count() as u64)
-            .unwrap_or(stats.total_edges);
-
-        // Stage 1: lexical orders. RPMC reads delays and is cheap, so it
-        // always reruns. APGAN is delay-blind; a delay-only edit reuses
-        // the previous order.
-        let apgan_fp = rate_topology_fingerprint(&graph);
-        let mut apgan_order: Option<Vec<ActorId>> = None;
-        let mut orders: Vec<(Heuristic, Vec<ActorId>)> = Vec::new();
-        for &heuristic in &options.heuristics {
-            if orders.iter().any(|(h, _)| *h == heuristic) {
-                continue;
-            }
-            let order = match heuristic {
-                Heuristic::Rpmc => rpmc(&graph, &q)?,
-                Heuristic::Apgan => {
-                    let order = match prev {
-                        Some(p) if p.apgan_fp == apgan_fp && p.apgan_order.is_some() => {
-                            stats.apgan_order_reused = true;
-                            p.apgan_order.clone().expect("checked is_some")
-                        }
-                        _ => apgan(&graph, &q)?,
-                    };
-                    apgan_order = Some(order.clone());
-                    order
-                }
-                Heuristic::Custom => options.custom_order.clone().ok_or_else(|| {
-                    SdfError::InvalidSchedule(
-                        "Heuristic::Custom selected without AnalysisBuilder::custom_order"
-                            .to_string(),
-                    )
-                })?,
-            };
-            orders.push((heuristic, order));
-        }
-
-        // Stage 2: hashed chain tables plus the memo-backed non-shared
-        // DPPO baseline, one build per distinct order.
-        let mut tables: HashMap<Vec<ActorId>, Arc<ChainTables>> = HashMap::new();
-        let mut baselines: HashMap<Vec<ActorId>, sdf_sched::DppoResult> = HashMap::new();
-        let mut nonshared_bufmem = u64::MAX;
-        for (_, order) in &orders {
-            if !baselines.contains_key(order) {
-                let ct = Arc::new(ChainTables::build_hashed(&graph, &q, order)?);
-                let b = dppo_from_tables_memo(&ct, &q, options.dp_mode, Some(&self.memo));
-                tables.insert(order.clone(), ct);
-                baselines.insert(order.clone(), b);
-            }
-            nonshared_bufmem = nonshared_bufmem.min(baselines[order].bufmem);
-        }
-
-        // Stage 3: cell assembly, mirroring the engine (chain-precise is
-        // order-insensitive and joins once, on the first heuristic).
-        struct WalkCell {
-            heuristic: Heuristic,
-            loop_opt: LoopVariant,
-            order: Vec<ActorId>,
-        }
-        let mut cells: Vec<WalkCell> = Vec::new();
-        for (heuristic, order) in &orders {
-            for &loop_opt in &options.loop_opts {
-                if !loop_opt.applicable_to(&graph) {
-                    continue;
-                }
-                if !loop_opt.order_sensitive() && *heuristic != orders[0].0 {
-                    continue;
-                }
-                cells.push(WalkCell {
-                    heuristic: *heuristic,
-                    loop_opt,
-                    order: order.clone(),
-                });
-            }
-        }
-        if cells.is_empty() {
-            return Err(SdfError::InvalidSchedule(
-                "no applicable candidates: selected loop variants cannot run on this graph"
-                    .to_string(),
-            ));
-        }
-
-        // Stage 4: evaluate each cell serially, splicing lifetime, WIG
-        // and allocation work against the matching previous cell whenever
-        // its inputs are provably unchanged (same repetitions vector,
-        // same schedule tree; per-edge dirtiness drives the splices).
-        let q_unchanged = prev.is_some_and(|p| p.q == q);
-        let mut new_cells: Vec<PrevCell> = Vec::new();
-        // First strict minimum in flat (cell × allocation-order) order ==
-        // the engine's min_by_key((shared_total, index)).
-        let mut best: Option<(u64, usize, usize)> = None; // (total, cell, alloc idx)
-        for cell in &cells {
-            let schedule = if cell.loop_opt == LoopVariant::Dppo {
-                baselines[&cell.order].tree.clone()
-            } else {
-                schedule_variant_from_tables_memo(
-                    &graph,
-                    &q,
-                    &tables[&cell.order],
-                    cell.loop_opt,
-                    options.dp_mode,
-                    Some(&self.memo),
-                )?
-                .tree
-            };
-            let tree = ScheduleTree::build(&graph, &q, &schedule)?;
-            let splice = match (prev, &dirty) {
-                (Some(p), Some(d)) if q_unchanged => p
-                    .cells
-                    .iter()
-                    .find(|c| {
-                        c.heuristic == cell.heuristic
-                            && c.loop_opt == cell.loop_opt
-                            && c.schedule == schedule
-                    })
-                    .map(|pc| (pc, d.as_slice())),
-                _ => None,
-            };
-            let wig = match splice {
-                Some((pc, d)) => {
-                    stats.cells_spliced += 1;
-                    let (wig, ws) = IntersectionGraph::build_spliced(&graph, &q, &tree, &pc.wig, d);
-                    stats.lifetimes_reused += ws.reused_buffers;
-                    stats.lifetimes_recomputed += ws.recomputed_buffers;
-                    stats.wig_pairs_reused += ws.reused_pairs;
-                    stats.wig_pairs_retested += ws.retested_pairs;
-                    wig
-                }
-                None => {
-                    stats.cells_recomputed += 1;
-                    let wig = IntersectionGraph::build(&graph, &q, &tree);
-                    stats.lifetimes_recomputed += wig.len() as u64;
-                    wig
-                }
-            };
-            let (mco, mcp) = (mcw_optimistic(&wig), mcw_pessimistic(&wig));
-            let mut allocations = Vec::with_capacity(options.allocation_orders.len());
-            for (k, &allocation_order) in options.allocation_orders.iter().enumerate() {
-                let allocation = match splice {
-                    Some((pc, d)) if k < pc.allocations.len() => {
-                        let (a, asr) = allocate_incremental(
-                            &wig,
-                            allocation_order,
-                            PlacementPolicy::FirstFit,
-                            &pc.wig,
-                            &pc.allocations[k],
-                            d,
-                        );
-                        stats.placements_reused += asr.reused_placements;
-                        stats.placements_recomputed += asr.recomputed_placements;
-                        a
-                    }
-                    _ => {
-                        let a = allocate(&wig, allocation_order, PlacementPolicy::FirstFit);
-                        stats.placements_recomputed += wig.len() as u64;
-                        a
-                    }
-                };
-                // Asserted, not assumed: every spliced allocation is
-                // re-validated against the freshly built WIG.
-                validate_allocation(&wig, &allocation)?;
-                let total = allocation.total();
-                if best.is_none_or(|(t, _, _)| total < t) {
-                    best = Some((total, new_cells.len(), k));
-                }
-                allocations.push(allocation);
-            }
-            new_cells.push(PrevCell {
-                heuristic: cell.heuristic,
-                loop_opt: cell.loop_opt,
-                schedule,
-                wig,
-                allocations,
-                mco,
-                mcp,
-            });
-        }
-
-        // Stage 5: the Table 1 "bold entry" rule — smallest shared pool,
-        // ties to the earliest lattice point.
-        let (_, win_cell, win_alloc) = best.expect("at least one candidate");
-        let winner = &new_cells[win_cell];
-        let analysis = Analysis {
-            repetitions: q.clone(),
-            winner: winner.heuristic,
-            nonshared_bufmem,
-            schedule: winner.schedule.clone(),
-            wig: winner.wig.clone(),
-            allocation: winner.allocations[win_alloc].clone(),
-            mco: winner.mco,
-            mcp: winner.mcp,
+        let analysis = run_engine(&graph, &self.options)?.analysis;
+        let memo = self.memo.stats();
+        let total_edges = graph.edge_count() as u64;
+        let stats = DeltaStats {
+            cold: dirty.is_none(),
+            dirty_edges: dirty.unwrap_or(total_edges),
+            total_edges,
+            memo_hits: memo.hits - memo_before.hits,
+            memo_misses: memo.misses - memo_before.misses,
+            memo,
+            elapsed_ns: u64::try_from(t_run.elapsed().as_nanos()).unwrap_or(u64::MAX),
         };
-
-        let memo_after = self.memo.stats();
-        stats.memo_hits = memo_after.hits - memo_before.hits;
-        stats.memo_misses = memo_after.misses - memo_before.misses;
-        stats.memo = memo_after;
-        stats.elapsed_ns = u64::try_from(t_run.elapsed().as_nanos()).unwrap_or(u64::MAX);
         emit_counters(&stats);
-
-        self.state = Some(SessionState {
-            graph,
-            q,
-            apgan_fp,
-            apgan_order,
-            cells: new_cells,
-        });
+        self.graph = Some(graph);
         Ok(IncrementalResult { analysis, stats })
     }
 }
 
-/// Mirrors the reuse accounting onto the installed trace recorder (a
+/// Mirrors the run accounting onto the installed trace recorder (a
 /// no-op without one; daemon workers surface the same numbers through
 /// the store's own atomics instead, outside the cached payload bytes).
 fn emit_counters(stats: &DeltaStats) {
@@ -869,16 +560,4 @@ fn emit_counters(stats: &DeltaStats) {
         "engine.incremental.delta_runs"
     });
     sdf_trace::counter_add("engine.incremental.dirty_edges", stats.dirty_edges);
-    sdf_trace::counter_add(
-        "engine.incremental.lifetimes.reused",
-        stats.lifetimes_reused,
-    );
-    sdf_trace::counter_add(
-        "engine.incremental.wig.pairs_reused",
-        stats.wig_pairs_reused,
-    );
-    sdf_trace::counter_add(
-        "engine.incremental.alloc.placements_reused",
-        stats.placements_reused,
-    );
 }

@@ -1,10 +1,10 @@
 //! Bit-identity guarantees of the incremental re-synthesis path.
 //!
 //! Every test here compares a warm [`IncrementalSession`] result against
-//! a cold `AnalysisBuilder` run (no memo store, no previous state) on
-//! the same edited graph — schedules, allocation offsets, clique
-//! estimates and the full `ExecutablePlan` JSON must match byte for
-//! byte at every step of every edit stream, including under a
+//! a cold `AnalysisBuilder` run (same options, no memo store, no previous
+//! state) on the same edited graph — schedules, allocation offsets,
+//! clique estimates and the full `ExecutablePlan` JSON must match byte
+//! for byte at every step of every edit stream, including under a
 //! constantly-evicting memo store.
 
 use std::sync::Arc;
@@ -21,12 +21,24 @@ use sdfmem::incremental::{
     apply_edits, dirty_edges, EditOp, EditScript, IncrementalResult, IncrementalSession,
 };
 use sdfmem::sched::apgan::apgan;
+use sdfmem::sched::variant::LoopVariant;
 use sdfmem::sched::MemoStore;
 
 /// Asserts the incremental result is bit-identical to a cold engine run
 /// (default options, no memo) on the same graph, down to the plan JSON.
 fn assert_matches_cold(graph: &SdfGraph, warm: &IncrementalResult, context: &str) {
-    let cold = AnalysisBuilder::default().run(graph).unwrap();
+    assert_matches(&AnalysisBuilder::default(), graph, warm, context);
+}
+
+/// Asserts the incremental result is bit-identical to a cold run of
+/// `reference` (which must carry no memo store) on the same graph.
+fn assert_matches(
+    reference: &AnalysisBuilder,
+    graph: &SdfGraph,
+    warm: &IncrementalResult,
+    context: &str,
+) {
+    let cold = reference.run(graph).unwrap();
     let w = &warm.analysis;
     assert_eq!(w.repetitions, cold.repetitions, "{context}: repetitions");
     assert_eq!(w.winner, cold.winner, "{context}: winner");
@@ -128,9 +140,14 @@ fn random_op<R: Rng>(current: &SdfGraph, rng: &mut R) -> Option<EditOp> {
 }
 
 /// Replays `steps` random edit scripts through `session`, asserting
-/// bit-identity against a cold run after every step. Returns cumulative
-/// memo hits observed.
-fn replay_random_stream(session: &mut IncrementalSession, seed: u64, steps: usize) -> u64 {
+/// bit-identity against a cold run of `reference` after every step.
+/// Returns cumulative memo hits observed.
+fn replay_random_stream(
+    reference: &AnalysisBuilder,
+    session: &mut IncrementalSession,
+    seed: u64,
+    steps: usize,
+) -> u64 {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut hits = 0;
     for step in 0..steps {
@@ -152,7 +169,8 @@ fn replay_random_stream(session: &mut IncrementalSession, seed: u64, steps: usiz
         let warm = session.apply_edits(&script).unwrap();
         assert!(!warm.stats.cold, "step {step} took the cold path");
         hits += warm.stats.memo_hits;
-        assert_matches_cold(
+        assert_matches(
+            reference,
             &edited,
             &warm,
             &format!("seed {seed} step {step} [{script}]"),
@@ -193,17 +211,10 @@ fn noop_edit_reuses_everything() {
     let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
     session.synthesize(&satellite_receiver()).unwrap();
     // Rewriting an existing delay with its current value leaves every
-    // edge record identical: nothing is dirty, every stage splices.
+    // edge record identical: nothing is dirty, every DP cell hits.
     let script = EditScript::parse("set-delay A B 0").unwrap();
     let r = session.apply_edits(&script).unwrap();
     assert_eq!(r.stats.dirty_edges, 0);
-    assert!(r.stats.apgan_order_reused);
-    assert_eq!(r.stats.cells_recomputed, 0);
-    assert!(r.stats.cells_spliced > 0);
-    assert_eq!(r.stats.lifetimes_recomputed, 0);
-    assert!(r.stats.lifetimes_reused > 0);
-    assert_eq!(r.stats.placements_recomputed, 0);
-    assert!(r.stats.placements_reused > 0);
     assert!(r.stats.memo_hits > 0, "chain DP cells should all hit");
     assert_eq!(r.stats.memo_misses, 0, "no new subchain content appeared");
     assert_matches_cold(&satellite_receiver(), &r, "noop edit");
@@ -223,7 +234,6 @@ fn delay_edit_on_chain_is_bit_identical() {
         ))
         .unwrap();
         let warm = session.apply_edits(&script).unwrap();
-        assert!(warm.stats.apgan_order_reused, "APGAN is delay-blind");
         assert_matches_cold(
             &chain_graph(delays),
             &warm,
@@ -256,7 +266,7 @@ fn structural_edits_are_bit_identical() {
 fn random_streams_on_app_graphs_are_bit_identical() {
     let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
     session.synthesize(&satellite_receiver()).unwrap();
-    let hits = replay_random_stream(&mut session, 0xed17, 6);
+    let hits = replay_random_stream(&AnalysisBuilder::default(), &mut session, 0xed17, 6);
     assert!(hits > 0, "warm steps should hit the memo store");
 }
 
@@ -270,16 +280,46 @@ fn eviction_pressure_does_not_change_results() {
         Arc::clone(&tiny),
     );
     session.synthesize(&satellite_receiver()).unwrap();
-    replay_random_stream(&mut session, 0x5EED, 4);
+    replay_random_stream(&AnalysisBuilder::default(), &mut session, 0x5EED, 4);
     let stats = tiny.stats();
     assert!(stats.evictions > 0, "capacity 3 must evict: {stats:?}");
     assert!(stats.occupancy <= 3);
 }
 
 #[test]
+fn non_default_options_match_a_cold_run_with_the_same_options() {
+    // Every loop variant (chain-precise joins on the chain) and a parallel
+    // flag the session overrides: the session must still reproduce a cold
+    // run of exactly these options at every step.
+    let reference = AnalysisBuilder::new()
+        .loop_opts(LoopVariant::ALL)
+        .parallel(true);
+    let mut session = IncrementalSession::new(reference.options().clone());
+    let base = chain_graph(&[0, 0, 0]);
+    let seeded = session.synthesize(&base).unwrap();
+    assert_matches(&reference, &base, &seeded, "seed");
+    for text in [
+        "set-delay B C 3",
+        "set-rate A B 4 2",
+        "add-edge B E 1 2",
+        "remove-edge B E",
+    ] {
+        let script = EditScript::parse(text).unwrap();
+        let expect = apply_edits(session.graph().unwrap(), &script).unwrap();
+        let warm = session.apply_edits(&script).unwrap();
+        assert!(!warm.stats.cold, "{text}");
+        assert_matches(&reference, &expect, &warm, text);
+    }
+    session.synthesize(&satellite_receiver()).unwrap();
+    replay_random_stream(&reference, &mut session, 0xa11, 4);
+}
+
+#[test]
 fn apgan_order_is_delay_invariant() {
-    // The fingerprint-based APGAN reuse rests on APGAN never reading
-    // delays; verify that directly over random graphs.
+    // APGAN clusters on repetitions counts and rate products and never
+    // reads delays, so a delay-only edit leaves its order (and every
+    // chain-DP cell on that order) unchanged; verify that directly over
+    // random graphs.
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     for n in [6, 12, 24] {
         let cfg = RandomGraphConfig {
@@ -382,6 +422,11 @@ proptest! {
         let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
         let seeded = session.synthesize(&graph).unwrap();
         assert_matches_cold(&graph, &seeded, &format!("seed {seed} cold"));
-        replay_random_stream(&mut session, seed.wrapping_mul(0x9e3779b9), 4);
+        replay_random_stream(
+            &AnalysisBuilder::default(),
+            &mut session,
+            seed.wrapping_mul(0x9e3779b9),
+            4,
+        );
     }
 }
