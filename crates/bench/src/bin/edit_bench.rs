@@ -9,7 +9,7 @@
 //! edited graph (`--verify all`), or only the stream's final state is
 //! (`--verify final`, the default), so the speedup never comes at the
 //! cost of a different answer.  One `bench_trajectory` point per size
-//! tier is written to `BENCH_9.json`.
+//! tier is appended to `BENCH_9.json` (earlier points are kept).
 //!
 //! ```text
 //! cargo run --release --bin edit_bench
@@ -30,6 +30,7 @@ use std::time::Instant;
 use sdf_apps::scale::{scale_chain, SIZES};
 use sdf_core::math::gcd;
 use sdf_core::SdfGraph;
+use sdf_trace::json;
 use sdfmem::engine::{AnalysisBuilder, SynthesisOptions};
 use sdfmem::incremental::{apply_edits, EditOp, EditScript, IncrementalSession};
 use sdfmem::pipeline::Analysis;
@@ -299,45 +300,24 @@ fn measure_tier(n: usize, steps: &[EditScript], verify: Verify) -> Result<TierSa
 
 /// One `bench_trajectory` point per tier, same envelope as the
 /// engine-sweep trajectory.
-fn trajectory_point(tier: &TierSample) -> String {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    format!(
-        "{{\"unix_s\":{unix_s},\"n\":{},\"graph\":\"{}\",\"edits\":{},\
-         \"cold_runs\":{},\"cold_mean_us\":{:.3},\"seed_us\":{:.3},\
-         \"warm_total_us\":{:.3},\"warm_mean_us\":{:.3},\"warm_max_us\":{:.3},\
-         \"speedup\":{:.3},\"memo_hits\":{},\"memo_misses\":{},\
-         \"dirty_edges_total\":{},\"verify\":\"{}\"}}",
-        tier.n,
-        tier.graph,
-        tier.edits,
-        tier.cold_runs,
-        tier.cold_mean_us(),
-        tier.seed_us,
-        tier.warm_total_us,
-        tier.warm_mean_us(),
-        tier.warm_max_us,
-        tier.speedup(),
-        tier.memo_hits,
-        tier.memo_misses,
-        tier.dirty_edges_total,
-        tier.verify.as_str(),
-    )
-}
-
-fn bench_json(tiers: &[TierSample]) -> String {
-    let mut s = sdf_trace::json::document_header("bench_trajectory");
-    s.push_str("\"bench\":\"edit_bench\",\"points\":[");
-    for (i, tier) in tiers.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&trajectory_point(tier));
-    }
-    s.push_str("]}\n");
-    s
+fn trajectory_point(tier: &TierSample, unix_s: u64) -> String {
+    json::object(|w| {
+        w.num("unix_s", unix_s)
+            .num("n", tier.n)
+            .str("graph", &tier.graph)
+            .num("edits", tier.edits)
+            .num("cold_runs", tier.cold_runs)
+            .fixed("cold_mean_us", tier.cold_mean_us(), 3)
+            .fixed("seed_us", tier.seed_us, 3)
+            .fixed("warm_total_us", tier.warm_total_us, 3)
+            .fixed("warm_mean_us", tier.warm_mean_us(), 3)
+            .fixed("warm_max_us", tier.warm_max_us, 3)
+            .fixed("speedup", tier.speedup(), 3)
+            .num("memo_hits", tier.memo_hits)
+            .num("memo_misses", tier.memo_misses)
+            .num("dirty_edges_total", tier.dirty_edges_total)
+            .str("verify", tier.verify.as_str());
+    })
 }
 
 fn real_main() -> Result<(), String> {
@@ -417,10 +397,10 @@ fn real_main() -> Result<(), String> {
         }
     }
 
-    let body = bench_json(&tiers);
-    sdf_trace::json::parse(&body).map_err(|e| format!("internal: bad bench JSON: {e}"))?;
-    std::fs::write(&out_path, &body).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
+    let unix_s = sdf_bench::unix_s();
+    let points: Vec<String> = tiers.iter().map(|t| trajectory_point(t, unix_s)).collect();
+    sdf_bench::trajectory_append(&out_path, "edit_bench", &points)?;
+    eprintln!("appended {} points to {out_path}", points.len());
 
     eprintln!();
     eprintln!(
@@ -468,5 +448,30 @@ fn main() {
     if let Err(message) = real_main() {
         eprintln!("error: {message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trajectory_point_bytes_are_pinned() {
+        let tier = TierSample {
+            n: 128,
+            graph: "scale_chain_128".to_string(),
+            edits: 32,
+            cold_runs: 2,
+            cold_total_us: 157_461.842_5,
+            seed_us: 24_578.326,
+            warm_total_us: 299_823.713,
+            warm_max_us: 30_129.942,
+            memo_hits: 94_596,
+            memo_misses: 32_192,
+            dirty_edges_total: 32,
+            verify: Verify::Final,
+        };
+        let expected = include_str!("../../../../tests/golden/json/bench_point_edit_bench.json");
+        assert_eq!(trajectory_point(&tier, 1_786_166_032), expected);
     }
 }

@@ -28,6 +28,7 @@ use sdf_apps::homogeneous::homogeneous_grid;
 use sdf_apps::registry::table1_systems;
 use sdf_core::SdfGraph;
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport};
+use sdf_trace::json;
 use sdfmem::engine::AnalysisBuilder;
 use sdfmem::sched::LoopVariant;
 use sdfmem::sentinel::{capture_profile, CaptureOptions, PERTURB_ENV};
@@ -85,25 +86,18 @@ fn measure(graph: &SdfGraph, repeats: u32) -> Sample {
 /// serial/parallel minima in microseconds and each system's traced report
 /// (embedded verbatim — it is already JSON).
 fn bench_json(samples: &[Sample]) -> String {
-    let us = |ns: u64| format!("{}.{:03}", ns / 1_000, ns % 1_000);
-    let mut s = sdf_trace::json::document_header("engine_sweep");
-    s.push_str("\"bench\":\"engine_sweep\",\"systems\":[");
-    for (i, sample) in samples.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"name\":\"");
-        s.push_str(&sdf_trace::json::escape(&sample.name));
-        s.push_str("\",\"serial_us\":");
-        s.push_str(&us(sample.serial_ns));
-        s.push_str(",\"parallel_us\":");
-        s.push_str(&us(sample.parallel_ns));
-        s.push_str(",\"report\":");
-        s.push_str(&sample.traced_report_json);
-        s.push('}');
-    }
-    s.push_str("]}");
-    s
+    json::document("engine_sweep", |w| {
+        w.str("bench", "engine_sweep").array("systems", |w| {
+            for sample in samples {
+                w.item_object(|w| {
+                    w.str("name", &sample.name)
+                        .us("serial_us", sample.serial_ns)
+                        .us("parallel_us", sample.parallel_ns)
+                        .raw("report", &sample.traced_report_json);
+                });
+            }
+        });
+    })
 }
 
 /// Parses every `*.sdf` file under `dir`, sorted by file name so the
@@ -144,34 +138,8 @@ fn capture_corpus(graphs: &[SdfGraph], repeats: u32) -> Result<Vec<Profile>, Str
         .collect()
 }
 
-/// Appends one trajectory point to the bench artifact, keeping the file
-/// a single valid JSON document of kind `bench_trajectory`. A missing or
-/// foreign file starts a fresh trajectory.
-fn trajectory_append(path: &str, point: &str) -> Result<(), String> {
-    let mut header = sdf_trace::json::document_header("bench_trajectory");
-    header.push_str("\"points\":[");
-    let existing = std::fs::read_to_string(path)
-        .ok()
-        .filter(|text| text.starts_with(&header) && sdf_trace::json::parse(text).is_ok());
-    let body = match existing {
-        // The file is our own format: splice before the closing "]}".
-        Some(text) => {
-            let open = text.trim_end().trim_end_matches("]}").to_string();
-            let separator = if open.ends_with('[') { "" } else { "," };
-            format!("{open}{separator}{point}]}}\n")
-        }
-        None => format!("{header}{point}]}}\n"),
-    };
-    sdf_trace::json::parse(&body).map_err(|e| format!("internal: bad trajectory JSON: {e}"))?;
-    std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
-}
-
 /// Summarises one baseline capture as a trajectory point.
-fn trajectory_point(profiles: &[Profile]) -> String {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
+fn trajectory_point(profiles: &[Profile], unix_s: u64) -> String {
     let counters: u64 = profiles
         .iter()
         .flat_map(|p| p.counters.iter().map(|(_, v)| *v))
@@ -187,12 +155,14 @@ fn trajectory_point(profiles: &[Profile]) -> String {
                 .map(|(_, stat)| stat.median_us)
         })
         .sum();
-    format!(
-        "{{\"unix_s\":{unix_s},\"graphs\":{},\"counter_total\":{counters},\
-         \"shared_bufmem_total\":{shared},\"nonshared_bufmem_total\":{nonshared},\
-         \"engine_total_us\":{median_total_us:.3}}}",
-        profiles.len()
-    )
+    json::object(|w| {
+        w.num("unix_s", unix_s)
+            .num("graphs", profiles.len())
+            .num("counter_total", counters)
+            .num("shared_bufmem_total", shared)
+            .num("nonshared_bufmem_total", nonshared)
+            .fixed("engine_total_us", median_total_us, 3);
+    })
 }
 
 /// `--baseline DIR`: refresh the committed corpus and extend the
@@ -213,7 +183,8 @@ fn run_baseline(dir: &str, graphs_dir: &str, repeats: u32, out_path: &str) -> Re
             profile.outcomes.nonshared_bufmem
         );
     }
-    trajectory_append(out_path, &trajectory_point(&profiles))?;
+    let point = trajectory_point(&profiles, sdf_bench::unix_s());
+    sdf_bench::trajectory_append(out_path, "engine_sweep", &[point])?;
     eprintln!(
         "wrote {} baselines to {dir}, trajectory point to {out_path}",
         profiles.len()
@@ -364,5 +335,27 @@ fn main() {
             eprintln!("error: {message}");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trajectory_point_bytes_are_pinned() {
+        let mut profile = Profile::new("fig2");
+        profile.outcomes.shared_bufmem = 30;
+        profile.counters = vec![("sched.dppo.cells".to_string(), 231)];
+        profile.timings = vec![("engine.total".to_string(), Default::default())];
+        profile.timings[0].1.median_us = 1_234.567_5;
+        let mut second = profile.clone();
+        second.outcomes.nonshared_bufmem = 2042;
+        second.timings[0].1.median_us = 0.000_5;
+        let expected = include_str!("../../../../tests/golden/json/bench_point_engine_sweep.json");
+        assert_eq!(
+            trajectory_point(&[profile, second], 1_792_200_119),
+            expected
+        );
     }
 }

@@ -2,8 +2,8 @@
 //! is synthesised with [`sdfmem::modes::synthesize_modes`] and the
 //! merged cross-mode pool is compared against what separate per-mode
 //! pools would cost.  One `bench_trajectory` point per mode graph is
-//! written to `BENCH_10.json` (the committed copy lives at
-//! `bench/BENCH_10.json`).
+//! appended to `BENCH_10.json`, keeping earlier points (the committed
+//! copy lives at `bench/BENCH_10.json`).
 //!
 //! ```text
 //! cargo run --release --bin mode_bench
@@ -17,10 +17,10 @@
 //! (default 5) on any graph — the merged pool must stay strictly
 //! cheaper than per-mode pools, or the multi-mode layer has regressed.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use sdf_apps::modes::mode_graphs;
+use sdf_trace::json;
 use sdfmem::modes::{synthesize_modes, ModeSynthesis};
 
 struct Sample {
@@ -29,46 +29,23 @@ struct Sample {
     synth_us: f64,
 }
 
-fn point(sample: &Sample) -> String {
-    let unix_s = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
+fn point(sample: &Sample, unix_s: u64) -> String {
     let s = &sample.synth;
-    let mut p = String::new();
-    let _ = write!(
-        p,
-        "{{\"unix_s\":{unix_s},\"graph\":\"{}\",\"modes\":{},\"persistent\":{},\
-         \"merged_pool_words\":{},\"sum_pool_words\":{},\"max_pool_words\":{},\
-         \"persistent_words\":{},\"gate_bound\":{},\"gate_ok\":{},\
-         \"savings_percent\":{:.2},\"clean\":{},\"synth_us\":{:.3}}}",
-        sample.name,
-        s.summaries.len(),
-        s.plan.persistent.len(),
-        s.merged_pool_words,
-        s.sum_pool_words,
-        s.max_pool_words,
-        s.persistent_words,
-        s.gate_bound,
-        s.gate_ok,
-        s.savings_percent(),
-        s.exec.is_ok(),
-        sample.synth_us,
-    );
-    p
-}
-
-fn bench_json(samples: &[Sample]) -> String {
-    let mut s = sdf_trace::json::document_header("bench_trajectory");
-    s.push_str("\"bench\":\"mode_bench\",\"points\":[");
-    for (i, sample) in samples.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&point(sample));
-    }
-    s.push_str("]}\n");
-    s
+    json::object(|w| {
+        w.num("unix_s", unix_s)
+            .str("graph", &sample.name)
+            .num("modes", s.summaries.len())
+            .num("persistent", s.plan.persistent.len())
+            .num("merged_pool_words", s.merged_pool_words)
+            .num("sum_pool_words", s.sum_pool_words)
+            .num("max_pool_words", s.max_pool_words)
+            .num("persistent_words", s.persistent_words)
+            .num("gate_bound", s.gate_bound)
+            .bool("gate_ok", s.gate_ok)
+            .fixed("savings_percent", s.savings_percent(), 2)
+            .bool("clean", s.exec.is_ok())
+            .fixed("synth_us", sample.synth_us, 3);
+    })
 }
 
 fn real_main() -> Result<(), String> {
@@ -100,10 +77,10 @@ fn real_main() -> Result<(), String> {
         });
     }
 
-    let body = bench_json(&samples);
-    sdf_trace::json::parse(&body).map_err(|e| format!("internal: bad bench JSON: {e}"))?;
-    std::fs::write(&out_path, &body).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
+    let unix_s = sdf_bench::unix_s();
+    let points: Vec<String> = samples.iter().map(|s| point(s, unix_s)).collect();
+    sdf_bench::trajectory_append(&out_path, "mode_bench", &points)?;
+    eprintln!("appended {} points to {out_path}", points.len());
 
     eprintln!();
     eprintln!(
@@ -160,5 +137,22 @@ fn main() {
     if let Err(message) = real_main() {
         eprintln!("error: {message}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn point_bytes_are_pinned() {
+        let (name, mg) = mode_graphs().into_iter().next().expect("a mode graph");
+        let sample = Sample {
+            name: name.to_string(),
+            synth: synthesize_modes(&mg).expect("synthesis"),
+            synth_us: 241.127_5,
+        };
+        let expected = include_str!("../../../../tests/golden/json/bench_point_mode_bench.json");
+        assert_eq!(point(&sample, 1_786_168_194), expected);
     }
 }

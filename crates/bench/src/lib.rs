@@ -16,6 +16,7 @@ use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
 use sdf_sched::sdppo::FactoringPolicy;
 use sdf_sched::{apgan, dppo, rpmc, sdppo_with_policy};
+use sdf_trace::json::{self, Json};
 
 /// Everything the paper's Table 1 reports for one (system, topological
 /// sort) pair.
@@ -162,6 +163,74 @@ pub fn ascii_bar(value: f64, max: f64, width: usize) -> String {
     "#".repeat(n.min(width))
 }
 
+/// Seconds since the Unix epoch: the `unix_s` stamp of a trajectory
+/// point.
+pub fn unix_s() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0)
+}
+
+/// Appends `points` (each one serialised JSON object) to the
+/// `bench_trajectory` document at `path`, so history accumulates and is
+/// never overwritten. A missing file starts an empty trajectory stamped
+/// with `bench`.
+///
+/// The file must parse as a document of kind `bench_trajectory`; every
+/// byte up to its closing `]}` is kept and the new points are spliced
+/// in before it. It may lack a `bench` member (early trajectories did),
+/// but one naming a different bench is refused.
+///
+/// # Errors
+///
+/// Fails when the file is not a `bench_trajectory` document or belongs
+/// to another bench, when the spliced document does not parse with
+/// exactly the added points, or on I/O errors.
+pub fn trajectory_append(path: &str, bench: &str, points: &[String]) -> Result<(), String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            json::document("bench_trajectory", |w| {
+                w.str("bench", bench).array("points", |_| {});
+            })
+        }
+        Err(e) => return Err(format!("cannot read {path}: {e}")),
+    };
+    let point_count = |text: &str| -> Result<usize, String> {
+        let doc = json::parse(text).map_err(|e| format!("{path}: {e}"))?;
+        if doc.get("kind").and_then(Json::as_str) != Some("bench_trajectory") {
+            return Err(format!("{path} is not a bench_trajectory document"));
+        }
+        match doc.get("bench").and_then(Json::as_str) {
+            Some(other) if other != bench => {
+                Err(format!("{path} is the `{other}` trajectory, not `{bench}`"))
+            }
+            _ => Ok(doc
+                .get("points")
+                .and_then(Json::as_array)
+                .map_or(0, <[Json]>::len)),
+        }
+    };
+    let before = point_count(&text)?;
+    let open = text
+        .trim_end()
+        .strip_suffix("]}")
+        .ok_or_else(|| format!("{path}: `points` is not the last member"))?;
+    let separator = if open.ends_with('[') || points.is_empty() {
+        ""
+    } else {
+        ","
+    };
+    let body = format!("{open}{separator}{}]}}\n", points.join(","));
+    if point_count(&body) != Ok(before + points.len()) {
+        return Err(format!(
+            "{path}: spliced trajectory does not parse with the new points"
+        ));
+    }
+    std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,6 +263,55 @@ mod tests {
                 "implausibly small: {r:?}"
             );
         }
+    }
+
+    #[test]
+    fn trajectory_append_keeps_history_and_refuses_foreign_files() {
+        let dir = std::env::temp_dir().join(format!("sdf-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let points = |path: &str| {
+            let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            doc.get("points")
+                .and_then(Json::as_array)
+                .map_or(0, <[Json]>::len)
+        };
+        let pair = ["{\"unix_s\":1}".to_string(), "{\"unix_s\":2}".to_string()];
+        // The committed trajectories as they are: BENCH_3 has no `bench`
+        // member, BENCH_9 an older schema version; every byte before the
+        // closing `]}` survives, and a named bench refuses another's points.
+        for (file, bench) in [
+            ("BENCH_3.json", "engine_sweep"),
+            ("BENCH_9.json", "edit_bench"),
+            ("BENCH_10.json", "mode_bench"),
+        ] {
+            let committed = std::fs::read_to_string(format!(
+                "{}/../../bench/{file}",
+                env!("CARGO_MANIFEST_DIR")
+            ))
+            .unwrap();
+            let path = dir.join(file).to_string_lossy().into_owned();
+            std::fs::write(&path, &committed).unwrap();
+            let before = points(&path);
+            trajectory_append(&path, bench, &pair).unwrap();
+            let kept = committed.trim_end().strip_suffix("]}").unwrap();
+            assert!(
+                std::fs::read_to_string(&path).unwrap().starts_with(kept),
+                "{file}"
+            );
+            assert_eq!(points(&path), before + 2, "{file}");
+            let foreign = trajectory_append(&path, "other_bench", &[]);
+            assert_eq!(foreign.is_err(), committed.contains("\"bench\":"), "{file}");
+        }
+        // A missing file starts a trajectory; another document is refused.
+        let path = dir.join("fresh.json").to_string_lossy().into_owned();
+        std::fs::write(&path, "{\"kind\":\"engine_sweep\",\"points\":[]}").unwrap();
+        assert!(trajectory_append(&path, "mode_bench", &pair[..1]).is_err());
+        std::fs::remove_file(&path).unwrap();
+        for round in 1..=2 {
+            trajectory_append(&path, "mode_bench", &pair[..1]).unwrap();
+            assert_eq!(points(&path), round);
+        }
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -297,9 +297,9 @@ pub enum Command {
     /// `sdfmem edit <addr> --file <graph> --edits <script>
     /// [--timeout-ms N]` — submit an incremental re-synthesis request:
     /// a base graph plus an edit script. A daemon holding a live
-    /// session for the base rides the delta path (warm chain-DP memo,
-    /// lifetime/WIG/allocation splicing); otherwise it runs cold and
-    /// seeds a session for the next edit.
+    /// session for the base runs the engine with that session's warm
+    /// chain-DP memo store; otherwise it runs cold and seeds a session
+    /// for the next edit.
     Edit {
         /// Daemon address (`host:port`).
         addr: String,

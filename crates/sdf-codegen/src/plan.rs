@@ -18,8 +18,6 @@
 //! * **pool layout** — the memory model and total pool size
 //!   ([`MemoryModel`], [`ExecutablePlan::pool_words`]).
 
-use std::fmt::Write as _;
-
 use sdf_alloc::Allocation;
 use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
@@ -301,60 +299,47 @@ impl ExecutablePlan {
     /// Serialises the plan as a self-contained JSON object (parseable
     /// with `sdf_trace::json`, see `docs/file-format.md`).
     pub fn to_json(&self) -> String {
-        let mut s = sdf_trace::json::document_header("executable_plan");
-        s.reserve(256 + 64 * self.bindings.len() + 32 * self.ops.len());
-        let _ = write!(
-            s,
-            "\"graph\":\"{}\",\
-             \"model\":\"{}\",\"pool_words\":{},\"token_bytes\":{},\"bindings\":[",
-            sdf_trace::json::escape(&self.graph),
-            self.model.as_str(),
-            self.pool_words,
-            self.token_bytes,
-        );
-        for (i, b) in self.bindings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"edge\":{},\"src\":\"{}\",\"snk\":\"{}\",\"offset\":{},\"size\":{},\
-                 \"prod\":{},\"cons\":{},\"delay\":{}}}",
-                b.edge,
-                sdf_trace::json::escape(&b.src),
-                sdf_trace::json::escape(&b.snk),
-                b.offset,
-                b.size,
-                b.prod,
-                b.cons,
-                b.delay,
-            );
-        }
-        s.push_str("],\"ops\":[");
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match op {
-                PlanOp::Fire { actor, count } => {
-                    let _ = write!(
-                        s,
-                        "{{\"op\":\"fire\",\"actor\":\"{}\",\"count\":{}}}",
-                        sdf_trace::json::escape(&self.actors[*actor].name),
-                        count
-                    );
-                }
-                PlanOp::BeginLoop { count } => {
-                    let _ = write!(s, "{{\"op\":\"loop\",\"count\":{count}}}");
-                }
-                PlanOp::EndLoop => s.push_str("{\"op\":\"end\"}"),
-                PlanOp::ModeSwitch { next } => {
-                    let _ = write!(s, "{{\"op\":\"switch\",\"next\":{next}}}");
-                }
-            }
-        }
-        let _ = write!(s, "],\"op_count\":{}}}", self.ops.len());
-        s
+        sdf_trace::json::document("executable_plan", |w| {
+            w.str("graph", &self.graph)
+                .str("model", self.model.as_str())
+                .num("pool_words", self.pool_words)
+                .num("token_bytes", self.token_bytes)
+                .array("bindings", |w| {
+                    for b in &self.bindings {
+                        w.item_object(|w| {
+                            w.num("edge", b.edge)
+                                .str("src", &b.src)
+                                .str("snk", &b.snk)
+                                .num("offset", b.offset)
+                                .num("size", b.size)
+                                .num("prod", b.prod)
+                                .num("cons", b.cons)
+                                .num("delay", b.delay);
+                        });
+                    }
+                })
+                .array("ops", |w| {
+                    for op in &self.ops {
+                        w.item_object(|w| match op {
+                            PlanOp::Fire { actor, count } => {
+                                w.str("op", "fire")
+                                    .str("actor", &self.actors[*actor].name)
+                                    .num("count", count);
+                            }
+                            PlanOp::BeginLoop { count } => {
+                                w.str("op", "loop").num("count", count);
+                            }
+                            PlanOp::EndLoop => {
+                                w.str("op", "end");
+                            }
+                            PlanOp::ModeSwitch { next } => {
+                                w.str("op", "switch").num("next", next);
+                            }
+                        });
+                    }
+                })
+                .num("op_count", self.ops.len());
+        })
     }
 }
 

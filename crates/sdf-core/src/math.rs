@@ -26,28 +26,6 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
-/// Returns the least common multiple of `a` and `b`.
-///
-/// Returns 0 when either argument is 0.
-///
-/// # Panics
-///
-/// Panics if the result overflows `u64`.
-///
-/// # Examples
-///
-/// ```
-/// use sdf_core::math::lcm;
-/// assert_eq!(lcm(4, 6), 12);
-/// assert_eq!(lcm(0, 3), 0);
-/// ```
-pub fn lcm(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd(a, b) * b
-}
-
 /// Returns the gcd of every element of `values`.
 ///
 /// Returns 0 for an empty slice.
@@ -69,18 +47,6 @@ pub fn gcd_all(values: &[u64]) -> u64 {
 /// [`gcd_all`].
 pub fn gcd_iter<I: IntoIterator<Item = u64>>(values: I) -> u64 {
     values.into_iter().fold(0, gcd)
-}
-
-/// Returns the lcm of every element of `values`.
-///
-/// Returns 1 for an empty slice (the identity of lcm), and 0 as soon as any
-/// element is 0.
-///
-/// # Panics
-///
-/// Panics if the running lcm overflows `u64`.
-pub fn lcm_all(values: &[u64]) -> u64 {
-    values.iter().copied().fold(1, lcm)
 }
 
 /// Divides `a` by `b`, rounding towards positive infinity.
@@ -125,25 +91,6 @@ mod tests {
     }
 
     #[test]
-    fn lcm_basic() {
-        assert_eq!(lcm(21, 6), 42);
-        assert_eq!(lcm(1, 99), 99);
-    }
-
-    #[test]
-    fn lcm_zero() {
-        assert_eq!(lcm(0, 0), 0);
-        assert_eq!(lcm(0, 7), 0);
-    }
-
-    #[test]
-    fn lcm_avoids_intermediate_overflow() {
-        // a * b would overflow, a / gcd * b must not.
-        let a = u64::MAX / 2;
-        assert_eq!(lcm(a, a), a);
-    }
-
-    #[test]
     fn gcd_all_slice() {
         assert_eq!(gcd_all(&[1056, 264, 24]), 24);
         assert_eq!(gcd_all(&[5]), 5);
@@ -153,13 +100,6 @@ mod tests {
     fn gcd_iter_matches_slice() {
         let v = [12u64, 8, 20];
         assert_eq!(gcd_iter(v.iter().copied()), gcd_all(&v));
-    }
-
-    #[test]
-    fn lcm_all_slice() {
-        assert_eq!(lcm_all(&[2, 3, 4]), 12);
-        assert_eq!(lcm_all(&[]), 1);
-        assert_eq!(lcm_all(&[3, 0, 5]), 0);
     }
 
     #[test]

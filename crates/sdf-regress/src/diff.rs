@@ -3,7 +3,6 @@
 use std::fmt::Write as _;
 
 use crate::profile::{Profile, TimingStat};
-use sdf_trace::json::escape;
 
 /// How a single compared item fared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,35 +178,26 @@ impl RegressionReport {
     /// JSON rendering (kind `regression_report`) with the workspace's
     /// unified `kind` + `schema_version` envelope.
     pub fn to_json(&self) -> String {
-        let mut s = sdf_trace::json::document_header("regression_report");
-        s.reserve(512);
-        let _ = write!(
-            s,
-            "\"graph\":\"{}\",\
-             \"gate_failures\":{},\"warnings\":{},\"matched\":{},\"entries\":[",
-            escape(&self.graph),
-            self.gate_failures(),
-            self.warnings(),
-            self.matched
-        );
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"section\":\"{}\",\"name\":\"{}\",\"baseline\":\"{}\",\"candidate\":\"{}\",\
-                 \"severity\":\"{}\",\"gated\":{},\"note\":\"{}\"}}",
-                escape(e.section),
-                escape(&e.name),
-                escape(&e.baseline),
-                escape(&e.candidate),
-                e.severity.as_str(),
-                e.gated,
-                escape(&e.note)
-            );
-        }
-        s.push_str("]}\n");
+        let mut s = sdf_trace::json::document("regression_report", |w| {
+            w.str("graph", &self.graph)
+                .num("gate_failures", self.gate_failures())
+                .num("warnings", self.warnings())
+                .num("matched", self.matched)
+                .array("entries", |w| {
+                    for e in &self.entries {
+                        w.item_object(|w| {
+                            w.str("section", e.section)
+                                .str("name", &e.name)
+                                .str("baseline", &e.baseline)
+                                .str("candidate", &e.candidate)
+                                .str("severity", e.severity.as_str())
+                                .bool("gated", e.gated)
+                                .str("note", &e.note);
+                        });
+                    }
+                });
+        });
+        s.push('\n');
         s
     }
 

@@ -1,7 +1,7 @@
 //! The baseline profile document: what one graph's synthesis run *does*,
 //! snapshotted for later comparison.
 
-use sdf_trace::json::{escape, parse, Json};
+use sdf_trace::json::{parse, Json};
 
 /// Robust summary of repeated wall-time measurements: the median and the
 /// median absolute deviation (MAD), both in microseconds.
@@ -164,51 +164,32 @@ impl Profile {
     /// Serialises the profile as a JSON document with the workspace's
     /// unified `kind` + `schema_version` envelope.
     pub fn to_json(&self) -> String {
-        let mut s = sdf_trace::json::document_header("baseline_profile");
-        s.reserve(1024);
-        write_kv_str(&mut s, "graph", &self.graph);
-        s.push(',');
-        write_kv_num(&mut s, "actors", self.actors);
-        s.push(',');
-        write_kv_num(&mut s, "edges", self.edges);
-        s.push(',');
-        write_kv_num(&mut s, "repeats", u64::from(self.repeats));
-        s.push_str(",\"full\":");
-        s.push_str(if self.full { "true" } else { "false" });
-        s.push_str(",\"outcomes\":{");
-        write_kv_num(&mut s, "shared_bufmem", self.outcomes.shared_bufmem);
-        s.push(',');
-        write_kv_num(&mut s, "nonshared_bufmem", self.outcomes.nonshared_bufmem);
-        s.push(',');
-        write_kv_num(&mut s, "fragmentation", self.outcomes.fragmentation);
-        s.push(',');
-        write_kv_str(&mut s, "winner", &self.outcomes.winner);
-        s.push(',');
-        write_kv_num(&mut s, "candidates", self.outcomes.candidates);
-        s.push_str("},\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            write_kv_num(&mut s, name, *value);
-        }
-        s.push_str("},\"timings\":{");
-        for (i, (name, stat)) in self.timings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = std::fmt::Write::write_fmt(
-                &mut s,
-                format_args!(
-                    "\"{}\":{{\"median_us\":{:.3},\"mad_us\":{:.3},\"samples\":{}}}",
-                    escape(name),
-                    stat.median_us,
-                    stat.mad_us,
-                    stat.samples
-                ),
-            );
-        }
-        s.push_str("}}\n");
+        let mut s = sdf_trace::json::document("baseline_profile", |w| {
+            w.str("graph", &self.graph)
+                .num("actors", self.actors)
+                .num("edges", self.edges)
+                .num("repeats", self.repeats)
+                .bool("full", self.full)
+                .object("outcomes", |w| {
+                    let o = &self.outcomes;
+                    w.num("shared_bufmem", o.shared_bufmem)
+                        .num("nonshared_bufmem", o.nonshared_bufmem)
+                        .num("fragmentation", o.fragmentation)
+                        .str("winner", &o.winner)
+                        .num("candidates", o.candidates);
+                })
+                .counters("counters", &self.counters)
+                .object("timings", |w| {
+                    for (name, stat) in &self.timings {
+                        w.object(name, |w| {
+                            w.fixed("median_us", stat.median_us, 3)
+                                .fixed("mad_us", stat.mad_us, 3)
+                                .num("samples", stat.samples);
+                        });
+                    }
+                });
+        });
+        s.push('\n');
         s
     }
 
@@ -299,21 +280,6 @@ impl Profile {
             timings,
         })
     }
-}
-
-fn write_kv_str(s: &mut String, key: &str, value: &str) {
-    s.push('"');
-    s.push_str(&escape(key));
-    s.push_str("\":\"");
-    s.push_str(&escape(value));
-    s.push('"');
-}
-
-fn write_kv_num(s: &mut String, key: &str, value: u64) {
-    s.push('"');
-    s.push_str(&escape(key));
-    s.push_str("\":");
-    s.push_str(&value.to_string());
 }
 
 #[cfg(test)]

@@ -22,15 +22,13 @@
 //! [`canonical string`](ServiceRequest::canonical_string) prepends the
 //! operation and every option that affects the result.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use sdf_codegen::{execute_plan, ExecReport, ExecutablePlan};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport, ReportFormat as DiffFormat};
-use sdf_trace::flight::stages_json;
-use sdf_trace::json::{self, escape, Json};
+use sdf_trace::json::{self, Json, Writer};
 use sdf_trace::{CacheStatus, FlightRecord, Histogram, StageSpan};
 use sdfmem::engine::{AnalysisBuilder, StageTimings, Synthesis};
 use sdfmem::incremental::{apply_edits, dirty_edges, EditScript};
@@ -112,6 +110,9 @@ pub enum ErrorCode {
     EngineError,
     /// The daemon is shutting down or the job queue dropped the job.
     Unavailable,
+    /// The job panicked; the daemon contained the panic and its worker
+    /// keeps serving.
+    Internal,
 }
 
 impl ErrorCode {
@@ -122,6 +123,7 @@ impl ErrorCode {
             ErrorCode::ParseError => "parse_error",
             ErrorCode::EngineError => "engine_error",
             ErrorCode::Unavailable => "unavailable",
+            ErrorCode::Internal => "internal",
         }
     }
 }
@@ -167,10 +169,11 @@ impl ServiceError {
 
 /// One operation against the synthesis engine.
 ///
-/// The first five variants are the CLI's `analyze`, `codegen`/plan,
-/// `simulate`, `baseline` and `compare` in request form; `Stats` and
-/// `Shutdown` are daemon-side control operations and are rejected by
-/// the in-process backend.
+/// The first eight variants are engine operations (the CLI's
+/// `analyze`, `codegen`/plan, `simulate`, `explain`, `edit`, `modes`,
+/// `baseline` and `compare` in request form); the last four, `Stats`,
+/// `Metrics`, `Events` and `Shutdown`, are daemon-only operations and
+/// are rejected by the in-process backend.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceRequest {
     /// Sweep the candidate lattice and return the engine report.
@@ -396,93 +399,71 @@ impl ServiceRequest {
 
     /// Serializes the request as a one-line wire document.
     pub fn to_json(&self, request_id: &str) -> String {
-        let mut s = json::document_header("service_request");
-        let _ = write!(
-            s,
-            "\"request_id\":\"{}\",\"op\":\"{}\"",
-            escape(request_id),
-            self.op()
-        );
-        match self {
-            ServiceRequest::Analyze {
-                graph,
-                serial,
-                full,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"serial\":{serial},\"full\":{full},\"graph\":\"{}\"",
-                    escape(graph)
-                );
-            }
-            ServiceRequest::Plan {
-                graph,
-                method,
-                model,
-            }
-            | ServiceRequest::Simulate {
-                graph,
-                method,
-                model,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"method\":\"{}\",\"model\":\"{}\",\"graph\":\"{}\"",
-                    method.as_str(),
-                    model.as_str(),
-                    escape(graph)
-                );
-            }
-            ServiceRequest::Explain { graph } | ServiceRequest::Modes { graph } => {
-                let _ = write!(s, ",\"graph\":\"{}\"", escape(graph));
-            }
-            ServiceRequest::Edit { graph, edits } => {
-                let _ = write!(
-                    s,
-                    ",\"edits\":\"{}\",\"graph\":\"{}\"",
-                    escape(edits),
-                    escape(graph)
-                );
-            }
-            ServiceRequest::Baseline {
-                graph,
-                repeats,
-                full,
-                perturb,
-            } => {
-                let _ = write!(s, ",\"repeats\":{repeats},\"full\":{full}");
-                if let Some(p) = perturb {
-                    let _ = write!(s, ",\"perturb\":\"{}\"", escape(p));
+        json::document("service_request", |w| {
+            w.str("request_id", request_id).str("op", self.op());
+            match self {
+                ServiceRequest::Analyze {
+                    graph,
+                    serial,
+                    full,
+                } => {
+                    w.bool("serial", *serial)
+                        .bool("full", *full)
+                        .str("graph", graph);
                 }
-                let _ = write!(s, ",\"graph\":\"{}\"", escape(graph));
-            }
-            ServiceRequest::Compare {
-                baseline,
-                candidate,
-                gate,
-                allow,
-            } => {
-                let _ = write!(s, ",\"gate\":{gate},\"allow\":[");
-                for (i, name) in allow.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
+                ServiceRequest::Plan {
+                    graph,
+                    method,
+                    model,
+                }
+                | ServiceRequest::Simulate {
+                    graph,
+                    method,
+                    model,
+                } => {
+                    w.str("method", method.as_str())
+                        .str("model", model.as_str())
+                        .str("graph", graph);
+                }
+                ServiceRequest::Explain { graph } | ServiceRequest::Modes { graph } => {
+                    w.str("graph", graph);
+                }
+                ServiceRequest::Edit { graph, edits } => {
+                    w.str("edits", edits).str("graph", graph);
+                }
+                ServiceRequest::Baseline {
+                    graph,
+                    repeats,
+                    full,
+                    perturb,
+                } => {
+                    w.num("repeats", repeats).bool("full", *full);
+                    if let Some(p) = perturb {
+                        w.str("perturb", p);
                     }
-                    let _ = write!(s, "\"{}\"", escape(name));
+                    w.str("graph", graph);
                 }
-                let _ = write!(
-                    s,
-                    "],\"baseline\":\"{}\",\"candidate\":\"{}\"",
-                    escape(baseline),
-                    escape(candidate)
-                );
+                ServiceRequest::Compare {
+                    baseline,
+                    candidate,
+                    gate,
+                    allow,
+                } => {
+                    w.bool("gate", *gate)
+                        .array("allow", |w| {
+                            for name in allow {
+                                w.item_str(name);
+                            }
+                        })
+                        .str("baseline", baseline)
+                        .str("candidate", candidate);
+                }
+                ServiceRequest::Stats
+                | ServiceRequest::Metrics
+                | ServiceRequest::Events
+                | ServiceRequest::Shutdown => {}
             }
-            ServiceRequest::Stats
-            | ServiceRequest::Metrics
-            | ServiceRequest::Events
-            | ServiceRequest::Shutdown => {}
-        }
-        s.push('}');
-        s
+        })
     }
 
     /// Parses a wire line into `(request_id, request)`.
@@ -704,13 +685,9 @@ impl ResponsePayload {
     /// `kind` + `schema_version` envelope), without a trailing newline.
     pub fn to_json(&self) -> String {
         match self {
-            ResponsePayload::Analyze { synthesis, .. } => {
-                synthesis.report.to_json().trim_end().to_string()
-            }
-            ResponsePayload::Plan { plan } => plan.to_json().trim_end().to_string(),
-            ResponsePayload::Simulate { plan, exec } => {
-                simulation_report_json(plan, exec).trim_end().to_string()
-            }
+            ResponsePayload::Analyze { synthesis, .. } => synthesis.report.to_json(),
+            ResponsePayload::Plan { plan } => plan.to_json(),
+            ResponsePayload::Simulate { plan, exec } => simulation_report_json(plan, exec),
             ResponsePayload::Explain { report } => report.to_json(),
             ResponsePayload::Edit {
                 graph,
@@ -718,29 +695,17 @@ impl ResponsePayload {
                 plan,
                 edits_applied,
                 dirty_edges,
-            } => {
-                let mut s = json::document_header("edit_report");
-                let _ = write!(
-                    s,
-                    "\"graph\":\"{}\",\"edits_applied\":{edits_applied},\
-                     \"dirty_edges\":{dirty_edges},\"total_edges\":{},\
-                     \"nonshared_bufmem\":{},\"shared_total\":{},\
-                     \"schedule\":\"{}\",\"plan\":{}}}",
-                    escape(graph.name()),
-                    graph.edge_count(),
-                    analysis.nonshared_bufmem,
-                    analysis.shared_total(),
-                    escape(
-                        &analysis
-                            .schedule
-                            .to_looped_schedule()
-                            .display(graph)
-                            .to_string()
-                    ),
-                    plan.to_json().trim_end()
-                );
-                s
-            }
+            } => json::document("edit_report", |w| {
+                let schedule = analysis.schedule.to_looped_schedule();
+                w.str("graph", graph.name())
+                    .num("edits_applied", edits_applied)
+                    .num("dirty_edges", dirty_edges)
+                    .num("total_edges", graph.edge_count())
+                    .num("nonshared_bufmem", analysis.nonshared_bufmem)
+                    .num("shared_total", analysis.shared_total())
+                    .str("schedule", &schedule.display(graph).to_string())
+                    .raw("plan", &plan.to_json());
+            }),
             ResponsePayload::Modes { synthesis } => mode_report_json(synthesis),
             ResponsePayload::Baseline { profile } => profile.to_json().trim_end().to_string(),
             ResponsePayload::Compare { report } => {
@@ -750,68 +715,27 @@ impl ResponsePayload {
                 counters,
                 gauges,
                 histograms,
-            } => {
-                let mut s = json::document_header("service_stats");
-                let write_table = |s: &mut String, name: &str, rows: &[(String, u64)]| {
-                    let _ = write!(s, "\"{name}\":{{");
-                    for (i, (key, value)) in rows.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "\"{}\":{value}", escape(key));
-                    }
-                    s.push('}');
-                };
-                write_table(&mut s, "counters", counters);
-                s.push(',');
-                write_table(&mut s, "gauges", gauges);
-                s.push_str(",\"histograms\":{");
-                for (i, (name, h)) in histograms.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                        escape(name),
-                        h.count(),
-                        h.sum()
-                    );
-                    for (j, (lo, hi, count)) in h.nonzero_buckets().iter().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "[{lo},{hi},{count}]");
-                    }
-                    s.push_str("]}");
-                }
-                s.push_str("}}");
-                s
-            }
-            ResponsePayload::Metrics { exposition } => {
-                let mut s = json::document_header("service_metrics");
-                let _ = write!(s, "\"exposition\":\"{}\"}}", escape(exposition));
-                s
-            }
+            } => json::document("service_stats", |w| {
+                w.counters("counters", counters)
+                    .counters("gauges", gauges)
+                    .histograms("histograms", histograms);
+            }),
+            ResponsePayload::Metrics { exposition } => json::document("service_metrics", |w| {
+                w.str("exposition", exposition);
+            }),
             ResponsePayload::Events {
                 capacity,
                 dropped,
                 records,
-            } => {
-                let mut s = json::document_header("service_events");
-                let _ = write!(
-                    s,
-                    "\"capacity\":{capacity},\"dropped\":{dropped},\"events\":["
-                );
-                for (i, record) in records.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&record.to_json());
-                }
-                s.push_str("]}");
-                s
-            }
+            } => json::document("service_events", |w| {
+                w.num("capacity", capacity)
+                    .num("dropped", dropped)
+                    .array("events", |w| {
+                        for record in records {
+                            w.item_object(|w| record.write(w));
+                        }
+                    });
+            }),
         }
     }
 }
@@ -851,23 +775,15 @@ impl RequestTelemetry {
     /// The telemetry as a JSON object (an envelope member, not a
     /// standalone document — no `kind` header).
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"cache\":\"{}\",\"queue_wait_ns\":{},\"service_ns\":{},\"stages\":{},\"counters\":{{",
-            self.cache.as_str(),
-            self.queue_wait_ns,
-            self.service_ns,
-            stages_json(&self.stages),
-        );
-        for (i, (name, delta)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{delta}", escape(name));
-        }
-        s.push_str("}}");
-        s
+        json::object(|w| self.write(w))
+    }
+
+    fn write(&self, w: &mut Writer) {
+        w.str("cache", self.cache.as_str())
+            .num("queue_wait_ns", self.queue_wait_ns)
+            .num("service_ns", self.service_ns);
+        StageSpan::write_list(w, "stages", &self.stages);
+        w.counters("counters", &self.counters);
     }
 
     /// The matching flight-recorder entry (`seq` is assigned by the
@@ -950,21 +866,25 @@ impl ServiceResponse {
     }
 }
 
-fn envelope_prefix(
+/// The response envelope: the fixed members, the optional telemetry,
+/// then the result member `last` writes, and a trailing newline.
+fn envelope(
     request_id: &str,
     status: &str,
     cached: bool,
     telemetry: Option<&RequestTelemetry>,
+    last: impl FnOnce(&mut Writer),
 ) -> String {
-    let mut s = json::document_header("service_response");
-    let _ = write!(
-        s,
-        "\"request_id\":\"{}\",\"status\":\"{status}\",\"cached\":{cached}",
-        escape(request_id)
-    );
-    if let Some(t) = telemetry {
-        let _ = write!(s, ",\"telemetry\":{}", t.to_json());
-    }
+    let mut s = json::document("service_response", |w| {
+        w.str("request_id", request_id)
+            .str("status", status)
+            .bool("cached", cached);
+        if let Some(t) = telemetry {
+            w.object("telemetry", |w| t.write(w));
+        }
+        last(w);
+    });
+    s.push('\n');
     s
 }
 
@@ -977,10 +897,9 @@ pub(crate) fn envelope_ok(
     telemetry: Option<&RequestTelemetry>,
     payload_json: &str,
 ) -> String {
-    let mut s = envelope_prefix(request_id, "ok", cached, telemetry);
-    let _ = write!(s, ",\"payload\":{payload_json}}}");
-    s.push('\n');
-    s
+    envelope(request_id, "ok", cached, telemetry, |w| {
+        w.raw("payload", payload_json);
+    })
 }
 
 pub(crate) fn envelope_error(
@@ -991,14 +910,15 @@ pub(crate) fn envelope_error(
     message: &str,
     telemetry: Option<&RequestTelemetry>,
 ) -> String {
-    let mut s = envelope_prefix(request_id, status, false, telemetry);
-    let _ = write!(s, ",\"error\":{{\"code\":\"{code}\"");
-    if let Some(input) = input {
-        let _ = write!(s, ",\"input\":\"{}\"", escape(input));
-    }
-    let _ = write!(s, ",\"message\":\"{}\"}}}}", escape(message));
-    s.push('\n');
-    s
+    envelope(request_id, status, false, telemetry, |w| {
+        w.object("error", |w| {
+            w.str("code", code);
+            if let Some(input) = input {
+                w.str("input", input);
+            }
+            w.str("message", message);
+        });
+    })
 }
 
 /// Parses graph text, mapping failures to the service's typed error.
@@ -1110,114 +1030,88 @@ pub fn lower_plan(
 /// the merged-pool accounting with its gate, and the transition
 /// oracle's verdict.
 fn mode_report_json(synthesis: &ModeSynthesis) -> String {
-    let mut s = json::document_header("mode_report");
-    let _ = write!(
-        s,
-        "\"graph\":\"{}\",\"token_bytes\":{},\"modes\":[",
-        escape(&synthesis.plan.graph),
-        synthesis.plan.token_bytes
-    );
-    for (i, summary) in synthesis.summaries.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"actors\":{},\"edges\":{},\
-             \"standalone_pool_words\":{},\"nonshared_bufmem\":{},\
-             \"firings\":{},\"plan\":{}}}",
-            escape(&summary.name),
-            summary.actors,
-            summary.edges,
-            summary.standalone_pool_words,
-            summary.nonshared_bufmem,
-            summary.firings,
-            synthesis.plan.modes[i].plan.to_json().trim_end()
-        );
-    }
-    s.push_str("],\"persistent\":[");
-    for (i, p) in synthesis.plan.persistent.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"src\":\"{}\",\"snk\":\"{}\",\"offset\":{},\"size\":{},\"delay\":{}}}",
-            escape(&p.src),
-            escape(&p.snk),
-            p.offset,
-            p.size,
-            p.delay
-        );
-    }
-    let _ = write!(
-        s,
-        "],\"merged_pool_words\":{},\"sum_pool_words\":{},\"max_pool_words\":{},\
-         \"persistent_words\":{},\"gate_bound\":{},\"gate_ok\":{},\
-         \"savings_percent\":{:.2},\"clean\":{}",
-        synthesis.merged_pool_words,
-        synthesis.sum_pool_words,
-        synthesis.max_pool_words,
-        synthesis.persistent_words,
-        synthesis.gate_bound,
-        synthesis.gate_ok,
-        synthesis.savings_percent(),
-        synthesis.exec.is_ok()
-    );
-    match &synthesis.exec {
-        Ok(r) => {
-            let _ = write!(
-                s,
-                ",\"exec\":{{\"firings\":{},\"peak_live_words\":{},\
-                 \"pool_words\":{},\"transitions\":{},\"activations\":[",
-                r.firings, r.peak_live_words, r.pool_words, r.transitions
-            );
-            for (i, a) in r.activations.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
+    json::document("mode_report", |w| {
+        w.str("graph", &synthesis.plan.graph)
+            .num("token_bytes", synthesis.plan.token_bytes)
+            .array("modes", |w| {
+                for (summary, mode) in synthesis.summaries.iter().zip(&synthesis.plan.modes) {
+                    w.item_object(|w| {
+                        w.str("name", &summary.name)
+                            .num("actors", summary.actors)
+                            .num("edges", summary.edges)
+                            .num("standalone_pool_words", summary.standalone_pool_words)
+                            .num("nonshared_bufmem", summary.nonshared_bufmem)
+                            .num("firings", summary.firings)
+                            .raw("plan", &mode.plan.to_json());
+                    });
                 }
-                let _ = write!(
-                    s,
-                    "{{\"mode\":{},\"firings\":{},\"peak_live_words\":{}}}",
-                    a.mode, a.firings, a.peak_live_words
-                );
+            })
+            .array("persistent", |w| {
+                for p in &synthesis.plan.persistent {
+                    w.item_object(|w| {
+                        w.str("src", &p.src)
+                            .str("snk", &p.snk)
+                            .num("offset", p.offset)
+                            .num("size", p.size)
+                            .num("delay", p.delay);
+                    });
+                }
+            })
+            .num("merged_pool_words", synthesis.merged_pool_words)
+            .num("sum_pool_words", synthesis.sum_pool_words)
+            .num("max_pool_words", synthesis.max_pool_words)
+            .num("persistent_words", synthesis.persistent_words)
+            .num("gate_bound", synthesis.gate_bound)
+            .bool("gate_ok", synthesis.gate_ok)
+            .fixed("savings_percent", synthesis.savings_percent(), 2)
+            .bool("clean", synthesis.exec.is_ok());
+        match &synthesis.exec {
+            Ok(r) => {
+                w.object("exec", |w| {
+                    w.num("firings", r.firings)
+                        .num("peak_live_words", r.peak_live_words)
+                        .num("pool_words", r.pool_words)
+                        .num("transitions", r.transitions)
+                        .array("activations", |w| {
+                            for a in &r.activations {
+                                w.item_object(|w| {
+                                    w.num("mode", a.mode)
+                                        .num("firings", a.firings)
+                                        .num("peak_live_words", a.peak_live_words);
+                                });
+                            }
+                        });
+                });
             }
-            s.push_str("]}");
+            Err(e) => {
+                w.str("error", e);
+            }
         }
-        Err(e) => {
-            let _ = write!(s, ",\"error\":\"{}\"", escape(e));
-        }
-    }
-    s.push('}');
-    s
+    })
 }
 
 /// The `simulation_report` document (also what `sdfmem simulate
 /// --report json` prints).
 fn simulation_report_json(plan: &ExecutablePlan, exec: &Result<ExecReport, String>) -> String {
-    let mut s = json::document_header("simulation_report");
-    let _ = write!(
-        s,
-        "\"graph\":\"{}\",\"model\":\"{}\",\"clean\":{}",
-        escape(&plan.graph),
-        plan.model.as_str(),
-        exec.is_ok()
-    );
-    match exec {
-        Ok(r) => {
-            let _ = write!(
-                s,
-                ",\"exec\":{{\"firings\":{},\"peak_live_words\":{},\
-                 \"peak_live_bytes\":{},\"pool_words\":{}}}",
-                r.firings, r.peak_live_words, r.peak_live_bytes, r.pool_words
-            );
+    json::document("simulation_report", |w| {
+        w.str("graph", &plan.graph)
+            .str("model", plan.model.as_str())
+            .bool("clean", exec.is_ok());
+        match exec {
+            Ok(r) => {
+                w.object("exec", |w| {
+                    w.num("firings", r.firings)
+                        .num("peak_live_words", r.peak_live_words)
+                        .num("peak_live_bytes", r.peak_live_bytes)
+                        .num("pool_words", r.pool_words);
+                });
+            }
+            Err(e) => {
+                w.str("error", e);
+            }
         }
-        Err(e) => {
-            let _ = write!(s, ",\"error\":\"{}\"", escape(e));
-        }
-    }
-    let _ = write!(s, ",\"plan\":{}}}", plan.to_json());
-    s
+        w.raw("plan", &plan.to_json());
+    })
 }
 
 /// Measures coarse request stages directly with [`Instant`], producing

@@ -30,7 +30,7 @@ use sdf_lifetime::occupancy::OccupancyTimeline;
 use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
 use sdf_sched::{apgan, sdppo};
-use sdf_trace::json::{self, escape};
+use sdf_trace::json;
 
 use crate::api::ServiceError;
 
@@ -226,74 +226,62 @@ impl ExplainReport {
     /// Serializes the report as the `allocation_explain` document (one
     /// line, standard envelope, no wall-clock data).
     pub fn to_json(&self) -> String {
-        let mut s = json::document_header("allocation_explain");
-        let _ = write!(
-            s,
-            "\"graph\":\"{}\",\"actors\":{},\"edges\":{},\"order\":\"{}\",\"policy\":\"{}\",\
-             \"pool_total\":{},\"non_shared_total\":{},\"lower_bound\":{},\"waste\":{},\
-             \"fragmentation_words\":{},\"ledger\":[",
-            escape(&self.graph),
-            self.actors,
-            self.edges,
-            self.order,
-            self.policy,
-            self.pool_total,
-            self.non_shared_total,
-            self.lower_bound,
-            self.waste,
-            self.fragmentation_words,
-        );
-        for (i, entry) in self.ledger.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"buffer\":\"{}\",\"index\":{},\"sequence\":{},\"size\":{},\"start\":{},\
-                 \"duration\":{},\"offset\":{},\"probes\":{},\"fragmentation\":{},\"rejected\":[",
-                escape(&entry.buffer),
-                entry.index,
-                entry.sequence,
-                entry.size,
-                entry.start,
-                entry.duration,
-                entry.offset,
-                entry.probes,
-                entry.fragmentation,
-            );
-            for (j, gap) in entry.rejected.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let field = match gap.reason {
-                    "too_small" => "shortfall",
-                    _ => "waste",
-                };
-                let _ = write!(
-                    s,
-                    "{{\"start\":{},\"end\":{},\"reason\":\"{}\",\"{}\":{}}}",
-                    gap.start, gap.end, gap.reason, field, gap.words
-                );
-            }
-            s.push_str("]}");
-        }
-        let _ = write!(
-            s,
-            "],\"timeline\":{{\"peak_live\":{},\"peak_occupied\":{},\"end_time\":{},\"samples\":[",
-            self.peak_live, self.peak_occupied, self.end_time
-        );
-        for (i, p) in self.timeline.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "[{},{},{},{}]",
-                p.time, p.live_buffers, p.live_words, p.occupied_words
-            );
-        }
-        s.push_str("]}}");
-        s
+        json::document("allocation_explain", |w| {
+            w.str("graph", &self.graph)
+                .num("actors", self.actors)
+                .num("edges", self.edges)
+                .str("order", self.order)
+                .str("policy", self.policy)
+                .num("pool_total", self.pool_total)
+                .num("non_shared_total", self.non_shared_total)
+                .num("lower_bound", self.lower_bound)
+                .num("waste", self.waste)
+                .num("fragmentation_words", self.fragmentation_words)
+                .array("ledger", |w| {
+                    for entry in &self.ledger {
+                        w.item_object(|w| {
+                            w.str("buffer", &entry.buffer)
+                                .num("index", entry.index)
+                                .num("sequence", entry.sequence)
+                                .num("size", entry.size)
+                                .num("start", entry.start)
+                                .num("duration", entry.duration)
+                                .num("offset", entry.offset)
+                                .num("probes", entry.probes)
+                                .num("fragmentation", entry.fragmentation)
+                                .array("rejected", |w| {
+                                    for gap in &entry.rejected {
+                                        let field = match gap.reason {
+                                            "too_small" => "shortfall",
+                                            _ => "waste",
+                                        };
+                                        w.item_object(|w| {
+                                            w.num("start", gap.start)
+                                                .num("end", gap.end)
+                                                .str("reason", gap.reason)
+                                                .num(field, gap.words);
+                                        });
+                                    }
+                                });
+                        });
+                    }
+                })
+                .object("timeline", |w| {
+                    w.num("peak_live", self.peak_live)
+                        .num("peak_occupied", self.peak_occupied)
+                        .num("end_time", self.end_time)
+                        .array("samples", |w| {
+                            for p in &self.timeline {
+                                w.item_array(|w| {
+                                    w.item_num(p.time)
+                                        .item_num(p.live_buffers)
+                                        .item_num(p.live_words)
+                                        .item_num(p.occupied_words);
+                                });
+                            }
+                        });
+                });
+        })
     }
 
     /// Renders the per-buffer placement stories as human-readable text,

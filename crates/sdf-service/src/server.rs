@@ -38,7 +38,7 @@ use sdf_trace::{
 
 use crate::api::{
     envelope_error, envelope_ok, execute_request_cached_timed, ErrorCode, RequestTelemetry,
-    ResponsePayload, ServiceRequest, ServiceResponse,
+    ResponsePayload, ServiceError, ServiceRequest, ServiceResponse,
 };
 use crate::cache::{CacheLookup, ResultCache};
 use crate::job::{Job, JobOutcome, JobQueue, JobState};
@@ -288,7 +288,7 @@ fn worker_loop(shared: &Shared) {
         // Job state: pending → running. No global recorder here — see
         // the module docs for why that would break byte identity;
         // stages are measured directly by the timed executor instead.
-        let (response, mut stages) = match &job.request {
+        let (response, mut stages, panicked) = run_guarded(|| match &job.request {
             // Edits route through the stateful session registry: a live
             // session's warm memo store, or a cold seed otherwise.
             // Payload bytes are identical either way (a session run is
@@ -299,7 +299,10 @@ fn worker_loop(shared: &Shared) {
                 (response, stages)
             }
             other => execute_request_cached_timed(other),
-        };
+        });
+        if panicked {
+            shared.count("service.jobs.panicked");
+        }
         let (outcome_result, state) = match response {
             ServiceResponse::Ok(payload) => {
                 // Rendering the payload is part of service time; time
@@ -318,7 +321,7 @@ fn worker_loop(shared: &Shared) {
             ServiceResponse::Rejected { message } => (
                 // Unreachable from `execute_request_cached_timed`, but
                 // keep the state machine total.
-                Err(crate::api::ServiceError {
+                Err(ServiceError {
                     code: ErrorCode::Unavailable,
                     input: None,
                     message,
@@ -373,6 +376,30 @@ fn worker_loop(shared: &Shared) {
         // The submitting connection thread may have gone away; the
         // outcome is then dropped with the channel.
         let _ = job.tx.send(outcome);
+    }
+}
+
+/// Runs a job's executor, containing a panic: the job fails with an
+/// [`ErrorCode::Internal`] error (the flag is `true`) instead of
+/// unwinding through the worker, which keeps draining the queue.
+fn run_guarded(
+    execute: impl FnOnce() -> (ServiceResponse, Vec<StageSpan>),
+) -> (ServiceResponse, Vec<StageSpan>, bool) {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(execute)) {
+        Ok((response, stages)) => (response, stages, false),
+        Err(panic) => {
+            let detail = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            let error = ServiceError {
+                code: ErrorCode::Internal,
+                input: None,
+                message: format!("job panicked: {detail}"),
+            };
+            (ServiceResponse::Err(error), Vec::new(), true)
+        }
     }
 }
 
@@ -647,4 +674,32 @@ fn handle_job_request(
 
 fn lock_cache(shared: &Shared) -> std::sync::MutexGuard<'_, ResultCache> {
     shared.cache.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_the_next_job_completes() {
+        let (response, stages, panicked) = run_guarded(|| panic!("injected fault"));
+        assert!(panicked);
+        assert!(stages.is_empty());
+        let ServiceResponse::Err(error) = response else {
+            panic!(
+                "expected an internal error, got status {}",
+                response.status()
+            );
+        };
+        assert_eq!(error.code.as_str(), "internal");
+        assert_eq!(error.message, "job panicked: injected fault");
+        let request = ServiceRequest::Plan {
+            graph: "graph fig2\nedge A B 20 10\nedge B C 20 10\n".to_string(),
+            method: Default::default(),
+            model: Default::default(),
+        };
+        let (response, _, panicked) = run_guarded(|| execute_request_cached_timed(&request));
+        assert!(!panicked);
+        assert_eq!(response.status(), "ok");
+    }
 }

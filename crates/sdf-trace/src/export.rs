@@ -14,7 +14,7 @@
 //!
 //! [`Recorder::snapshot`]: crate::Recorder::snapshot
 
-use crate::json::escape;
+use crate::json::{self, Writer};
 use crate::metrics::Histogram;
 use crate::Event;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -38,12 +38,6 @@ pub struct TraceSnapshot {
     pub histograms: Vec<(String, Histogram)>,
 }
 
-/// Nanoseconds rendered as a JSON microsecond number with three decimal
-/// places (the unit chrome://tracing expects for `ts`/`dur`).
-fn json_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
 /// Nanoseconds rendered human-readably with an adaptive unit.
 ///
 /// # Examples
@@ -63,40 +57,13 @@ pub fn human_time(ns: u64) -> String {
     }
 }
 
-fn args_object(args: &[(&'static str, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// A span's key-value annotations as a JSON object member.
+fn args(w: &mut Writer, args: &[(&'static str, String)]) {
+    w.object("args", |w| {
+        for (key, value) in args {
+            w.str(key, value);
         }
-        let _ = write!(out, "\"{}\":\"{}\"", escape(key), escape(value));
-    }
-    out.push('}');
-    out
-}
-
-fn name_value_object(pairs: &[(String, u64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", escape(name), value);
-    }
-    out.push('}');
-    out
-}
-
-fn histogram_buckets_json(h: &Histogram) -> String {
-    let mut out = String::from("[");
-    for (i, (lo, hi, count)) in h.nonzero_buckets().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{lo},{hi},{count}]");
-    }
-    out.push(']');
-    out
+    });
 }
 
 /// A counter track for the chrome trace export: a named step series of
@@ -130,122 +97,80 @@ impl TraceSnapshot {
     /// `"ph":"C"` counter events, which Perfetto draws as a dedicated
     /// counter lane (used for the pool occupancy timeline).
     pub fn to_chrome_trace_json_with_tracks(&self, tracks: &[CounterTrack]) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema_version\":{},\"displayTimeUnit\":\"ms\",\"traceEvents\":[",
-            self.schema_version
-        );
-        let mut first = true;
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"sdf\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{}}}",
-                escape(e.name),
-                e.thread,
-                json_us(e.start_ns),
-                json_us(e.dur_ns),
-                args_object(&e.args),
-            );
-        }
-        for track in tracks {
-            for &(ts, value) in &track.points {
-                if !first {
-                    out.push(',');
+        json::object(|w| {
+            w.num("schema_version", self.schema_version)
+                .str("displayTimeUnit", "ms");
+            w.array("traceEvents", |w| {
+                for e in &self.events {
+                    w.item_object(|w| {
+                        w.str("name", e.name)
+                            .str("cat", "sdf")
+                            .str("ph", "X")
+                            .num("pid", 1)
+                            .num("tid", e.thread)
+                            .us("ts", e.start_ns)
+                            .us("dur", e.dur_ns);
+                        args(w, &e.args);
+                    });
                 }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{}\",\"cat\":\"sdf\",\"ph\":\"C\",\"pid\":1,\"ts\":{},\"args\":{{\"{}\":{}}}}}",
-                    escape(&track.name),
-                    ts,
-                    escape(&track.name),
-                    value,
-                );
-            }
-        }
-        let _ = write!(
-            out,
-            "],\"counters\":{},\"gauges\":{},\"histograms\":{{",
-            name_value_object(&self.counters),
-            name_value_object(&self.gauges),
-        );
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":{}}}",
-                escape(name),
-                h.count(),
-                h.sum(),
-                histogram_buckets_json(h),
-            );
-        }
-        out.push_str("}}");
-        out
+                for track in tracks {
+                    for &(ts, value) in &track.points {
+                        w.item_object(|w| {
+                            w.str("name", &track.name)
+                                .str("cat", "sdf")
+                                .str("ph", "C")
+                                .num("pid", 1)
+                                .num("ts", ts)
+                                .object("args", |w| {
+                                    w.num(&track.name, value);
+                                });
+                        });
+                    }
+                }
+            });
+            w.counters("counters", &self.counters)
+                .counters("gauges", &self.gauges)
+                .histograms("histograms", &self.histograms);
+        })
     }
 
     /// Renders the snapshot as a JSONL stream: a `header` line, one
     /// `span` line per event (in start order), then one line per
     /// counter, gauge and histogram.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"header\",\"schema_version\":{},\"events\":{}}}",
-            self.schema_version,
-            self.events.len()
-        );
-        for e in &self.events {
-            let parent = match e.parent {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"args\":{}}}",
-                e.id,
-                parent,
-                escape(e.name),
-                e.thread,
-                e.start_ns,
-                e.dur_ns,
-                args_object(&e.args),
-            );
-        }
-        for (name, value) in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-                escape(name),
-                value
-            );
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-                escape(name),
-                value
-            );
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":{}}}",
-                escape(name),
-                h.count(),
-                h.sum(),
-                histogram_buckets_json(h),
-            );
-        }
-        out
+        json::lines(|w| {
+            w.line(|w| {
+                w.str("type", "header")
+                    .num("schema_version", self.schema_version)
+                    .num("events", self.events.len());
+            });
+            for e in &self.events {
+                w.line(|w| {
+                    w.str("type", "span").num("id", e.id);
+                    match e.parent {
+                        Some(p) => w.num("parent", p),
+                        None => w.raw("parent", "null"),
+                    };
+                    w.str("name", e.name)
+                        .num("thread", e.thread)
+                        .num("start_ns", e.start_ns)
+                        .num("dur_ns", e.dur_ns);
+                    args(w, &e.args);
+                });
+            }
+            for (kind, rows) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+                for (name, value) in rows {
+                    w.line(|w| {
+                        w.str("type", kind).str("name", name).num("value", value);
+                    });
+                }
+            }
+            for (name, h) in &self.histograms {
+                w.line(|w| {
+                    w.str("type", "histogram").str("name", name).histogram(h);
+                });
+            }
+        })
     }
 
     /// Renders the span hierarchy as an indented text tree with

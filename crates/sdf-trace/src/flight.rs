@@ -12,10 +12,9 @@
 //! last N requests actually did.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::json::escape;
+use crate::json::{self, Writer};
 
 /// One timed stage of a request, with optional nested sub-stages.
 ///
@@ -48,30 +47,24 @@ impl StageSpan {
 
     /// The stage as a JSON object (children render recursively).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"children\":{}}}",
-            escape(self.name),
-            self.start_ns,
-            self.dur_ns,
-            stages_json(&self.children),
-        );
-        out
+        json::object(|w| self.write(w))
     }
-}
 
-/// A stage list as a JSON array.
-pub fn stages_json(stages: &[StageSpan]) -> String {
-    let mut out = String::from("[");
-    for (i, stage) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&stage.to_json());
+    fn write(&self, w: &mut Writer) {
+        w.str("name", self.name)
+            .num("start_ns", self.start_ns)
+            .num("dur_ns", self.dur_ns);
+        StageSpan::write_list(w, "children", &self.children);
     }
-    out.push(']');
-    out
+
+    /// A stage list as an array member.
+    pub fn write_list(w: &mut Writer, key: &str, stages: &[StageSpan]) {
+        w.array(key, |w| {
+            for stage in stages {
+                w.item_object(|w| stage.write(w));
+            }
+        });
+    }
 }
 
 /// How a request interacted with the daemon's result cache.
@@ -120,19 +113,18 @@ pub struct FlightRecord {
 impl FlightRecord {
     /// The record as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"op\":\"{}\",\"outcome\":\"{}\",\"cache\":\"{}\",\"queue_wait_ns\":{},\"service_ns\":{},\"stages\":{}}}",
-            self.seq,
-            escape(self.op),
-            escape(self.outcome),
-            self.cache.as_str(),
-            self.queue_wait_ns,
-            self.service_ns,
-            stages_json(&self.stages),
-        );
-        out
+        json::object(|w| self.write(w))
+    }
+
+    /// The record's members, written into the enclosing object.
+    pub fn write(&self, w: &mut Writer) {
+        w.num("seq", self.seq)
+            .str("op", self.op)
+            .str("outcome", self.outcome)
+            .str("cache", self.cache.as_str())
+            .num("queue_wait_ns", self.queue_wait_ns)
+            .num("service_ns", self.service_ns);
+        StageSpan::write_list(w, "stages", &self.stages);
     }
 }
 

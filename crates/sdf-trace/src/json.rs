@@ -4,7 +4,9 @@
 //! loop with a small recursive-descent parser so round-trip tests and
 //! trace-file validation need no external dependency either. It parses
 //! the full JSON grammar (RFC 8259) into a [`Json`] tree; numbers are
-//! `f64`, which is exact for every integer this workspace emits.
+//! `f64`, which is exact for every integer this workspace emits. The
+//! writing side is [`Writer`]: every document the workspace emits is
+//! rendered through it.
 //!
 //! # Examples
 //!
@@ -16,6 +18,10 @@
 //! let first = &value.get("candidates").and_then(Json::as_array).unwrap()[0];
 //! assert_eq!(first.get("shared").and_then(Json::as_num), Some(30.0));
 //! ```
+
+use std::fmt::{self, Write as _};
+
+use crate::metrics::Histogram;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,54 +90,235 @@ impl Json {
     }
 }
 
-/// Escapes `s` for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Opens a top-level JSON document with the workspace's unified
-/// envelope: `{"kind":"<kind>","schema_version":N,` — every document
-/// the workspace emits (`engine_report`, `baseline_profile`,
-/// `executable_plan`, `simulation_report`, `regression_report`,
-/// `bench_trajectory`, `service_request`, `service_response`, …) starts
-/// with this exact header so consumers can dispatch on `kind` and
-/// version-check before reading anything else. The caller appends the
-/// document body (starting with its first key) and the closing `}`.
+/// The one JSON writer of the workspace: every document it emits is
+/// appended to a single `String` through this type, which owns string
+/// escaping, comma placement, the microsecond number format and the
+/// shapes of the shared counter and histogram tables.
+///
+/// Members take a key (`str`, `num`, `object`, …); array elements use
+/// the `item_*` forms, and a member is its key followed by one. A comma
+/// is written before a member or element unless the buffer ends in `{`,
+/// `[` or a key's `:`, so no per-level state is kept.
+/// Root values come from [`document`], [`object`] and [`lines`].
 ///
 /// # Examples
 ///
 /// ```
-/// use sdf_trace::json::{document_header, parse, Json};
-///
-/// let mut s = document_header("engine_report");
-/// s.push_str("\"graph\":\"fig2\"}");
-/// let doc = parse(&s).unwrap();
-/// assert_eq!(doc.get("kind").and_then(Json::as_str), Some("engine_report"));
-/// assert_eq!(
-///     doc.get("schema_version").and_then(Json::as_num),
-///     Some(f64::from(sdf_trace::SCHEMA_VERSION)),
-/// );
+/// let text = sdf_trace::json::object(|w| {
+///     w.str("graph", "fig2").us("total_us", 1_234_567);
+///     w.array("orders", |w| {
+///         w.item_object(|w| {
+///             w.num("nonshared_bufmem", 40);
+///         });
+///     });
+/// });
+/// let expected = r#"{"graph":"fig2","total_us":1234.567,"orders":[{"nonshared_bufmem":40}]}"#;
+/// assert_eq!(text, expected);
 /// ```
+#[derive(Debug)]
+pub struct Writer {
+    buf: String,
+}
+
+/// Renders a top-level document under the workspace's unified envelope:
+/// `{"kind":"<kind>","schema_version":N,` then the members `body` writes,
+/// then `}`. Every document the workspace emits (`engine_report`,
+/// `baseline_profile`, `executable_plan`, `service_response`, …) opens
+/// with this exact header, so consumers can dispatch on `kind` and
+/// version-check before reading anything else.
+pub fn document(kind: &str, body: impl FnOnce(&mut Writer)) -> String {
+    object(|w| {
+        w.str("kind", kind)
+            .num("schema_version", crate::SCHEMA_VERSION);
+        body(w);
+    })
+}
+
+/// Renders one bare JSON object (no envelope) from the members `body`
+/// writes.
+pub fn object(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer {
+        buf: String::with_capacity(1024),
+    };
+    w.open('{', '}', body);
+    w.buf
+}
+
+/// Renders a JSONL stream: `body` writes one object per line with
+/// [`Writer::line`].
+pub fn lines(body: impl FnOnce(&mut Writer)) -> String {
+    let mut w = Writer {
+        buf: String::with_capacity(1024),
+    };
+    body(&mut w);
+    w.buf
+}
+
+/// The envelope header alone, `{"kind":"<kind>","schema_version":N,`,
+/// for callers that splice a document body by hand.
 pub fn document_header(kind: &str) -> String {
-    format!(
-        "{{\"kind\":\"{}\",\"schema_version\":{},",
-        escape(kind),
-        crate::SCHEMA_VERSION
-    )
+    let mut s = document(kind, |_| {});
+    s.pop();
+    s.push(',');
+    s
+}
+
+impl Writer {
+    /// Writes the `,` that separates this member or element from the
+    /// previous one: none after an opening `{`/`[` or a member's `:`.
+    fn sep(&mut self) {
+        if !matches!(self.buf.as_bytes().last(), Some(b'{' | b'[' | b':')) {
+            self.buf.push(',');
+        }
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.item_str(key);
+        self.buf.push(':');
+        self
+    }
+
+    fn open(&mut self, open: char, close: char, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.buf.push(open);
+        body(self);
+        self.buf.push(close);
+        self
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key).item_str(value)
+    }
+
+    /// A number member, written with its `Display` form (integers).
+    pub fn num(&mut self, key: &str, value: impl fmt::Display) -> &mut Self {
+        self.key(key).item_num(value)
+    }
+
+    /// A `true`/`false` member.
+    pub fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).item_num(value)
+    }
+
+    /// A number member with exactly `decimals` fractional digits.
+    pub fn fixed(&mut self, key: &str, value: f64, decimals: usize) -> &mut Self {
+        self.key(key).item_num(format_args!("{value:.decimals$}"))
+    }
+
+    /// A nanosecond duration as a microsecond member with three decimal
+    /// places (`1234567` → `1234.567`), computed in integers so it is
+    /// exact for every `u64`.
+    pub fn us(&mut self, key: &str, ns: u64) -> &mut Self {
+        let (us, frac) = (ns / 1_000, ns % 1_000);
+        self.key(key).item_num(format_args!("{us}.{frac:03}"))
+    }
+
+    /// A member whose value is already-serialised JSON, embedded
+    /// verbatim.
+    pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+        self.key(key).item_num(json)
+    }
+
+    /// An object member whose members `body` writes.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.key(key).item_object(body)
+    }
+
+    /// An array member whose elements `body` writes with the `item_*`
+    /// methods.
+    pub fn array(&mut self, key: &str, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.key(key).item_array(body)
+    }
+
+    /// A string array element, escaped: `"`, `\\`, `\n`, `\r`, `\t`
+    /// and `\u00XX` for the other control characters.
+    pub fn item_str(&mut self, value: &str) -> &mut Self {
+        self.sep();
+        self.buf.push('"');
+        let mut start = 0;
+        for (i, b) in value.bytes().enumerate() {
+            let escaped = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `i` is a char boundary.
+            self.buf.push_str(&value[start..i]);
+            match escaped {
+                "" => write!(self.buf, "\\u{b:04x}").unwrap_or(()),
+                _ => self.buf.push_str(escaped),
+            }
+            start = i + 1;
+        }
+        self.buf.push_str(&value[start..]);
+        self.buf.push('"');
+        self
+    }
+
+    /// An element written verbatim with its `Display` form: a number,
+    /// or already-serialised JSON.
+    pub fn item_num(&mut self, value: impl fmt::Display) -> &mut Self {
+        self.sep();
+        let _ = write!(self.buf, "{value}");
+        self
+    }
+
+    /// An object array element.
+    pub fn item_object(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.sep();
+        self.open('{', '}', body)
+    }
+
+    /// An array array element.
+    pub fn item_array(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.sep();
+        self.open('[', ']', body)
+    }
+
+    /// One JSONL line: an object whose members `body` writes, then a
+    /// newline.
+    pub fn line(&mut self, body: impl FnOnce(&mut Writer)) -> &mut Self {
+        self.open('{', '}', body);
+        self.buf.push('\n');
+        self
+    }
+
+    /// A `{name:value,…}` counter (or gauge) table member.
+    pub fn counters(&mut self, key: &str, rows: &[(String, u64)]) -> &mut Self {
+        self.object(key, |w| {
+            for (name, value) in rows {
+                w.num(name, value);
+            }
+        })
+    }
+
+    /// A `{name:{count,sum,buckets},…}` histogram table member.
+    pub fn histograms(&mut self, key: &str, rows: &[(String, Histogram)]) -> &mut Self {
+        self.object(key, |w| {
+            for (name, h) in rows {
+                w.object(name, |w| {
+                    w.histogram(h);
+                });
+            }
+        })
+    }
+
+    /// One histogram's `count`, `sum` and `buckets` members, the
+    /// buckets as `[lo,hi,count]` triples of the non-empty buckets.
+    pub fn histogram(&mut self, h: &Histogram) -> &mut Self {
+        self.num("count", h.count()).num("sum", h.sum());
+        self.array("buckets", |w| {
+            for (lo, hi, count) in h.nonzero_buckets() {
+                w.item_array(|w| {
+                    w.item_num(lo).item_num(hi).item_num(count);
+                });
+            }
+        })
+    }
 }
 
 /// Maximum container nesting depth [`parse`] accepts. The parser is
@@ -402,9 +589,43 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = "a\"b\\c\nd\te\u{1}f µs";
-        let parsed = parse(&format!("\"{}\"", escape(original))).unwrap();
-        assert_eq!(parsed.as_str(), Some(original));
+        let original = "a\"b\\c\nd\te\u{1}f µs\r\u{1f}";
+        let text = object(|w| {
+            w.str(original, original);
+        });
+        assert_eq!(
+            text,
+            r#"{"a\"b\\c\nd\te\u0001f µs\r\u001f":"a\"b\\c\nd\te\u0001f µs\r\u001f"}"#
+        );
+        let parsed = parse(&text).unwrap();
+        assert_eq!(parsed.get(original).and_then(Json::as_str), Some(original));
+    }
+
+    /// `Writer::us` formats in integers; the engine report used to print
+    /// `{:.3}` of `ns as f64 / 1e3`. The two agree for every
+    /// `ns < 2^52`, probed here at each bit width.
+    #[test]
+    fn us_matches_the_float_format_below_2_pow_52() {
+        let us = |ns: u64| {
+            object(|w| {
+                w.us("t", ns);
+            })
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for bits in 0..=52 {
+            let mask = (1u64 << bits) - 1;
+            let edges = [mask, mask / 2, mask / 1000 * 1000];
+            let samples = (0..2_000).map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state & mask
+            });
+            for ns in edges.into_iter().chain(samples) {
+                assert_eq!(us(ns), format!("{{\"t\":{:.3}}}", ns as f64 / 1e3));
+            }
+        }
+        assert_eq!(us(u64::MAX), "{\"t\":18446744073709551.615}");
     }
 
     #[test]

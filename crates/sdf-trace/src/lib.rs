@@ -75,7 +75,7 @@ use std::time::Instant;
 /// baseline profiles (a deliberate baseline refresh, see
 /// `docs/file-format.md`); `6` unified the document envelope — every
 /// top-level document now opens with the same `kind` +
-/// `schema_version` header written by [`json::document_header`]
+/// `schema_version` header written by [`json::document`]
 /// (`engine_report` gained its `kind` field) — and added the
 /// `service_request` / `service_response` / `service_stats` documents
 /// of the `sdfmemd` daemon plus its `service.*` counter namespace

@@ -442,95 +442,53 @@ impl EngineReport {
     /// Serialises the report as a self-contained JSON object (times in
     /// microseconds).
     pub fn to_json(&self) -> String {
-        let mut s = sdf_trace::json::document_header("engine_report");
-        s.reserve(1024);
-        json_str(&mut s, "graph", &self.graph);
-        s.push(',');
-        json_num(&mut s, "actors", self.actors as u64);
-        s.push(',');
-        json_num(&mut s, "edges", self.edges as u64);
-        s.push(',');
-        json_bool(&mut s, "parallel", self.parallel);
-        s.push(',');
-        json_num(&mut s, "threads", self.threads as u64);
-        s.push(',');
-        json_str(&mut s, "dp_mode", self.dp_mode.as_str());
-        s.push(',');
-        json_us(&mut s, "repetitions_us", self.repetitions_ns);
-        s.push(',');
-        json_num(&mut s, "nonshared_bufmem", self.nonshared_bufmem);
-        s.push_str(",\"orders\":[");
-        for (i, o) in self.orders.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            json_str(&mut s, "heuristic", o.heuristic.as_str());
-            s.push(',');
-            json_us(&mut s, "order_us", o.order_ns);
-            s.push(',');
-            json_us(&mut s, "dppo_us", o.dppo_ns);
-            s.push(',');
-            json_num(&mut s, "nonshared_bufmem", o.nonshared_bufmem);
-            s.push('}');
-        }
-        s.push_str("],\"candidates\":[");
-        for (i, c) in self.candidates.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            json_str(&mut s, "heuristic", c.heuristic.as_str());
-            s.push(',');
-            json_str(&mut s, "loop_opt", c.loop_opt.as_str());
-            s.push(',');
-            json_str(&mut s, "allocation_order", c.allocation_order.as_str());
-            s.push(',');
-            json_num(&mut s, "shared_total", c.shared_total);
-            s.push(',');
-            json_num(&mut s, "mco", c.mco);
-            s.push(',');
-            json_num(&mut s, "mcp", c.mcp);
-            s.push(',');
-            json_num(&mut s, "conflicts", c.conflicts as u64);
-            s.push(',');
-            json_bool(&mut s, "memoized_schedule", c.memoized_schedule);
-            s.push_str(",\"counters\":{");
-            for (j, (name, value)) in c.counters.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
+        sdf_trace::json::document("engine_report", |w| {
+            w.str("graph", &self.graph)
+                .num("actors", self.actors)
+                .num("edges", self.edges)
+                .bool("parallel", self.parallel)
+                .num("threads", self.threads)
+                .str("dp_mode", self.dp_mode.as_str())
+                .us("repetitions_us", self.repetitions_ns)
+                .num("nonshared_bufmem", self.nonshared_bufmem);
+            w.array("orders", |w| {
+                for o in &self.orders {
+                    w.item_object(|w| {
+                        w.str("heuristic", o.heuristic.as_str())
+                            .us("order_us", o.order_ns)
+                            .us("dppo_us", o.dppo_ns)
+                            .num("nonshared_bufmem", o.nonshared_bufmem);
+                    });
                 }
-                json_num(&mut s, name, *value);
-            }
-            s.push_str("},\"timings\":{");
-            json_us(&mut s, "schedule_us", c.timings.schedule_ns);
-            s.push(',');
-            json_us(&mut s, "lifetime_us", c.timings.lifetime_ns);
-            s.push(',');
-            json_us(&mut s, "wig_us", c.timings.wig_ns);
-            s.push(',');
-            json_us(&mut s, "alloc_us", c.timings.alloc_ns);
-            s.push(',');
-            json_us(&mut s, "total_us", c.timings.total_ns());
-            s.push_str("},");
-            json_bool(&mut s, "winner", c.winner);
-            s.push('}');
-        }
-        s.push_str("],");
-        json_num(&mut s, "winner", self.winner as u64);
-        s.push(',');
-        json_str(&mut s, "rationale", &self.rationale);
-        s.push(',');
-        json_us(&mut s, "total_us", self.total_ns);
-        s.push_str(",\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            json_num(&mut s, name, *value);
-        }
-        s.push_str("}}");
-        s
+            });
+            w.array("candidates", |w| {
+                for c in &self.candidates {
+                    w.item_object(|w| {
+                        w.str("heuristic", c.heuristic.as_str())
+                            .str("loop_opt", c.loop_opt.as_str())
+                            .str("allocation_order", c.allocation_order.as_str())
+                            .num("shared_total", c.shared_total)
+                            .num("mco", c.mco)
+                            .num("mcp", c.mcp)
+                            .num("conflicts", c.conflicts)
+                            .bool("memoized_schedule", c.memoized_schedule)
+                            .counters("counters", &c.counters)
+                            .object("timings", |w| {
+                                w.us("schedule_us", c.timings.schedule_ns)
+                                    .us("lifetime_us", c.timings.lifetime_ns)
+                                    .us("wig_us", c.timings.wig_ns)
+                                    .us("alloc_us", c.timings.alloc_ns)
+                                    .us("total_us", c.timings.total_ns());
+                            })
+                            .bool("winner", c.winner);
+                    });
+                }
+            });
+            w.num("winner", self.winner)
+                .str("rationale", &self.rationale)
+                .us("total_us", self.total_ns)
+                .counters("counters", &self.counters);
+        })
     }
 }
 
@@ -569,35 +527,6 @@ impl fmt::Display for EngineReport {
         writeln!(f, "rationale: {}", self.rationale)?;
         write!(f, "total: {:.1} µs", self.total_ns as f64 / 1e3)
     }
-}
-
-fn json_str(s: &mut String, key: &str, value: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":\"");
-    s.push_str(&sdf_trace::json::escape(value));
-    s.push('"');
-}
-
-fn json_num(s: &mut String, key: &str, value: u64) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&value.to_string());
-}
-
-fn json_bool(s: &mut String, key: &str, value: bool) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(if value { "true" } else { "false" });
-}
-
-fn json_us(s: &mut String, key: &str, ns: u64) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(&format!("{:.3}", ns as f64 / 1e3));
 }
 
 /// One schedule-level lattice cell handed to the (possibly parallel)

@@ -24,10 +24,10 @@
 //! allocation order, optionally in parallel) behind the
 //! [`AnalysisBuilder`] seam, [`pipeline`] keeps the classic one-call
 //! [`Analysis`](pipeline::Analysis) wrapper over it, [`incremental`]
-//! re-synthesises edited graphs along a delta path (cross-run chain-DP
-//! memoization plus lifetime/WIG/allocation splicing, bit-identical to
-//! cold runs), and [`sentinel`] captures regression-sentinel baseline
-//! profiles from engine runs.
+//! re-synthesises edited graphs by running the engine with a session's
+//! cross-run chain-DP memo store (bit-identical to cold runs), and
+//! [`sentinel`] captures regression-sentinel baseline profiles from
+//! engine runs.
 //!
 //! # Examples
 //!
