@@ -2,16 +2,18 @@
 //! against the serial baseline on the paper's systems plus large
 //! homogeneous grids, printing each run's per-stage timing report as JSON
 //! and a serial/parallel speedup summary, and writing the whole sweep —
-//! timings plus a traced run's algorithm counters per system — to a
-//! `BENCH_3.json` machine-readable artifact.
+//! timings plus a traced run's algorithm counters per system — to an
+//! `engine_sweep.json` machine-readable artifact (`--out` picks another
+//! path, but never one holding a `bench_trajectory` document).
 //!
 //! The binary is also the maintenance tool of the regression-sentinel
 //! corpus under `bench/baselines/`:
 //!
 //! * `--baseline DIR` captures a fresh sentinel profile for every graph
 //!   in the example corpus (`examples/graphs/*.sdf`), writes them to
-//!   `DIR/<graph>.json`, and appends one trajectory point to the bench
-//!   artifact so successive captures stay comparable over time;
+//!   `DIR/<graph>.json`, and appends one trajectory point to the
+//!   `bench_trajectory` file at `--out` (default `BENCH_3.json`) so
+//!   successive captures stay comparable over time;
 //! * `--gate DIR` re-captures each profiled graph and diffs it against
 //!   the committed baseline, writing a markdown report and exiting 1 on
 //!   any gated regression — this is what CI's perf-gate job runs.
@@ -28,7 +30,7 @@ use sdf_apps::homogeneous::homogeneous_grid;
 use sdf_apps::registry::table1_systems;
 use sdf_core::SdfGraph;
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport};
-use sdf_trace::json;
+use sdf_trace::json::{self, Json};
 use sdfmem::engine::AnalysisBuilder;
 use sdfmem::sched::LoopVariant;
 use sdfmem::sentinel::{capture_profile, CaptureOptions, PERTURB_ENV};
@@ -241,7 +243,17 @@ fn run_gate(dir: &str, graphs_dir: &str, repeats: u32, report_path: &str) -> Res
 }
 
 /// The classic serial-vs-parallel sweep, writing the bench artifact.
+/// It never replaces a `bench_trajectory` file: that history is only
+/// ever appended to, by `--baseline`.
 fn run_sweep(min_actors: usize, repeats: u32, out_path: &str) -> Result<(), String> {
+    let existing = std::fs::read_to_string(out_path).unwrap_or_default();
+    if json::parse(&existing)
+        .is_ok_and(|doc| doc.get("kind").and_then(Json::as_str) == Some("bench_trajectory"))
+    {
+        return Err(format!(
+            "{out_path} is a bench_trajectory document; the sweep will not overwrite it"
+        ));
+    }
     let mut graphs: Vec<SdfGraph> = table1_systems();
     // Grids give the parallel path enough per-candidate work to amortise
     // thread spawns.
@@ -302,7 +314,7 @@ fn real_main() -> Result<bool, String> {
     };
     let min_actors = numeric("--min-actors", 0)? as usize;
     let repeats = numeric("--repeats", 5)?.clamp(1, 1_000) as u32;
-    let out_path = flag("--out").cloned().unwrap_or("BENCH_3.json".to_string());
+    let out_path = flag("--out");
     let graphs_dir = flag("--graphs")
         .cloned()
         .unwrap_or("examples/graphs".to_string());
@@ -313,14 +325,19 @@ fn real_main() -> Result<bool, String> {
     if let Some(dir) = flag("--baseline").cloned() {
         // Baseline captures default to 3 repeats unless asked otherwise.
         let repeats = numeric("--repeats", 3)?.clamp(1, 1_000) as u32;
-        run_baseline(&dir, &graphs_dir, repeats, &out_path)?;
+        let out_path = out_path.map_or("BENCH_3.json", String::as_str);
+        run_baseline(&dir, &graphs_dir, repeats, out_path)?;
         return Ok(true);
     }
     if let Some(dir) = flag("--gate").cloned() {
         let repeats = numeric("--repeats", 3)?.clamp(1, 1_000) as u32;
         return run_gate(&dir, &graphs_dir, repeats, &report_path);
     }
-    run_sweep(min_actors, repeats, &out_path)?;
+    run_sweep(
+        min_actors,
+        repeats,
+        out_path.map_or("engine_sweep.json", String::as_str),
+    )?;
     Ok(true)
 }
 
@@ -341,6 +358,21 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_sweep_refuses_to_overwrite_a_trajectory() {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench/BENCH_3.json");
+        let before = std::fs::read(committed).expect("committed trajectory");
+        let dir = std::env::temp_dir().join(format!("engine-sweep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let copy = dir.join("BENCH_3.json");
+        std::fs::write(&copy, &before).expect("copy");
+        let copy = copy.to_string_lossy().into_owned();
+        let err = run_sweep(usize::MAX, 1, &copy).unwrap_err();
+        assert!(err.contains("bench_trajectory"), "{err}");
+        assert_eq!(std::fs::read(&copy).expect("copy"), before);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn trajectory_point_bytes_are_pinned() {

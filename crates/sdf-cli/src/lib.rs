@@ -16,84 +16,17 @@ use sdf_codegen::{emit_c, emit_standalone_c};
 use sdf_core::bounds::{bmlb, min_buffer_bound};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::SdfError;
 use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::{ConflictGraph, IntersectionGraph};
 use sdf_regress::ReportFormat as DiffFormat;
-use sdf_sched::{apgan, dppo, rpmc, sdppo, LoopVariant};
+use sdf_sched::{dppo, sdppo, LoopVariant};
 use sdf_service::{
     execute_request, Client, ExplainReport, MemoryModel, OrderMethod, ResponsePayload, Server,
     ServerConfig, ServiceRequest, ServiceResponse,
 };
 use sdfmem::engine::AnalysisBuilder;
 use sdfmem::sentinel::PERTURB_ENV;
-
-/// Which topological-sort heuristic to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Method {
-    /// APGAN (bottom-up clustering).
-    #[default]
-    Apgan,
-    /// RPMC (top-down min-cut partitioning).
-    Rpmc,
-}
-
-impl Method {
-    fn service(self) -> OrderMethod {
-        match self {
-            Method::Apgan => OrderMethod::Apgan,
-            Method::Rpmc => OrderMethod::Rpmc,
-        }
-    }
-}
-
-/// Which buffer model to target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Model {
-    /// One shared pool, lifetime-packed (the paper's contribution).
-    #[default]
-    Shared,
-    /// One array per edge (the DPPO baseline).
-    NonShared,
-}
-
-impl Model {
-    fn service(self) -> MemoryModel {
-        match self {
-            Model::Shared => MemoryModel::Shared,
-            Model::NonShared => MemoryModel::NonShared,
-        }
-    }
-}
-
-/// Which operation `sdfmem submit` sends to the daemon.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SubmitKind {
-    /// Candidate-lattice sweep (the default).
-    #[default]
-    Analyze,
-    /// Lower to an executable plan.
-    Plan,
-    /// Lower and run the interpreter oracle.
-    Simulate,
-    /// Build the allocation-provenance report.
-    Explain,
-    /// Synthesise a multi-mode scenario graph into one shared pool.
-    Modes,
-    /// Capture a regression-sentinel baseline profile.
-    Baseline,
-    /// Fetch the daemon's `service.*` counters, gauges and histogram
-    /// summaries.
-    Stats,
-    /// Fetch a Prometheus-style text exposition of the daemon's
-    /// instruments.
-    Metrics,
-    /// Drain the daemon's flight recorder of per-request summaries.
-    Events,
-    /// Stop the daemon (responds with final stats).
-    Shutdown,
-}
 
 /// Output format of `sdfmem analyze`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -105,17 +38,17 @@ pub enum ReportFormat {
     Json,
 }
 
-/// A parsed CLI invocation.
+/// A parsed CLI invocation; `sdfmem help` lists each command's
+/// arguments and flags.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
-    /// `sdfmem info <file>`.
+    /// `sdfmem info`.
     Info {
         /// Graph file path.
         file: String,
     },
-    /// `sdfmem analyze <file> [--report FMT] [--serial] [--full]
-    /// [--trace OUT]` — sweep the engine's candidate lattice and report
-    /// the scoreboard.
+    /// `sdfmem analyze` — sweep the engine's candidate lattice and
+    /// report the scoreboard.
     Analyze {
         /// Graph file path.
         file: String,
@@ -129,16 +62,15 @@ pub enum Command {
         /// or JSONL when the path ends in `.jsonl`).
         trace: Option<String>,
     },
-    /// `sdfmem profile <file> [--full]` — run the engine serially under a
-    /// recorder and print the span tree and counter table.
+    /// `sdfmem profile` — run the engine serially under a recorder and
+    /// print the span tree and counter table.
     Profile {
         /// Graph file path.
         file: String,
         /// Sweep every loop-optimizer variant, not just SDPPO.
         full: bool,
     },
-    /// `sdfmem baseline <file> [--out PATH] [--repeats N] [--full]` —
-    /// capture a regression-sentinel baseline profile.
+    /// `sdfmem baseline` — capture a regression-sentinel baseline profile.
     Baseline {
         /// Graph file path.
         file: String,
@@ -149,8 +81,7 @@ pub enum Command {
         /// Sweep every loop-optimizer variant, not just SDPPO.
         full: bool,
     },
-    /// `sdfmem compare <baseline> <candidate> [--gate] [--format F]
-    /// [--allow NAMES]` — diff two baseline profiles; exits nonzero on a
+    /// `sdfmem compare` — diff two baseline profiles; exits nonzero on a
     /// gated regression.
     Compare {
         /// Baseline profile path.
@@ -166,54 +97,53 @@ pub enum Command {
         /// (trailing `*` matches a prefix).
         allow: Vec<String>,
     },
-    /// `sdfmem bounds <file>`.
+    /// `sdfmem bounds`.
     Bounds {
         /// Graph file path.
         file: String,
     },
-    /// `sdfmem schedule <file> [--method M] [--model M]`.
+    /// `sdfmem schedule`.
     Schedule {
         /// Graph file path.
         file: String,
         /// Topological-sort heuristic.
-        method: Method,
+        method: OrderMethod,
         /// Buffer model.
-        model: Model,
+        model: MemoryModel,
     },
-    /// `sdfmem allocate <file> [--method M]`.
+    /// `sdfmem allocate`.
     Allocate {
         /// Graph file path.
         file: String,
         /// Topological-sort heuristic.
-        method: Method,
+        method: OrderMethod,
     },
-    /// `sdfmem codegen <file> [--method M] [--model M] [--standalone]`.
+    /// `sdfmem codegen`.
     Codegen {
         /// Graph file path.
         file: String,
         /// Topological-sort heuristic.
-        method: Method,
+        method: OrderMethod,
         /// Buffer model.
-        model: Model,
+        model: MemoryModel,
         /// Emit stub actor definitions plus a `main`, producing a
         /// self-contained program (the CI smoke-test form).
         standalone: bool,
     },
-    /// `sdfmem simulate <file> [--method M] [--model M] [--report FMT]`
-    /// — lower the plan the matching `codegen` invocation would emit and
-    /// execute it under the interpreter oracle; exit 1 on a violation.
+    /// `sdfmem simulate` — lower the plan the matching `codegen`
+    /// invocation would emit and execute it under the interpreter
+    /// oracle; exit 1 on a violation.
     Simulate {
         /// Graph file path.
         file: String,
         /// Topological-sort heuristic.
-        method: Method,
+        method: OrderMethod,
         /// Buffer model.
-        model: Model,
+        model: MemoryModel,
         /// Output format (the JSON form embeds the executable plan).
         report: ReportFormat,
     },
-    /// `sdfmem explain <file> [--buffer NAME] [--report FMT]
-    /// [--trace OUT]` — allocation provenance: per-buffer placement
+    /// `sdfmem explain` — allocation provenance: per-buffer placement
     /// stories (probes, rejected gaps, fragmentation attribution) and
     /// the pool occupancy timeline.
     Explain {
@@ -229,8 +159,8 @@ pub enum Command {
         /// counter tracks to this path.
         trace: Option<String>,
     },
-    /// `sdfmem modes <file> [--report FMT]` — synthesise a multi-mode
-    /// scenario graph (`.sdfm`) into one shared pool across all modes:
+    /// `sdfmem modes` — synthesise a multi-mode scenario graph
+    /// (`.sdfm`) into one shared pool across all modes:
     /// per-mode plans on the candidate lattice, a merged cross-mode
     /// allocation whose persistent buffers keep their offsets across
     /// transitions, and the transition oracle's verdict; exit 1 when
@@ -241,21 +171,20 @@ pub enum Command {
         /// Output format (`json` prints the `mode_report` document).
         report: ReportFormat,
     },
-    /// `sdfmem gantt <file> [--method M]` — lifetime chart.
+    /// `sdfmem gantt` — lifetime chart.
     Gantt {
         /// Graph file path.
         file: String,
         /// Topological-sort heuristic.
-        method: Method,
+        method: OrderMethod,
     },
-    /// `sdfmem dot <file>` — Graphviz export.
+    /// `sdfmem dot` — Graphviz export.
     Dot {
         /// Graph file path.
         file: String,
     },
-    /// `sdfmem serve <addr> [--workers N] [--cache-cap N]
-    /// [--queue-cap N] [--port-file PATH] [--trace-dir DIR]` — run the
-    /// `sdfmemd` daemon until a `shutdown` request arrives.
+    /// `sdfmem serve` — run the `sdfmemd` daemon until a `shutdown`
+    /// request arrives.
     Serve {
         /// Address to bind, e.g. `127.0.0.1:7654` (`:0` picks an
         /// ephemeral port, written to `--port-file`).
@@ -272,19 +201,21 @@ pub enum Command {
         /// Write one chrome://tracing JSON file per completed job here.
         trace_dir: Option<String>,
     },
-    /// `sdfmem submit <addr> [--kind K] [--file G] ...` — submit one
-    /// request to a running daemon and print the response envelope.
+    /// `sdfmem submit` — submit one request to a running daemon and
+    /// print the response envelope.
     Submit {
         /// Daemon address (`host:port`).
         addr: String,
-        /// Which operation to submit.
-        kind: SubmitKind,
+        /// Which operation to submit: `analyze` (the default), `plan`,
+        /// `simulate`, `explain`, `modes`, `baseline`, `stats`,
+        /// `metrics`, `events` or `shutdown`.
+        kind: String,
         /// Graph file (required for graph-backed kinds).
         file: Option<String>,
         /// Topological-sort heuristic (plan/simulate).
-        method: Method,
+        method: OrderMethod,
         /// Buffer model (plan/simulate).
-        model: Model,
+        model: MemoryModel,
         /// Analyze: evaluate candidates serially.
         serial: bool,
         /// Analyze/baseline: sweep every loop-optimizer variant.
@@ -294,9 +225,8 @@ pub enum Command {
         /// Connect-retry budget in milliseconds (0 = single attempt).
         timeout_ms: u64,
     },
-    /// `sdfmem edit <addr> --file <graph> --edits <script>
-    /// [--timeout-ms N]` — submit an incremental re-synthesis request:
-    /// a base graph plus an edit script. A daemon holding a live
+    /// `sdfmem edit` — submit an incremental re-synthesis request: a
+    /// base graph plus an edit script. A daemon holding a live
     /// session for the base runs the engine with that session's warm
     /// chain-DP memo store; otherwise it runs cold and seeds a session
     /// for the next edit.
@@ -311,10 +241,9 @@ pub enum Command {
         /// Connect-retry budget in milliseconds (0 = single attempt).
         timeout_ms: u64,
     },
-    /// `sdfmem top <addr> [--interval-ms N] [--count N]` — poll a
-    /// running daemon's `stats` op and render a live table: ops/sec,
-    /// cache hit rate, queue depth, incremental-edit activity, and
-    /// p50/p95/p99 latency per op.
+    /// `sdfmem top` — poll a running daemon's `stats` op and render a
+    /// live table: ops/sec, cache hit rate, queue depth,
+    /// incremental-edit activity, and p50/p95/p99 latency per op.
     Top {
         /// Daemon address (`host:port`).
         addr: String,
@@ -330,8 +259,8 @@ pub enum Command {
     Help,
 }
 
-/// Usage text shown by `help` and on argument errors.
-pub const USAGE: &str = "\
+/// The `help` text above the OPTIONS table.
+const USAGE_HEAD: &str = "\
 sdfmem — shared-memory SDF scheduling (Murthy & Bhattacharyya, DATE 2000)
 
 USAGE:
@@ -371,47 +300,10 @@ COMMANDS:
     help      show this text
 
 OPTIONS:
-    --method apgan|rpmc      topological-sort heuristic (default apgan)
-    --model  shared|nonshared  buffer model (default shared)
-    --report text|json       analyze/simulate/explain/modes output format
-                             (default text)
-    --standalone             codegen: emit stub actors + main (runnable program)
-    --serial                 analyze: evaluate candidates serially
-    --full                   analyze/profile/baseline: sweep every loop-optimizer variant
-    --trace <out>            analyze: write a chrome://tracing JSON trace
-                             (JSONL when <out> ends in .jsonl);
-                             explain: same, plus pool-occupancy counter
-                             tracks
-    --buffer <name>          explain: restrict the story to one buffer
-                             (SRC->SNK actor names)
-    --out <path>             baseline: write the profile here (default stdout)
-    --repeats <n>            baseline: timing repeats (default 3)
-    --format text|json|md    compare: report format (default text)
-    --gate                   compare: gate on timing-band violations too
-    --allow <names>          compare: comma-separated gate exemptions
-                             (trailing * matches a prefix)
-    --workers <n>            serve: worker threads (default 2)
-    --cache-cap <n>          serve: result-cache entries (default 256)
-    --queue-cap <n>          serve: pending-job limit (default 64)
-    --port-file <path>       serve: write the bound address here once
-                             listening
-    --trace-dir <dir>        serve: write one chrome://tracing JSON file
-                             per completed job into this directory
-    --kind <op>              submit: analyze|plan|simulate|explain|modes|
-                             baseline|stats|metrics|events|shutdown
-                             (default analyze)
-    --file <graph>           submit/edit: graph file
-    --edits <script>         edit: edit-script file; lines are
-                             set-rate SRC SNK PROD CONS, set-delay SRC SNK D,
-                             add-edge SRC SNK PROD CONS [delay D],
-                             remove-edge SRC SNK, # comments
-    --timeout-ms <n>         submit/edit/top: keep retrying the connection
-                             with capped backoff for this long before
-                             giving up (default 0 = single attempt)
-    --interval-ms <n>        top: milliseconds between polls (default 1000)
-    --count <n>              top: frames to render before exiting
-                             (default 0 = until the daemon goes away)
+";
 
+/// The `help` text below the OPTIONS table.
+const USAGE_TAIL: &str = "
 EXIT CODES:
     0  success
     1  domain failure: gated regression (compare), oracle violation
@@ -434,363 +326,409 @@ MODE GRAPH FILE FORMAT (modes):
     ...
 ";
 
+/// Every command `help` lists, except `help` itself.
+const COMMANDS: [&str; 18] = [
+    "info", "bounds", "analyze", "profile", "baseline", "compare", "schedule", "allocate",
+    "codegen", "simulate", "explain", "modes", "gantt", "dot", "serve", "submit", "edit", "top",
+];
+
+/// The operations `submit --kind` names.
+const SUBMIT_KINDS: [&str; 10] = [
+    "analyze", "plan", "simulate", "explain", "modes", "baseline", "stats", "metrics", "events",
+    "shutdown",
+];
+
+/// Every option's value, as the flags left it.
+#[derive(Default)]
+struct Options {
+    method: OrderMethod,
+    model: MemoryModel,
+    report: ReportFormat,
+    standalone: bool,
+    serial: bool,
+    full: bool,
+    trace: Option<String>,
+    buffer: Option<String>,
+    out: Option<String>,
+    repeats: u32,
+    format: DiffFormat,
+    gate: bool,
+    allow: Vec<String>,
+    workers: usize,
+    cache_cap: usize,
+    queue_cap: usize,
+    port_file: Option<String>,
+    trace_dir: Option<String>,
+    kind: String,
+    file: Option<String>,
+    edits: Option<String>,
+    timeout_ms: u64,
+    interval_ms: u64,
+    count: u64,
+}
+
+/// How a flag takes its value and where the value goes.
+#[derive(Clone, Copy)]
+enum Arg {
+    /// No value: the flag's presence turns the option on.
+    Switch(fn(&mut Options)),
+    /// Any string: a path, a name or a list.
+    Path(fn(&mut Options, &str)),
+    /// A number; the setter says why it refuses one.
+    Count(fn(&mut Options, &str) -> Result<(), &'static str>),
+    /// One of the names `help` lists; the setter refuses any other.
+    Choice(fn(&mut Options, &str) -> Option<()>),
+}
+
+/// One option: its name, how it parses, which commands take it and
+/// how `help` describes it.
+struct Flag {
+    name: &'static str,
+    /// What follows the name in `help` and in a missing-value error;
+    /// empty for a switch.
+    metavar: &'static str,
+    arg: Arg,
+    commands: &'static [&'static str],
+    /// The `help` description; `\n` starts a continuation line.
+    help: &'static str,
+}
+
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, &'static str> {
+    value.parse().map_err(|_| "is not a number")
+}
+
+/// Every option of every command, in `help` order. Parsing, the OPTIONS
+/// section of `help` and the does-not-apply check all read this table.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--method", metavar: "apgan|rpmc",
+        arg: Arg::Choice(|o, v| OrderMethod::parse(v).map(|m| o.method = m)),
+        commands: &["schedule", "allocate", "gantt", "codegen", "simulate", "submit"],
+        help: "topological-sort heuristic (default apgan)" },
+    Flag { name: "--model", metavar: "shared|nonshared",
+        arg: Arg::Choice(|o, v| MemoryModel::parse(v).map(|m| o.model = m)),
+        commands: &["schedule", "codegen", "simulate", "submit"],
+        help: "buffer model (default shared)" },
+    Flag { name: "--report", metavar: "text|json",
+        arg: Arg::Choice(|o, v| {
+            o.report = match v {
+                "text" => ReportFormat::Text,
+                "json" => ReportFormat::Json,
+                _ => return None,
+            };
+            Some(())
+        }),
+        commands: &["analyze", "simulate", "explain", "modes"],
+        help: "analyze/simulate/explain/modes output format\n\
+               (default text)" },
+    Flag { name: "--standalone", metavar: "",
+        arg: Arg::Switch(|o| o.standalone = true),
+        commands: &["codegen"],
+        help: "codegen: emit stub actors + main (runnable program)" },
+    Flag { name: "--serial", metavar: "",
+        arg: Arg::Switch(|o| o.serial = true),
+        commands: &["analyze", "submit"],
+        help: "analyze: evaluate candidates serially" },
+    Flag { name: "--full", metavar: "",
+        arg: Arg::Switch(|o| o.full = true),
+        commands: &["analyze", "profile", "baseline", "submit"],
+        help: "analyze/profile/baseline: sweep every loop-optimizer variant" },
+    Flag { name: "--trace", metavar: "<out>",
+        arg: Arg::Path(|o, v| o.trace = Some(v.into())),
+        commands: &["analyze", "explain"],
+        help: "analyze: write a chrome://tracing JSON trace\n\
+               (JSONL when <out> ends in .jsonl);\n\
+               explain: same, plus pool-occupancy counter\n\
+               tracks" },
+    Flag { name: "--buffer", metavar: "<name>",
+        arg: Arg::Path(|o, v| o.buffer = Some(v.into())),
+        commands: &["explain"],
+        help: "explain: restrict the story to one buffer\n\
+               (SRC->SNK actor names)" },
+    Flag { name: "--out", metavar: "<path>",
+        arg: Arg::Path(|o, v| o.out = Some(v.into())),
+        commands: &["baseline"],
+        help: "baseline: write the profile here (default stdout)" },
+    Flag { name: "--repeats", metavar: "<n>",
+        arg: Arg::Count(|o, v| match number(v)? {
+            0 => Err("is less than 1"),
+            n => {
+                o.repeats = n;
+                Ok(())
+            }
+        }),
+        commands: &["baseline", "submit"],
+        help: "baseline: timing repeats (default 3)" },
+    Flag { name: "--format", metavar: "text|json|md",
+        arg: Arg::Choice(|o, v| {
+            o.format = match v {
+                "text" => DiffFormat::Text,
+                "json" => DiffFormat::Json,
+                "md" => DiffFormat::Markdown,
+                _ => return None,
+            };
+            Some(())
+        }),
+        commands: &["compare"],
+        help: "compare: report format (default text)" },
+    Flag { name: "--gate", metavar: "",
+        arg: Arg::Switch(|o| o.gate = true),
+        commands: &["compare"],
+        help: "compare: gate on timing-band violations too" },
+    Flag { name: "--allow", metavar: "<names>",
+        arg: Arg::Path(|o, v| {
+            o.allow.extend(v.split(',').filter(|n| !n.is_empty()).map(str::to_string))
+        }),
+        commands: &["compare"],
+        help: "compare: comma-separated gate exemptions\n\
+               (trailing * matches a prefix)" },
+    Flag { name: "--workers", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.workers = n)),
+        commands: &["serve"],
+        help: "serve: worker threads (default 2)" },
+    Flag { name: "--cache-cap", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.cache_cap = n)),
+        commands: &["serve"],
+        help: "serve: result-cache entries (default 256)" },
+    Flag { name: "--queue-cap", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.queue_cap = n)),
+        commands: &["serve"],
+        help: "serve: pending-job limit (default 64)" },
+    Flag { name: "--port-file", metavar: "<path>",
+        arg: Arg::Path(|o, v| o.port_file = Some(v.into())),
+        commands: &["serve"],
+        help: "serve: write the bound address here once\n\
+               listening" },
+    Flag { name: "--trace-dir", metavar: "<dir>",
+        arg: Arg::Path(|o, v| o.trace_dir = Some(v.into())),
+        commands: &["serve"],
+        help: "serve: write one chrome://tracing JSON file\n\
+               per completed job into this directory" },
+    Flag { name: "--kind", metavar: "<op>",
+        arg: Arg::Choice(|o, v| SUBMIT_KINDS.contains(&v).then(|| o.kind = v.into())),
+        commands: &["submit"],
+        help: "submit: analyze|plan|simulate|explain|modes|\n\
+               baseline|stats|metrics|events|shutdown\n\
+               (default analyze)" },
+    Flag { name: "--file", metavar: "<graph>",
+        arg: Arg::Path(|o, v| o.file = Some(v.into())),
+        commands: &["submit", "edit"],
+        help: "submit/edit: graph file" },
+    Flag { name: "--edits", metavar: "<script>",
+        arg: Arg::Path(|o, v| o.edits = Some(v.into())),
+        commands: &["edit"],
+        help: "edit: edit-script file; lines are\n\
+               set-rate SRC SNK PROD CONS, set-delay SRC SNK D,\n\
+               add-edge SRC SNK PROD CONS [delay D],\n\
+               remove-edge SRC SNK, # comments" },
+    Flag { name: "--timeout-ms", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.timeout_ms = n)),
+        commands: &["submit", "edit", "top"],
+        help: "submit/edit/top: keep retrying the connection\n\
+               with capped backoff for this long before\n\
+               giving up (default 0 = single attempt)" },
+    Flag { name: "--interval-ms", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.interval_ms = n)),
+        commands: &["top"],
+        help: "top: milliseconds between polls (default 1000)" },
+    Flag { name: "--count", metavar: "<n>",
+        arg: Arg::Count(|o, v| number(v).map(|n| o.count = n)),
+        commands: &["top"],
+        help: "top: frames to render before exiting\n\
+               (default 0 = until the daemon goes away)" },
+];
+
+/// Usage text shown by `help` and on argument errors; its OPTIONS
+/// section is rendered from [`FLAGS`].
+pub fn usage() -> String {
+    let mut s = USAGE_HEAD.to_string();
+    for flag in FLAGS {
+        // Choice lists line up under `--method`'s.
+        let head = match flag.metavar {
+            "" => flag.name.to_string(),
+            m if m.contains('|') => format!("{:<8} {m}", flag.name),
+            m => format!("{} {m}", flag.name),
+        };
+        let width = 25.max(head.len() + 2);
+        for (i, line) in flag.help.lines().enumerate() {
+            let head = if i == 0 { head.as_str() } else { "" };
+            let _ = writeln!(s, "    {head:<width$}{line}");
+        }
+    }
+    s.push_str(USAGE_TAIL);
+    s
+}
+
 /// Parses command-line arguments (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown commands, missing files or
-/// bad option values.
+/// Returns a human-readable message for unknown commands, missing files,
+/// options the command does not take, or bad option values.
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
-    let cmd = it.next().map(String::as_str).unwrap_or("help");
-    if cmd == "help" || cmd == "--help" || cmd == "-h" {
+    let cmd = it.next().map_or("help", String::as_str);
+    if matches!(cmd, "help" | "--help" | "-h") {
         return Ok(Command::Help);
     }
-    // Each command accepts exactly the options its contract documents;
-    // an option another command owns is an error here, not a silent
-    // no-op.
-    let allowed: &[&str] = match cmd {
-        "info" | "bounds" | "dot" => &[],
-        "analyze" => &["--report", "--serial", "--full", "--trace"],
-        "profile" => &["--full"],
-        "baseline" => &["--out", "--repeats", "--full"],
-        "compare" => &["--gate", "--format", "--allow"],
-        "schedule" => &["--method", "--model"],
-        "allocate" | "gantt" => &["--method"],
-        "codegen" => &["--method", "--model", "--standalone"],
-        "simulate" => &["--method", "--model", "--report"],
-        "explain" => &["--buffer", "--report", "--trace"],
-        "modes" => &["--report"],
-        "serve" => &[
-            "--workers",
-            "--cache-cap",
-            "--queue-cap",
-            "--port-file",
-            "--trace-dir",
-        ],
-        "submit" => &[
-            "--kind",
-            "--file",
-            "--method",
-            "--model",
-            "--serial",
-            "--full",
-            "--repeats",
-            "--timeout-ms",
-        ],
-        "edit" => &["--file", "--edits", "--timeout-ms"],
-        "top" => &["--interval-ms", "--count", "--timeout-ms"],
-        other => return Err(format!("unknown command `{other}`")),
+    if !COMMANDS.contains(&cmd) {
+        return Err(format!("unknown command `{cmd}`"));
+    }
+    let mut positional = |missing: String| match it.next() {
+        Some(arg) if !arg.starts_with("--") => Ok(arg.clone()),
+        Some(flag) => Err(format!("{missing} (found option `{flag}`)")),
+        None => Err(missing),
     };
-    let file = it.next().cloned().ok_or_else(|| match cmd {
-        "serve" | "submit" | "edit" | "top" => format!("missing <addr> for `{cmd}`"),
-        _ => format!("missing graph file for `{cmd}`"),
+    let file = positional(if matches!(cmd, "serve" | "submit" | "edit" | "top") {
+        format!("missing <addr> for `{cmd}`")
+    } else {
+        format!("missing graph file for `{cmd}`")
     })?;
     // `compare` is the one two-positional command: baseline, candidate.
-    let second = if cmd == "compare" {
-        Some(
-            it.next()
-                .cloned()
-                .ok_or("`compare` needs two profiles: sdfmem compare <baseline> <candidate>")?,
-        )
+    let candidate = if cmd == "compare" {
+        positional(
+            "`compare` needs two profiles: sdfmem compare <baseline> <candidate>".to_string(),
+        )?
     } else {
-        None
+        String::new()
     };
-    let mut method = Method::default();
-    let mut model = Model::default();
-    let mut report = ReportFormat::default();
-    let mut serial = false;
-    let mut full = false;
-    let mut trace = None;
-    let mut buffer = None;
-    let mut out = None;
-    let mut repeats = 3u32;
-    let mut gate = false;
-    let mut standalone = false;
-    let mut format = DiffFormat::default();
-    let mut allow: Vec<String> = Vec::new();
-    let mut workers = 2usize;
-    let mut cache_cap = 256usize;
-    let mut queue_cap = 64usize;
-    let mut port_file = None;
-    let mut trace_dir = None;
-    let mut kind = SubmitKind::default();
-    let mut submit_file = None;
-    let mut edits_file = None;
-    let mut interval_ms = 1000u64;
-    let mut count = 0u64;
-    let mut timeout_ms = 0u64;
-    let parse_count = |flag: &str, value: Option<&String>| -> Result<usize, String> {
-        match value {
-            Some(n) => n
-                .parse::<usize>()
-                .map_err(|_| format!("bad {flag} value: `{n}` is not a number")),
-            None => Err(format!("missing {flag} count")),
-        }
+    // The defaults `help` documents; every other option starts at its
+    // type's default.
+    let mut o = Options {
+        repeats: 3,
+        workers: 2,
+        cache_cap: 256,
+        queue_cap: 64,
+        kind: "analyze".to_string(),
+        interval_ms: 1000,
+        ..Options::default()
     };
-    while let Some(opt) = it.next() {
-        if !allowed.contains(&opt.as_str()) {
-            return Err(if KNOWN_OPTIONS.contains(&opt.as_str()) {
-                format!("option `{opt}` does not apply to `{cmd}`")
-            } else {
-                format!("unknown option `{opt}`")
-            });
+    while let Some(name) = it.next() {
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| format!("unknown option `{name}`"))?;
+        if !flag.commands.contains(&cmd) {
+            return Err(format!("option `{name}` does not apply to `{cmd}`"));
         }
-        match opt.as_str() {
-            "--method" => {
-                method = match it.next().map(String::as_str) {
-                    Some("apgan") => Method::Apgan,
-                    Some("rpmc") => Method::Rpmc,
-                    other => return Err(format!("bad --method value: {other:?}")),
-                }
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("missing {name} {}", flag.metavar))
+        };
+        match flag.arg {
+            Arg::Switch(set) => set(&mut o),
+            Arg::Path(set) => set(&mut o, value()?),
+            Arg::Count(set) => {
+                let v = value()?;
+                set(&mut o, v).map_err(|why| format!("bad {name} value: `{v}` {why}"))?;
             }
-            "--model" => {
-                model = match it.next().map(String::as_str) {
-                    Some("shared") => Model::Shared,
-                    Some("nonshared") => Model::NonShared,
-                    other => return Err(format!("bad --model value: {other:?}")),
-                }
+            Arg::Choice(set) => {
+                let v = value()?;
+                set(&mut o, v).ok_or_else(|| format!("bad {name} value: `{v}`"))?;
             }
-            "--report" => {
-                report = match it.next().map(String::as_str) {
-                    Some("text") => ReportFormat::Text,
-                    Some("json") => ReportFormat::Json,
-                    other => return Err(format!("bad --report value: {other:?}")),
-                }
-            }
-            "--serial" => serial = true,
-            "--full" => full = true,
-            "--trace" => {
-                trace = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --trace output path".to_string()),
-                }
-            }
-            "--buffer" => {
-                buffer = match it.next() {
-                    Some(name) => Some(name.clone()),
-                    None => return Err("missing --buffer name".to_string()),
-                }
-            }
-            "--out" => {
-                out = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --out output path".to_string()),
-                }
-            }
-            "--repeats" => {
-                repeats = match it.next() {
-                    Some(n) => n
-                        .parse::<u32>()
-                        .map_err(|_| format!("bad --repeats value: `{n}` is not a number"))?,
-                    None => return Err("missing --repeats count".to_string()),
-                };
-                if repeats == 0 {
-                    return Err("bad --repeats value: must be at least 1".to_string());
-                }
-            }
-            "--gate" => gate = true,
-            "--standalone" => standalone = true,
-            "--format" => {
-                format = match it.next().map(String::as_str) {
-                    Some("text") => DiffFormat::Text,
-                    Some("json") => DiffFormat::Json,
-                    Some("md") => DiffFormat::Markdown,
-                    other => return Err(format!("bad --format value: {other:?}")),
-                }
-            }
-            "--allow" => match it.next() {
-                Some(names) => allow.extend(
-                    names
-                        .split(',')
-                        .filter(|n| !n.is_empty())
-                        .map(str::to_string),
-                ),
-                None => return Err("missing --allow names".to_string()),
-            },
-            "--workers" => workers = parse_count("--workers", it.next())?,
-            "--cache-cap" => cache_cap = parse_count("--cache-cap", it.next())?,
-            "--queue-cap" => queue_cap = parse_count("--queue-cap", it.next())?,
-            "--port-file" => {
-                port_file = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --port-file path".to_string()),
-                }
-            }
-            "--trace-dir" => {
-                trace_dir = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --trace-dir directory".to_string()),
-                }
-            }
-            "--kind" => {
-                kind = match it.next().map(String::as_str) {
-                    Some("analyze") => SubmitKind::Analyze,
-                    Some("plan") => SubmitKind::Plan,
-                    Some("simulate") => SubmitKind::Simulate,
-                    Some("explain") => SubmitKind::Explain,
-                    Some("modes") => SubmitKind::Modes,
-                    Some("baseline") => SubmitKind::Baseline,
-                    Some("stats") => SubmitKind::Stats,
-                    Some("metrics") => SubmitKind::Metrics,
-                    Some("events") => SubmitKind::Events,
-                    Some("shutdown") => SubmitKind::Shutdown,
-                    other => return Err(format!("bad --kind value: {other:?}")),
-                }
-            }
-            "--interval-ms" => {
-                interval_ms = match it.next() {
-                    Some(n) => n
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad --interval-ms value: `{n}` is not a number"))?,
-                    None => return Err("missing --interval-ms count".to_string()),
-                }
-            }
-            "--count" => {
-                count = match it.next() {
-                    Some(n) => n
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad --count value: `{n}` is not a number"))?,
-                    None => return Err("missing --count count".to_string()),
-                }
-            }
-            "--file" => {
-                submit_file = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --file graph path".to_string()),
-                }
-            }
-            "--edits" => {
-                edits_file = match it.next() {
-                    Some(path) => Some(path.clone()),
-                    None => return Err("missing --edits script path".to_string()),
-                }
-            }
-            "--timeout-ms" => {
-                timeout_ms = match it.next() {
-                    Some(n) => n
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad --timeout-ms value: `{n}` is not a number"))?,
-                    None => return Err("missing --timeout-ms count".to_string()),
-                }
-            }
-            other => return Err(format!("unknown option `{other}`")),
         }
     }
-    match cmd {
-        "info" => Ok(Command::Info { file }),
-        "bounds" => Ok(Command::Bounds { file }),
-        "analyze" => Ok(Command::Analyze {
-            file,
-            report,
-            serial,
-            full,
-            trace,
-        }),
-        "profile" => Ok(Command::Profile { file, full }),
-        "baseline" => Ok(Command::Baseline {
-            file,
-            out,
-            repeats,
-            full,
-        }),
-        "compare" => Ok(Command::Compare {
-            baseline: file,
-            candidate: second.expect("parsed above"),
-            gate,
-            format,
-            allow,
-        }),
-        "schedule" => Ok(Command::Schedule {
-            file,
-            method,
-            model,
-        }),
-        "allocate" => Ok(Command::Allocate { file, method }),
-        "codegen" => Ok(Command::Codegen {
-            file,
-            method,
-            model,
-            standalone,
-        }),
-        "simulate" => Ok(Command::Simulate {
-            file,
-            method,
-            model,
-            report,
-        }),
-        "explain" => Ok(Command::Explain {
-            file,
-            buffer,
-            report,
-            trace,
-        }),
-        "modes" => Ok(Command::Modes { file, report }),
-        "gantt" => Ok(Command::Gantt { file, method }),
-        "dot" => Ok(Command::Dot { file }),
-        "serve" => Ok(Command::Serve {
-            addr: file,
-            workers,
-            cache_cap,
-            queue_cap,
-            port_file,
-            trace_dir,
-        }),
-        "submit" => Ok(Command::Submit {
-            addr: file,
-            kind,
-            file: submit_file,
-            method,
-            model,
-            serial,
-            full,
-            repeats,
-            timeout_ms,
-        }),
-        "edit" => Ok(Command::Edit {
-            addr: file,
-            file: submit_file,
-            edits: edits_file,
-            timeout_ms,
-        }),
-        "top" => Ok(Command::Top {
-            addr: file,
-            interval_ms,
-            count,
-            timeout_ms,
-        }),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    Ok(build(cmd, file, candidate, o))
 }
 
-/// Every option any command accepts, for the does-not-apply/unknown
-/// distinction in error messages.
-const KNOWN_OPTIONS: &[&str] = &[
-    "--method",
-    "--model",
-    "--report",
-    "--serial",
-    "--full",
-    "--trace",
-    "--buffer",
-    "--out",
-    "--repeats",
-    "--gate",
-    "--standalone",
-    "--format",
-    "--allow",
-    "--workers",
-    "--cache-cap",
-    "--queue-cap",
-    "--port-file",
-    "--trace-dir",
-    "--kind",
-    "--file",
-    "--edits",
-    "--interval-ms",
-    "--count",
-    "--timeout-ms",
-];
+/// The `cmd` command on its positional arguments and the options the
+/// flags set.
+fn build(cmd: &str, file: String, candidate: String, o: Options) -> Command {
+    match cmd {
+        "info" => Command::Info { file },
+        "bounds" => Command::Bounds { file },
+        "dot" => Command::Dot { file },
+        "analyze" => Command::Analyze {
+            file,
+            report: o.report,
+            serial: o.serial,
+            full: o.full,
+            trace: o.trace,
+        },
+        "profile" => Command::Profile { file, full: o.full },
+        "baseline" => Command::Baseline {
+            file,
+            out: o.out,
+            repeats: o.repeats,
+            full: o.full,
+        },
+        "compare" => Command::Compare {
+            baseline: file,
+            candidate,
+            gate: o.gate,
+            format: o.format,
+            allow: o.allow,
+        },
+        "schedule" => Command::Schedule {
+            file,
+            method: o.method,
+            model: o.model,
+        },
+        "allocate" => Command::Allocate {
+            file,
+            method: o.method,
+        },
+        "gantt" => Command::Gantt {
+            file,
+            method: o.method,
+        },
+        "codegen" => Command::Codegen {
+            file,
+            method: o.method,
+            model: o.model,
+            standalone: o.standalone,
+        },
+        "simulate" => Command::Simulate {
+            file,
+            method: o.method,
+            model: o.model,
+            report: o.report,
+        },
+        "explain" => Command::Explain {
+            file,
+            buffer: o.buffer,
+            report: o.report,
+            trace: o.trace,
+        },
+        "modes" => Command::Modes {
+            file,
+            report: o.report,
+        },
+        "serve" => Command::Serve {
+            addr: file,
+            workers: o.workers,
+            cache_cap: o.cache_cap,
+            queue_cap: o.queue_cap,
+            port_file: o.port_file,
+            trace_dir: o.trace_dir,
+        },
+        "submit" => Command::Submit {
+            addr: file,
+            kind: o.kind,
+            file: o.file,
+            method: o.method,
+            model: o.model,
+            serial: o.serial,
+            full: o.full,
+            repeats: o.repeats,
+            timeout_ms: o.timeout_ms,
+        },
+        "edit" => Command::Edit {
+            addr: file,
+            file: o.file,
+            edits: o.edits,
+            timeout_ms: o.timeout_ms,
+        },
+        "top" => Command::Top {
+            addr: file,
+            interval_ms: o.interval_ms,
+            count: o.count,
+            timeout_ms: o.timeout_ms,
+        },
+        _ => unreachable!("`{cmd}` is not a command"),
+    }
+}
 
 fn load(file: &str) -> Result<SdfGraph, String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
@@ -799,6 +737,112 @@ fn load(file: &str) -> Result<SdfGraph, String> {
 
 fn read_input(file: &str) -> Result<String, String> {
     std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))
+}
+
+/// The request `command` sends, with its input files read: the one
+/// place the CLI turns options into a [`ServiceRequest`]. `submit`
+/// sends what the local command of its kind (`codegen` for `plan`)
+/// would.
+fn service_request(command: &Command) -> Result<ServiceRequest, String> {
+    Ok(match command {
+        Command::Analyze {
+            file, serial, full, ..
+        } => ServiceRequest::Analyze {
+            graph: read_input(file)?,
+            serial: *serial,
+            full: *full,
+        },
+        Command::Baseline {
+            file,
+            repeats,
+            full,
+            ..
+        } => ServiceRequest::Baseline {
+            graph: read_input(file)?,
+            repeats: *repeats,
+            full: *full,
+            perturb: std::env::var(PERTURB_ENV).ok(),
+        },
+        Command::Compare {
+            baseline,
+            candidate,
+            gate,
+            allow,
+            ..
+        } => ServiceRequest::Compare {
+            baseline: read_input(baseline)?,
+            candidate: read_input(candidate)?,
+            gate: *gate,
+            allow: allow.clone(),
+        },
+        Command::Codegen {
+            file,
+            method,
+            model,
+            ..
+        } => ServiceRequest::Plan {
+            graph: read_input(file)?,
+            method: *method,
+            model: *model,
+        },
+        Command::Simulate {
+            file,
+            method,
+            model,
+            ..
+        } => ServiceRequest::Simulate {
+            graph: read_input(file)?,
+            method: *method,
+            model: *model,
+        },
+        Command::Explain { file, .. } => ServiceRequest::Explain {
+            graph: read_input(file)?,
+        },
+        Command::Modes { file, .. } => ServiceRequest::Modes {
+            graph: read_input(file)?,
+        },
+        Command::Edit { file, edits, .. } => ServiceRequest::Edit {
+            graph: read_input(file.as_deref().ok_or(
+                "`edit` needs a base graph: sdfmem edit <addr> --file <graph> --edits <script>",
+            )?)?,
+            edits: read_input(edits.as_deref().ok_or(
+                "`edit` needs an edit script: sdfmem edit <addr> --file <graph> --edits <script>",
+            )?)?,
+        },
+        Command::Submit {
+            kind,
+            file,
+            method,
+            model,
+            serial,
+            full,
+            repeats,
+            ..
+        } => {
+            let local = match kind.as_str() {
+                "stats" => return Ok(ServiceRequest::Stats),
+                "metrics" => return Ok(ServiceRequest::Metrics),
+                "events" => return Ok(ServiceRequest::Events),
+                "shutdown" => return Ok(ServiceRequest::Shutdown),
+                "plan" => "codegen",
+                other if SUBMIT_KINDS.contains(&other) => other,
+                other => return Err(format!("cannot submit `{other}`")),
+            };
+            let file = file
+                .clone()
+                .ok_or("this --kind needs a graph: sdfmem submit <addr> --file <graph>")?;
+            let options = Options {
+                method: *method,
+                model: *model,
+                serial: *serial,
+                full: *full,
+                repeats: *repeats,
+                ..Options::default()
+            };
+            return service_request(&build(local, file, String::new(), options));
+        }
+        other => unreachable!("{other:?} sends no service request"),
+    })
 }
 
 /// Unwraps a service response into its payload, or maps the typed
@@ -824,17 +868,6 @@ fn into_payload(
     }
 }
 
-fn order_for(
-    graph: &SdfGraph,
-    q: &RepetitionsVector,
-    method: Method,
-) -> Result<Vec<sdf_core::ActorId>, SdfError> {
-    match method {
-        Method::Apgan => apgan(graph, q),
-        Method::Rpmc => rpmc(graph, q),
-    }
-}
-
 /// Executes a command, returning its stdout text.
 ///
 /// # Errors
@@ -855,7 +888,7 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
     let mut out = String::new();
     let mut code = 0;
     match command {
-        Command::Help => out.push_str(USAGE),
+        Command::Help => out.push_str(&usage()),
         Command::Info { file } => {
             let g = load(file)?;
             let _ = write!(out, "{g}");
@@ -874,15 +907,10 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         Command::Analyze {
             file,
             report,
-            serial,
-            full,
             trace,
+            ..
         } => {
-            let request = ServiceRequest::Analyze {
-                graph: read_input(file)?,
-                serial: *serial,
-                full: *full,
-            };
+            let request = service_request(command)?;
             let response = match trace {
                 None => execute_request(&request),
                 Some(path) => {
@@ -957,17 +985,12 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         Command::Baseline {
             file,
             out: out_path,
-            repeats,
-            full,
+            ..
         } => {
-            let request = ServiceRequest::Baseline {
-                graph: read_input(file)?,
-                repeats: *repeats,
-                full: *full,
-                perturb: std::env::var(PERTURB_ENV).ok(),
-            };
-            let ResponsePayload::Baseline { profile } =
-                into_payload(execute_request(&request), &[("graph", file)])?
+            let ResponsePayload::Baseline { profile } = into_payload(
+                execute_request(&service_request(command)?),
+                &[("graph", file)],
+            )?
             else {
                 unreachable!("baseline request produced a foreign payload");
             };
@@ -989,18 +1012,11 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         Command::Compare {
             baseline,
             candidate,
-            gate,
             format,
-            allow,
+            ..
         } => {
-            let request = ServiceRequest::Compare {
-                baseline: read_input(baseline)?,
-                candidate: read_input(candidate)?,
-                gate: *gate,
-                allow: allow.clone(),
-            };
             let ResponsePayload::Compare { report } = into_payload(
-                execute_request(&request),
+                execute_request(&service_request(command)?),
                 &[("baseline", baseline), ("candidate", candidate)],
             )?
             else {
@@ -1028,14 +1044,14 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         } => {
             let g = load(file)?;
             let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = order_for(&g, &q, *method).map_err(|e| e.to_string())?;
+            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
             match model {
-                Model::NonShared => {
+                MemoryModel::NonShared => {
                     let r = dppo(&g, &q, &order).map_err(|e| e.to_string())?;
                     let _ = writeln!(out, "schedule: {}", r.tree.to_looped_schedule().display(&g));
                     let _ = writeln!(out, "bufmem (non-shared): {}", r.bufmem);
                 }
-                Model::Shared => {
+                MemoryModel::Shared => {
                     let r = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
                     let _ = writeln!(out, "schedule: {}", r.tree.to_looped_schedule().display(&g));
                     let _ = writeln!(out, "shared cost estimate: {}", r.shared_cost);
@@ -1045,7 +1061,7 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         Command::Allocate { file, method } => {
             let g = load(file)?;
             let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = order_for(&g, &q, *method).map_err(|e| e.to_string())?;
+            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
             let shared = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
             let tree = ScheduleTree::build(&g, &q, &shared.tree).map_err(|e| e.to_string())?;
             let wig = IntersectionGraph::build(&g, &q, &tree);
@@ -1094,7 +1110,7 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         Command::Gantt { file, method } => {
             let g = load(file)?;
             let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = order_for(&g, &q, *method).map_err(|e| e.to_string())?;
+            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
             let shared = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
             let tree = ScheduleTree::build(&g, &q, &shared.tree).map_err(|e| e.to_string())?;
             let wig = IntersectionGraph::build(&g, &q, &tree);
@@ -1106,18 +1122,12 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             out.push_str(&sdf_lifetime::gantt::render_gantt(&g, &tree, &wig, 96));
         }
         Command::Codegen {
-            file,
-            method,
-            model,
-            standalone,
+            file, standalone, ..
         } => {
-            let request = ServiceRequest::Plan {
-                graph: read_input(file)?,
-                method: method.service(),
-                model: model.service(),
-            };
-            let ResponsePayload::Plan { plan } =
-                into_payload(execute_request(&request), &[("graph", file)])?
+            let ResponsePayload::Plan { plan } = into_payload(
+                execute_request(&service_request(command)?),
+                &[("graph", file)],
+            )?
             else {
                 unreachable!("plan request produced a foreign payload");
             };
@@ -1127,18 +1137,11 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
                 emit_c(&plan)
             });
         }
-        Command::Simulate {
-            file,
-            method,
-            model,
-            report,
-        } => {
-            let request = ServiceRequest::Simulate {
-                graph: read_input(file)?,
-                method: method.service(),
-                model: model.service(),
-            };
-            let payload = into_payload(execute_request(&request), &[("graph", file)])?;
+        Command::Simulate { file, report, .. } => {
+            let payload = into_payload(
+                execute_request(&service_request(command)?),
+                &[("graph", file)],
+            )?;
             let ResponsePayload::Simulate { plan, exec } = &payload else {
                 unreachable!("simulate request produced a foreign payload");
             };
@@ -1212,55 +1215,12 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             let _ = writeln!(out, "sdfmemd on {local} shut down cleanly");
         }
         Command::Submit {
-            addr,
-            kind,
-            file,
-            method,
-            model,
-            serial,
-            full,
-            repeats,
-            timeout_ms,
+            addr, timeout_ms, ..
+        }
+        | Command::Edit {
+            addr, timeout_ms, ..
         } => {
-            let graph = |file: &Option<String>| -> Result<String, String> {
-                let path = file
-                    .as_deref()
-                    .ok_or("this --kind needs a graph: sdfmem submit <addr> --file <graph>")?;
-                read_input(path)
-            };
-            let request = match kind {
-                SubmitKind::Analyze => ServiceRequest::Analyze {
-                    graph: graph(file)?,
-                    serial: *serial,
-                    full: *full,
-                },
-                SubmitKind::Plan => ServiceRequest::Plan {
-                    graph: graph(file)?,
-                    method: method.service(),
-                    model: model.service(),
-                },
-                SubmitKind::Simulate => ServiceRequest::Simulate {
-                    graph: graph(file)?,
-                    method: method.service(),
-                    model: model.service(),
-                },
-                SubmitKind::Explain => ServiceRequest::Explain {
-                    graph: graph(file)?,
-                },
-                SubmitKind::Modes => ServiceRequest::Modes {
-                    graph: graph(file)?,
-                },
-                SubmitKind::Baseline => ServiceRequest::Baseline {
-                    graph: graph(file)?,
-                    repeats: *repeats,
-                    full: *full,
-                    perturb: std::env::var(PERTURB_ENV).ok(),
-                },
-                SubmitKind::Stats => ServiceRequest::Stats,
-                SubmitKind::Metrics => ServiceRequest::Metrics,
-                SubmitKind::Events => ServiceRequest::Events,
-                SubmitKind::Shutdown => ServiceRequest::Shutdown,
-            };
+            let request = service_request(command)?;
             let mut client = connect_with_retry(addr, *timeout_ms)?;
             let request_id = format!("cli-{}", std::process::id());
             let (line, response) = client.call_line(&request_id, &request)?;
@@ -1286,9 +1246,7 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             report,
             trace,
         } => {
-            let request = ServiceRequest::Explain {
-                graph: read_input(file)?,
-            };
+            let request = service_request(command)?;
             let recorder = trace
                 .as_ref()
                 .map(|_| std::sync::Arc::new(sdf_trace::Recorder::new()));
@@ -1328,10 +1286,10 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             }
         }
         Command::Modes { file, report } => {
-            let request = ServiceRequest::Modes {
-                graph: read_input(file)?,
-            };
-            let payload = into_payload(execute_request(&request), &[("graph", file)])?;
+            let payload = into_payload(
+                execute_request(&service_request(command)?),
+                &[("graph", file)],
+            )?;
             let ResponsePayload::Modes { synthesis } = &payload else {
                 unreachable!("modes request produced a foreign payload");
             };
@@ -1413,30 +1371,6 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
                         }
                     }
                 }
-            }
-        }
-        Command::Edit {
-            addr,
-            file,
-            edits,
-            timeout_ms,
-        } => {
-            let graph = read_input(file.as_deref().ok_or(
-                "`edit` needs a base graph: sdfmem edit <addr> --file <graph> --edits <script>",
-            )?)?;
-            let script = read_input(edits.as_deref().ok_or(
-                "`edit` needs an edit script: sdfmem edit <addr> --file <graph> --edits <script>",
-            )?)?;
-            let request = ServiceRequest::Edit {
-                graph,
-                edits: script,
-            };
-            let mut client = connect_with_retry(addr, *timeout_ms)?;
-            let request_id = format!("cli-{}", std::process::id());
-            let (line, response) = client.call_line(&request_id, &request)?;
-            out.push_str(&line);
-            if !response.is_ok() {
-                code = 1;
             }
         }
         Command::Top {
@@ -1742,16 +1676,16 @@ mod tests {
             .unwrap(),
             Command::Schedule {
                 file: "g.sdf".into(),
-                method: Method::Rpmc,
-                model: Model::NonShared
+                method: OrderMethod::Rpmc,
+                model: MemoryModel::NonShared
             }
         );
         assert_eq!(
             parse_args(&args(&["codegen", "g.sdf", "--model", "shared"])).unwrap(),
             Command::Codegen {
                 file: "g.sdf".into(),
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 standalone: false
             }
         );
@@ -1759,8 +1693,8 @@ mod tests {
             parse_args(&args(&["codegen", "g.sdf", "--standalone"])).unwrap(),
             Command::Codegen {
                 file: "g.sdf".into(),
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 standalone: true
             }
         );
@@ -1772,8 +1706,8 @@ mod tests {
             parse_args(&args(&["simulate", "g.sdf"])).unwrap(),
             Command::Simulate {
                 file: "g.sdf".into(),
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 report: ReportFormat::Text
             }
         );
@@ -1791,8 +1725,8 @@ mod tests {
             .unwrap(),
             Command::Simulate {
                 file: "g.sdf".into(),
-                method: Method::Rpmc,
-                model: Model::NonShared,
+                method: OrderMethod::Rpmc,
+                model: MemoryModel::NonShared,
                 report: ReportFormat::Json
             }
         );
@@ -1837,14 +1771,14 @@ mod tests {
         let file = path.to_string_lossy().into_owned();
         let s = run(&Command::Schedule {
             file: file.clone(),
-            method: Method::Apgan,
-            model: Model::Shared,
+            method: OrderMethod::Apgan,
+            model: MemoryModel::Shared,
         })
         .unwrap();
         assert!(s.contains("schedule:"), "{s}");
         let a = run(&Command::Allocate {
             file,
-            method: Method::Apgan,
+            method: OrderMethod::Apgan,
         })
         .unwrap();
         assert!(a.contains("pool:"), "{a}");
@@ -1857,8 +1791,8 @@ mod tests {
         let file = path.to_string_lossy().into_owned();
         let c = run(&Command::Codegen {
             file: file.clone(),
-            method: Method::Rpmc,
-            model: Model::Shared,
+            method: OrderMethod::Rpmc,
+            model: MemoryModel::Shared,
             standalone: false,
         })
         .unwrap();
@@ -1867,8 +1801,8 @@ mod tests {
         assert!(!c.contains("int main"), "{c}");
         let s = run(&Command::Codegen {
             file,
-            method: Method::Rpmc,
-            model: Model::Shared,
+            method: OrderMethod::Rpmc,
+            model: MemoryModel::Shared,
             standalone: true,
         })
         .unwrap();
@@ -1879,10 +1813,10 @@ mod tests {
     #[test]
     fn end_to_end_simulate_text_is_clean() {
         let path = write_fig2();
-        for model in [Model::Shared, Model::NonShared] {
+        for model in [MemoryModel::Shared, MemoryModel::NonShared] {
             let (out, code) = execute(&Command::Simulate {
                 file: path.to_string_lossy().into_owned(),
-                method: Method::Apgan,
+                method: OrderMethod::Apgan,
                 model,
                 report: ReportFormat::Text,
             })
@@ -1898,8 +1832,8 @@ mod tests {
         let path = write_fig2();
         let (out, code) = execute(&Command::Simulate {
             file: path.to_string_lossy().into_owned(),
-            method: Method::Apgan,
-            model: Model::Shared,
+            method: OrderMethod::Apgan,
+            model: MemoryModel::Shared,
             report: ReportFormat::Json,
         })
         .unwrap();
@@ -1933,7 +1867,7 @@ mod tests {
         let file = path.to_string_lossy().into_owned();
         let g = run(&Command::Gantt {
             file: file.clone(),
-            method: Method::Apgan,
+            method: OrderMethod::Apgan,
         })
         .unwrap();
         assert!(g.contains("schedule:"), "{g}");
@@ -1950,7 +1884,7 @@ mod tests {
             parse_args(&args(&["gantt", "g.sdf", "--method", "rpmc"])).unwrap(),
             Command::Gantt {
                 file: "g.sdf".into(),
-                method: Method::Rpmc
+                method: OrderMethod::Rpmc
             }
         );
         assert_eq!(
@@ -2300,10 +2234,10 @@ mod tests {
             parse_args(&args(&["submit", "127.0.0.1:7654", "--file", "g.sdf"])).unwrap(),
             Command::Submit {
                 addr: "127.0.0.1:7654".into(),
-                kind: SubmitKind::Analyze,
+                kind: "analyze".to_string(),
                 file: Some("g.sdf".into()),
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 serial: false,
                 full: false,
                 repeats: 3,
@@ -2326,10 +2260,10 @@ mod tests {
             .unwrap(),
             Command::Submit {
                 addr: "127.0.0.1:7654".into(),
-                kind: SubmitKind::Simulate,
+                kind: "simulate".to_string(),
                 file: Some("g.sdf".into()),
-                method: Method::Rpmc,
-                model: Model::NonShared,
+                method: OrderMethod::Rpmc,
+                model: MemoryModel::NonShared,
                 serial: false,
                 full: false,
                 repeats: 3,
@@ -2340,10 +2274,10 @@ mod tests {
             parse_args(&args(&["submit", "127.0.0.1:7654", "--kind", "shutdown"])).unwrap(),
             Command::Submit {
                 addr: "127.0.0.1:7654".into(),
-                kind: SubmitKind::Shutdown,
+                kind: "shutdown".to_string(),
                 file: None,
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 serial: false,
                 full: false,
                 repeats: 3,
@@ -2390,12 +2324,7 @@ mod tests {
             let Command::Submit { kind: parsed, .. } = parsed else {
                 panic!("expected a submit command");
             };
-            let expected = if kind == "metrics" {
-                SubmitKind::Metrics
-            } else {
-                SubmitKind::Events
-            };
-            assert_eq!(parsed, expected);
+            assert_eq!(parsed, kind);
         }
         assert!(parse_args(&args(&["top"])).unwrap_err().contains("addr"));
         let bad = parse_args(&args(&["top", "a:1", "--interval-ms", "soon"])).unwrap_err();
@@ -2433,7 +2362,7 @@ mod tests {
         let Command::Submit { kind, .. } = parsed else {
             panic!("expected a submit command");
         };
-        assert_eq!(kind, SubmitKind::Explain);
+        assert_eq!(kind, "explain");
     }
 
     #[test]
@@ -2628,19 +2557,182 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_in_a_positional_slot_is_a_usage_error() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["info", "--method"], "missing graph file"),
+            (&["analyze", "--full", "g.sdf"], "missing graph file"),
+            (&["serve", "--workers", "2"], "missing <addr>"),
+            (&["submit", "--kind", "stats"], "missing <addr>"),
+            (&["compare", "a.json", "--gate"], "needs two profiles"),
+        ];
+        for (argv, message) in cases {
+            let err = parse_args(&args(argv)).unwrap_err();
+            assert!(err.contains(message), "{argv:?} -> {err}");
+            assert!(
+                err.contains(argv[1..].iter().find(|a| a.starts_with("--")).unwrap()),
+                "{argv:?} -> {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn flag_table_keeps_the_documented_surface() {
+        // Which command takes which flag, as the contract documents it.
+        let accepted: &[(&str, &[&str])] = &[
+            ("info", &[]),
+            ("bounds", &[]),
+            ("dot", &[]),
+            ("analyze", &["--report", "--serial", "--full", "--trace"]),
+            ("profile", &["--full"]),
+            ("baseline", &["--out", "--repeats", "--full"]),
+            ("compare", &["--gate", "--format", "--allow"]),
+            ("schedule", &["--method", "--model"]),
+            ("allocate", &["--method"]),
+            ("gantt", &["--method"]),
+            ("codegen", &["--method", "--model", "--standalone"]),
+            ("simulate", &["--method", "--model", "--report"]),
+            ("explain", &["--buffer", "--report", "--trace"]),
+            ("modes", &["--report"]),
+            (
+                "serve",
+                &[
+                    "--workers",
+                    "--cache-cap",
+                    "--queue-cap",
+                    "--port-file",
+                    "--trace-dir",
+                ],
+            ),
+            (
+                "submit",
+                &[
+                    "--kind",
+                    "--file",
+                    "--method",
+                    "--model",
+                    "--serial",
+                    "--full",
+                    "--repeats",
+                    "--timeout-ms",
+                ],
+            ),
+            ("edit", &["--file", "--edits", "--timeout-ms"]),
+            ("top", &["--interval-ms", "--count", "--timeout-ms"]),
+        ];
+        assert_eq!(FLAGS.len(), 24);
+        for (cmd, flags) in accepted {
+            assert!(COMMANDS.contains(cmd), "{cmd}");
+            for flag in FLAGS {
+                assert_eq!(
+                    flag.commands.contains(cmd),
+                    flags.contains(&flag.name),
+                    "{cmd} {}",
+                    flag.name
+                );
+            }
+        }
+        for flag in FLAGS {
+            assert_eq!(FLAGS.iter().filter(|f| f.name == flag.name).count(), 1);
+            for cmd in flag.commands {
+                assert!(accepted.iter().any(|(name, _)| name == cmd), "{cmd}");
+            }
+        }
+    }
+
+    #[test]
+    fn submit_sends_the_request_its_local_command_would() {
+        let file = write_fig2().to_string_lossy().into_owned();
+        let submit = |kind: &str| Command::Submit {
+            addr: "a:1".into(),
+            kind: kind.into(),
+            file: Some(file.clone()),
+            method: OrderMethod::Rpmc,
+            model: MemoryModel::NonShared,
+            serial: true,
+            full: true,
+            repeats: 5,
+            timeout_ms: 0,
+        };
+        let (method, model, report) = (
+            OrderMethod::Rpmc,
+            MemoryModel::NonShared,
+            ReportFormat::Json,
+        );
+        let local = |kind: &str| match kind {
+            "analyze" => Command::Analyze {
+                file: file.clone(),
+                report,
+                serial: true,
+                full: true,
+                trace: None,
+            },
+            "plan" => Command::Codegen {
+                file: file.clone(),
+                method,
+                model,
+                standalone: true,
+            },
+            "simulate" => Command::Simulate {
+                file: file.clone(),
+                method,
+                model,
+                report,
+            },
+            "explain" => Command::Explain {
+                file: file.clone(),
+                buffer: None,
+                report,
+                trace: None,
+            },
+            "modes" => Command::Modes {
+                file: file.clone(),
+                report,
+            },
+            "baseline" => Command::Baseline {
+                file: file.clone(),
+                out: None,
+                repeats: 5,
+                full: true,
+            },
+            other => panic!("{other} has no local command"),
+        };
+        for kind in [
+            "analyze", "plan", "simulate", "explain", "modes", "baseline",
+        ] {
+            assert_eq!(
+                service_request(&submit(kind)).unwrap(),
+                service_request(&local(kind)).unwrap(),
+                "{kind}"
+            );
+        }
+        for (kind, request) in [
+            ("stats", ServiceRequest::Stats),
+            ("metrics", ServiceRequest::Metrics),
+            ("events", ServiceRequest::Events),
+            ("shutdown", ServiceRequest::Shutdown),
+        ] {
+            assert_eq!(service_request(&submit(kind)).unwrap(), request);
+        }
+        for kind in ["edit", "compare", "serve"] {
+            let err = service_request(&submit(kind)).unwrap_err();
+            assert!(err.contains(kind), "{err}");
+        }
+    }
+
+    #[test]
     fn end_to_end_serve_and_submit() {
         let path = write_fig2();
         let file = path.to_string_lossy().into_owned();
         // A private daemon on an ephemeral port.
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr().to_string();
-        let submit = |kind: SubmitKind, file: Option<String>| {
+        let submit = |kind: &str, file: Option<String>| {
             execute(&Command::Submit {
                 addr: addr.clone(),
-                kind,
+                kind: kind.to_string(),
                 file,
-                method: Method::Apgan,
-                model: Model::Shared,
+                method: OrderMethod::Apgan,
+                model: MemoryModel::Shared,
                 serial: false,
                 full: false,
                 repeats: 2,
@@ -2649,11 +2741,11 @@ mod tests {
         };
         // First analyze computes, the repeat is served from cache —
         // with byte-identical payload bytes inside the envelope.
-        let (first, code) = submit(SubmitKind::Analyze, Some(file.clone())).unwrap();
+        let (first, code) = submit("analyze", Some(file.clone())).unwrap();
         assert_eq!(code, 0, "{first}");
         assert!(first.contains("\"status\":\"ok\""), "{first}");
         assert!(first.contains("\"cached\":false"), "{first}");
-        let (second, code) = submit(SubmitKind::Analyze, Some(file.clone())).unwrap();
+        let (second, code) = submit("analyze", Some(file.clone())).unwrap();
         assert_eq!(code, 0, "{second}");
         assert!(second.contains("\"cached\":true"), "{second}");
         let payload_of = |line: &str| {
@@ -2662,29 +2754,25 @@ mod tests {
         };
         assert_eq!(payload_of(&first), payload_of(&second));
         // A simulate submission exits 0 only when the oracle is clean.
-        let (sim, code) = submit(SubmitKind::Simulate, Some(file.clone())).unwrap();
+        let (sim, code) = submit("simulate", Some(file.clone())).unwrap();
         assert_eq!(code, 0, "{sim}");
         assert!(sim.contains("\"clean\":true"), "{sim}");
         // A broken graph is a domain failure: error envelope, exit 1.
         let broken = path.with_extension("broken.sdf");
         std::fs::write(&broken, "graph broken\nedge A\n").unwrap();
-        let (err, code) = submit(
-            SubmitKind::Analyze,
-            Some(broken.to_string_lossy().into_owned()),
-        )
-        .unwrap();
+        let (err, code) = submit("analyze", Some(broken.to_string_lossy().into_owned())).unwrap();
         assert_eq!(code, 1, "{err}");
         assert!(err.contains("\"status\":\"error\""), "{err}");
         assert!(err.contains("parse_error"), "{err}");
         // Stats reports the daemon's counters plus latency histogram
         // summaries; metrics exposes the same instruments as
         // Prometheus-style text; events drains the flight recorder.
-        let (stats, code) = submit(SubmitKind::Stats, None).unwrap();
+        let (stats, code) = submit("stats", None).unwrap();
         assert_eq!(code, 0, "{stats}");
         assert!(stats.contains("service.cache.hits"), "{stats}");
         assert!(stats.contains("\"histograms\""), "{stats}");
         assert!(stats.contains("service.op.analyze.latency"), "{stats}");
-        let (metrics, code) = submit(SubmitKind::Metrics, None).unwrap();
+        let (metrics, code) = submit("metrics", None).unwrap();
         assert_eq!(code, 0, "{metrics}");
         assert!(
             metrics.contains("\"kind\":\"service_metrics\""),
@@ -2694,7 +2782,7 @@ mod tests {
             metrics.contains("service_op_analyze_latency_bucket"),
             "{metrics}"
         );
-        let (events, code) = submit(SubmitKind::Events, None).unwrap();
+        let (events, code) = submit("events", None).unwrap();
         assert_eq!(code, 0, "{events}");
         assert!(events.contains("\"kind\":\"service_events\""), "{events}");
         assert!(events.contains("\"op\":\"analyze\""), "{events}");
@@ -2707,12 +2795,12 @@ mod tests {
         assert!(captured.contains("sdfmemd"), "{captured}");
         assert!(captured.contains("analyze"), "{captured}");
         assert!(captured.contains("p95"), "{captured}");
-        let (bye, code) = submit(SubmitKind::Shutdown, None).unwrap();
+        let (bye, code) = submit("shutdown", None).unwrap();
         assert_eq!(code, 0, "{bye}");
         server.wait();
         // The daemon is gone: connecting now is a transport error
         // (exit 2 in main).
-        let refused = submit(SubmitKind::Stats, None);
+        let refused = submit("stats", None);
         assert!(refused.is_err(), "{refused:?}");
         let _ = std::fs::remove_file(broken);
     }
@@ -2889,7 +2977,7 @@ mod tests {
         let Command::Submit { kind, .. } = parsed else {
             panic!("expected a submit command");
         };
-        assert_eq!(kind, SubmitKind::Modes);
+        assert_eq!(kind, "modes");
     }
 
     fn write_mode_graph() -> std::path::PathBuf {

@@ -9,7 +9,7 @@ fn main() {
         }
         Err(message) => {
             eprintln!("error: {message}\n");
-            eprint!("{}", sdf_cli::USAGE);
+            eprint!("{}", sdf_cli::usage());
             std::process::exit(2);
         }
     }

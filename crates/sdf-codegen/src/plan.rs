@@ -30,22 +30,32 @@ use sdf_lifetime::wig::IntersectionGraph;
 pub const TOKEN_BYTES: u64 = 4;
 
 /// Which buffer placement the plan encodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MemoryModel {
     /// One disjoint region per edge (regions laid out back to back, so
     /// the pool is the non-shared `bufmem` total).
     NonShared,
     /// One lifetime-packed pool with first-fit offsets; regions of
-    /// non-conflicting buffers may overlap.
+    /// non-conflicting buffers may overlap (the paper's contribution).
+    #[default]
     Shared,
 }
 
 impl MemoryModel {
-    /// Lower-case name used in reports and JSON.
+    /// Lower-case name used in reports, JSON and on the wire.
     pub fn as_str(self) -> &'static str {
         match self {
             MemoryModel::NonShared => "nonshared",
             MemoryModel::Shared => "shared",
+        }
+    }
+
+    /// Parses a name [`MemoryModel::as_str`] produces.
+    pub fn parse(name: &str) -> Option<MemoryModel> {
+        match name {
+            "nonshared" => Some(MemoryModel::NonShared),
+            "shared" => Some(MemoryModel::Shared),
+            _ => None,
         }
     }
 }

@@ -24,9 +24,11 @@
 
 use std::time::Instant;
 
+pub use sdf_codegen::MemoryModel;
 use sdf_codegen::{execute_plan, ExecReport, ExecutablePlan};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
+use sdf_core::{ActorId, SdfError};
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport, ReportFormat as DiffFormat};
 use sdf_trace::json::{self, Json, Writer};
 use sdf_trace::{CacheStatus, FlightRecord, Histogram, StageSpan};
@@ -66,33 +68,16 @@ impl OrderMethod {
             _ => None,
         }
     }
-}
 
-/// Buffer-model selector shared by plan-shaped requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MemoryModel {
-    /// One shared pool, lifetime-packed (the paper's contribution).
-    #[default]
-    Shared,
-    /// One array per edge (the DPPO baseline).
-    NonShared,
-}
-
-impl MemoryModel {
-    /// The wire name.
-    pub fn as_str(self) -> &'static str {
+    /// The heuristic's topological order of `g`'s actors.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the heuristic reports for a graph it cannot order.
+    pub fn order(self, g: &SdfGraph, q: &RepetitionsVector) -> Result<Vec<ActorId>, SdfError> {
         match self {
-            MemoryModel::Shared => "shared",
-            MemoryModel::NonShared => "nonshared",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(name: &str) -> Option<MemoryModel> {
-        match name {
-            "shared" => Some(MemoryModel::Shared),
-            "nonshared" => Some(MemoryModel::NonShared),
-            _ => None,
+            OrderMethod::Apgan => sdf_sched::apgan(g, q),
+            OrderMethod::Rpmc => sdf_sched::rpmc(g, q),
         }
     }
 }
@@ -142,7 +127,7 @@ pub struct ServiceError {
 }
 
 impl ServiceError {
-    fn bad_request(message: impl Into<String>) -> ServiceError {
+    pub(crate) fn bad_request(message: impl Into<String>) -> ServiceError {
         ServiceError {
             code: ErrorCode::BadRequest,
             input: None,
@@ -995,15 +980,11 @@ pub fn lower_plan(
     use sdf_alloc::{allocate, AllocationOrder, PlacementPolicy};
     use sdf_lifetime::tree::ScheduleTree;
     use sdf_lifetime::wig::IntersectionGraph;
-    use sdf_sched::{apgan, dppo, rpmc, sdppo};
+    use sdf_sched::{dppo, sdppo};
 
     let engine = ServiceError::engine;
     let q = RepetitionsVector::compute(g).map_err(|e| engine(e.to_string()))?;
-    let order = match method {
-        OrderMethod::Apgan => apgan(g, &q),
-        OrderMethod::Rpmc => rpmc(g, &q),
-    }
-    .map_err(|e| engine(e.to_string()))?;
+    let order = method.order(g, &q).map_err(|e| engine(e.to_string()))?;
     match model {
         MemoryModel::NonShared => {
             let r = dppo(g, &q, &order).map_err(|e| engine(e.to_string()))?;

@@ -64,5 +64,5 @@ pub use client::{Client, WireError, WireResponse};
 pub use explain::{ExplainLedgerEntry, ExplainRejectedGap, ExplainReport, ExplainTimelinePoint};
 pub use hash::fingerprint;
 pub use job::{Job, JobOutcome, JobQueue, JobState};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_REQUEST_BYTES};
 pub use session::SessionRegistry;

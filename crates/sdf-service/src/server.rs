@@ -25,7 +25,7 @@
 //! payload bytes, so hits and misses share payload bytes while each
 //! carries its own timings.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -465,19 +465,49 @@ fn respond(stream: &mut TcpStream, line: &str) -> bool {
     stream.write_all(line.as_bytes()).is_ok() && stream.flush().is_ok()
 }
 
+/// The longest request line the daemon reads, in bytes. A longer line
+/// is answered with a `bad_request` envelope and closes its connection
+/// unread, so no client can make the daemon buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_REQUEST_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
+        let line = match buf.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None if buf.len() > MAX_REQUEST_BYTES => {
+                shared.count("service.requests");
+                shared.count("service.requests.oversized");
+                let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                let error = ServiceError::bad_request(message);
+                respond(
+                    &mut writer,
+                    &ServiceResponse::Err(error).to_json("-", false),
+                );
+                break;
+            }
+            None => &buf,
+        };
+        let parsed = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => ServiceRequest::parse(line),
+            Err(e) => Err(ServiceError::bad_request(format!(
+                "request line is not UTF-8: {e}"
+            ))),
+        };
         shared.count("service.requests");
-        let (request_id, request) = match ServiceRequest::parse(&line) {
+        let (request_id, request) = match parsed {
             Ok(parsed) => parsed,
             Err(error) => {
                 shared.count("service.requests.malformed");

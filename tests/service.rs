@@ -3,14 +3,16 @@
 //! These exercise the daemon end to end over real TCP connections:
 //! the content-addressed cache under concurrent clients, the
 //! byte-identity contract between cached and fresh responses,
-//! queue backpressure, malformed-request handling, and the stats
+//! queue backpressure, malformed and oversized request lines, and the stats
 //! and shutdown control operations.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread;
 
 use sdf_service::{
     execute_request, Client, MemoryModel, OrderMethod, Server, ServerConfig, ServiceRequest,
-    ServiceResponse,
+    ServiceResponse, WireResponse, MAX_REQUEST_BYTES,
 };
 use sdf_trace::json::{self, Json};
 
@@ -226,6 +228,68 @@ fn malformed_lines_get_error_envelopes_not_disconnects() {
     // The connection survived all of it.
     let ok = client.call("after", &analyze(FIG2)).expect("call");
     assert!(ok.is_ok());
+    server.shutdown();
+    server.wait();
+}
+
+/// Reads one response line from `reader` and parses it.
+fn read_response(reader: &mut impl BufRead) -> WireResponse {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("response line");
+    WireResponse::parse(&line).expect("response envelope")
+}
+
+#[test]
+fn an_oversized_request_line_is_refused_and_other_clients_keep_serving() {
+    let (server, addr) = start(ServerConfig::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    // 100 MB with no newline, from its own thread: the daemon answers
+    // once it has read past the limit and then closes the connection,
+    // so the writer's remaining writes fail.
+    let mut flood = stream.try_clone().expect("clone");
+    let writer = thread::spawn(move || {
+        let chunk = vec![b'x'; 1 << 20];
+        for _ in 0..100 {
+            if flood.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+    });
+    let response = read_response(&mut BufReader::new(stream));
+    writer.join().expect("writer thread");
+    assert_eq!(response.status, "error", "{response:?}");
+    let error = response.error.expect("error");
+    assert_eq!(error.code, "bad_request");
+    assert!(
+        error.message.contains(&MAX_REQUEST_BYTES.to_string()),
+        "{}",
+        error.message
+    );
+    assert_eq!(counter(&server, "service.requests.oversized"), 1);
+    let mut client = Client::connect(&addr).expect("connect");
+    let ok = client.call("after", &analyze(FIG2)).expect("call");
+    assert!(ok.is_ok(), "{ok:?}");
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn a_non_utf8_line_is_answered_and_the_connection_keeps_serving() {
+    let (server, addr) = start(ServerConfig::default());
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream.write_all(b"{\"op\":\"\xff\xfe\"}\n").expect("write");
+    let response = read_response(&mut reader);
+    assert_eq!(response.status, "error", "{response:?}");
+    let error = response.error.expect("error");
+    assert_eq!(error.code, "bad_request");
+    assert!(error.message.contains("UTF-8"), "{}", error.message);
+    assert_eq!(counter(&server, "service.requests.malformed"), 1);
+    let line = analyze(FIG2).to_json("after") + "\n";
+    stream.write_all(line.as_bytes()).expect("write");
+    let response = read_response(&mut reader);
+    assert!(response.is_ok(), "{response:?}");
+    assert_eq!(response.request_id, "after");
     server.shutdown();
     server.wait();
 }
