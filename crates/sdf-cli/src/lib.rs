@@ -819,11 +819,10 @@ fn service_request(command: &Command) -> Result<ServiceRequest, String> {
             repeats,
             ..
         } => {
+            if let Some(request) = ServiceRequest::daemon_op(kind) {
+                return Ok(request);
+            }
             let local = match kind.as_str() {
-                "stats" => return Ok(ServiceRequest::Stats),
-                "metrics" => return Ok(ServiceRequest::Metrics),
-                "events" => return Ok(ServiceRequest::Events),
-                "shutdown" => return Ok(ServiceRequest::Shutdown),
                 "plan" => "codegen",
                 other if SUBMIT_KINDS.contains(&other) => other,
                 other => return Err(format!("cannot submit `{other}`")),

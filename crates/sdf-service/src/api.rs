@@ -22,6 +22,7 @@
 //! [`canonical string`](ServiceRequest::canonical_string) prepends the
 //! operation and every option that affects the result.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 pub use sdf_codegen::MemoryModel;
@@ -255,120 +256,294 @@ pub enum ServiceRequest {
     Shutdown,
 }
 
-impl ServiceRequest {
-    /// The wire name of the operation.
-    pub fn op(&self) -> &'static str {
-        match self {
-            ServiceRequest::Analyze { .. } => "analyze",
-            ServiceRequest::Plan { .. } => "plan",
-            ServiceRequest::Simulate { .. } => "simulate",
-            ServiceRequest::Explain { .. } => "explain",
-            ServiceRequest::Edit { .. } => "edit",
-            ServiceRequest::Modes { .. } => "modes",
-            ServiceRequest::Baseline { .. } => "baseline",
-            ServiceRequest::Compare { .. } => "compare",
-            ServiceRequest::Stats => "stats",
-            ServiceRequest::Metrics => "metrics",
-            ServiceRequest::Events => "events",
-            ServiceRequest::Shutdown => "shutdown",
+/// How a member reaches the cache key, in key order (see
+/// [`ServiceRequest::canonical_string`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Role {
+    /// A result-affecting option: ` name=value`.
+    Key,
+    /// Unkeyed: `serial` (same payload either way), and every member of
+    /// an op that is not cacheable.
+    Ignored,
+    /// The graph or mode graph, re-printed on the line after the options.
+    Graph,
+    ModeGraph,
+    /// An edit script, re-printed after the graph under an `@name` line.
+    Edits,
+}
+
+/// One service op: everything about it but its execution.
+struct Op {
+    name: &'static str,
+    /// Whether the result cache may answer it.
+    cached: bool,
+    /// Whether only a running daemon serves it.
+    daemon: bool,
+    /// Its `service.op.<name>.latency` histogram, spelled out because
+    /// the recorder keys instruments by `&'static str`.
+    latency: &'static str,
+    /// In wire order, as `(name, role)`; a member's kind is the variant
+    /// [`fields!`] lists its field under.
+    members: &'static [(&'static str, Role)],
+    /// What a line naming only this op decodes to.
+    default: ServiceRequest,
+}
+
+/// Every service op, declared once: the wire codec, the cache key,
+/// cacheability, the latency histogram and the CLI's control ops all
+/// read this table.
+#[rustfmt::skip]
+static OPS: [Op; 12] = {
+    use MemoryModel::Shared;
+    use OrderMethod::Apgan;
+    use Role::*;
+    const NO_TEXT: String = String::new();
+    [
+        Op { name: "analyze", latency: "service.op.analyze.latency", cached: true, daemon: false,
+            members: &[("serial", Ignored), ("full", Key), ("graph", Graph)],
+            default: ServiceRequest::Analyze { graph: NO_TEXT, serial: false, full: false } },
+        Op { name: "plan", latency: "service.op.plan.latency", cached: true, daemon: false,
+            members: &[("method", Key), ("model", Key), ("graph", Graph)],
+            default: ServiceRequest::Plan { graph: NO_TEXT, method: Apgan, model: Shared } },
+        Op { name: "simulate", latency: "service.op.simulate.latency", cached: true, daemon: false,
+            members: &[("method", Key), ("model", Key), ("graph", Graph)],
+            default: ServiceRequest::Simulate { graph: NO_TEXT, method: Apgan, model: Shared } },
+        Op { name: "explain", latency: "service.op.explain.latency", cached: true, daemon: false,
+            members: &[("graph", Graph)], default: ServiceRequest::Explain { graph: NO_TEXT } },
+        Op { name: "edit", latency: "service.op.edit.latency", cached: true, daemon: false,
+            members: &[("edits", Edits), ("graph", Graph)],
+            default: ServiceRequest::Edit { graph: NO_TEXT, edits: NO_TEXT } },
+        Op { name: "modes", latency: "service.op.modes.latency", cached: true, daemon: false,
+            members: &[("graph", ModeGraph)], default: ServiceRequest::Modes { graph: NO_TEXT } },
+        Op { name: "baseline", latency: "service.op.baseline.latency", cached: false, daemon: false,
+            members: &[("repeats", Ignored), ("full", Ignored), ("perturb", Ignored),
+                ("graph", Ignored)],
+            default: ServiceRequest::Baseline {
+                graph: NO_TEXT, repeats: 3, full: false, perturb: None } },
+        Op { name: "compare", latency: "service.op.compare.latency", cached: false, daemon: false,
+            members: &[("gate", Ignored), ("allow", Ignored), ("baseline", Ignored),
+                ("candidate", Ignored)],
+            default: ServiceRequest::Compare {
+                baseline: NO_TEXT, candidate: NO_TEXT, gate: false, allow: Vec::new() } },
+        Op { name: "stats", latency: "service.op.stats.latency", cached: false, daemon: true,
+            members: &[], default: ServiceRequest::Stats },
+        Op { name: "metrics", latency: "service.op.metrics.latency", cached: false, daemon: true,
+            members: &[], default: ServiceRequest::Metrics },
+        Op { name: "events", latency: "service.op.events.latency", cached: false, daemon: true,
+            members: &[], default: ServiceRequest::Events },
+        Op { name: "shutdown", latency: "service.op.shutdown.latency", cached: false, daemon: true,
+            members: &[], default: ServiceRequest::Shutdown },
+    ]
+};
+
+/// Lists a request's fields in wire order, each under its kind's
+/// variant of `$kind`: [`Value`] to read a borrowed request, [`Slot`]
+/// to fill a mutably borrowed one. The one per-op listing.
+#[rustfmt::skip]
+macro_rules! fields {
+    ($request:expr, $kind:ident) => {{
+        use $kind::*;
+        match $request {
+            ServiceRequest::Analyze { graph, serial, full } =>
+                vec![Bool(serial), Bool(full), Text(graph)],
+            ServiceRequest::Plan { graph, method, model }
+            | ServiceRequest::Simulate { graph, method, model } =>
+                vec![Method(method), Model(model), Text(graph)],
+            ServiceRequest::Explain { graph } | ServiceRequest::Modes { graph } =>
+                vec![Text(graph)],
+            ServiceRequest::Edit { graph, edits } => vec![Text(edits), Text(graph)],
+            ServiceRequest::Baseline { graph, repeats, full, perturb } =>
+                vec![Count(repeats), Bool(full), OptText(perturb), Text(graph)],
+            ServiceRequest::Compare { baseline, candidate, gate, allow } =>
+                vec![Bool(gate), TextList(allow), Text(baseline), Text(candidate)],
+            ServiceRequest::Stats | ServiceRequest::Metrics | ServiceRequest::Events
+            | ServiceRequest::Shutdown => vec![],
+        }
+    }};
+}
+
+/// A request field, borrowed to read; the variant is the member's kind.
+enum Value<'a> {
+    Text(&'a String),
+    Bool(&'a bool),
+    Count(&'a u32),
+    Method(&'a OrderMethod),
+    Model(&'a MemoryModel),
+    TextList(&'a Vec<String>),
+    OptText(&'a Option<String>),
+}
+
+/// A request field, borrowed to fill; the variants mirror [`Value`]'s.
+enum Slot<'a> {
+    Text(&'a mut String),
+    Bool(&'a mut bool),
+    Count(&'a mut u32),
+    Method(&'a mut OrderMethod),
+    Model(&'a mut MemoryModel),
+    TextList(&'a mut Vec<String>),
+    OptText(&'a mut Option<String>),
+}
+
+impl Value<'_> {
+    /// The field's text: its wire string, or a keyed option's `value`.
+    fn text(&self) -> Cow<'_, str> {
+        match *self {
+            Value::Text(text) | Value::OptText(Some(text)) => text.into(),
+            Value::OptText(None) => "".into(),
+            Value::Bool(flag) => flag.to_string().into(),
+            Value::Count(n) => n.to_string().into(),
+            Value::Method(method) => method.as_str().into(),
+            Value::Model(model) => model.as_str().into(),
+            Value::TextList(list) => list.join(",").into(),
         }
     }
 
-    /// Whether results of this request may be served from the cache.
-    ///
-    /// `analyze`, `plan`, `simulate`, `explain`, `edit` and `modes`
-    /// are deterministic functions of the canonical request (`edit`'s
-    /// delta path is bit-identical to a cold run, so both produce the
-    /// same payload bytes). `baseline` embeds timing statistics and
-    /// `compare` is cheap pure post-processing; neither is cached.
+    /// Writes the field as member `name` (nothing for absent optional
+    /// text).
+    fn write(&self, w: &mut Writer, name: &str) {
+        match *self {
+            Value::Bool(_) | Value::Count(_) => w.raw(name, &self.text()),
+            Value::TextList(list) => w.array(name, |w| {
+                for text in list {
+                    w.item_str(text);
+                }
+            }),
+            Value::OptText(None) => w,
+            _ => w.str(name, &self.text()),
+        };
+    }
+}
+
+impl Slot<'_> {
+    /// Fills the field from member `name` of `doc`. An absent member
+    /// keeps its default, except required text; a present member of
+    /// the wrong JSON type is a bad request, never a default.
+    fn fill(self, doc: &Json, name: &str) -> Result<(), ServiceError> {
+        let bad = ServiceError::bad_request;
+        let Some(value) = doc.get(name) else {
+            return match self {
+                Slot::Text(_) => Err(bad(format!("missing \"{name}\" text"))),
+                _ => Ok(()),
+            };
+        };
+        let wrong = |kind: &str| bad(format!("\"{name}\" must be {kind}"));
+        let text = || value.as_str().ok_or_else(|| wrong("a string"));
+        let unknown = |text: &str| bad(format!("bad {name} \"{text}\""));
+        match self {
+            Slot::Text(field) => *field = text()?.to_string(),
+            Slot::OptText(field) => *field = Some(text()?.to_string()),
+            Slot::Bool(field) => *field = value.as_bool().ok_or_else(|| wrong("a boolean"))?,
+            Slot::Count(field) => {
+                let n = value.as_num().ok_or_else(|| wrong("a number"))?;
+                if !(n >= 1.0 && n.fract() == 0.0 && n <= f64::from(u32::MAX)) {
+                    return Err(bad(format!("bad {name} {n}")));
+                }
+                *field = n as u32;
+            }
+            Slot::Method(field) => {
+                let text = text()?;
+                *field = OrderMethod::parse(text).ok_or_else(|| unknown(text))?;
+            }
+            Slot::Model(field) => {
+                let text = text()?;
+                *field = MemoryModel::parse(text).ok_or_else(|| unknown(text))?;
+            }
+            Slot::TextList(field) => {
+                let entries = value.as_array().ok_or_else(|| wrong("an array"))?;
+                *field = entries
+                    .iter()
+                    .map(|entry| entry.as_str().map(str::to_string))
+                    .collect::<Option<_>>()
+                    .ok_or_else(|| bad(format!("\"{name}\" entries must be strings")))?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl ServiceRequest {
+    /// This request's entry in [`OPS`]: the one whose default is the
+    /// same variant.
+    fn spec(&self) -> &'static Op {
+        let variant = std::mem::discriminant(self);
+        OPS.iter()
+            .find(|op| std::mem::discriminant(&op.default) == variant)
+            .expect("OPS declares every request variant")
+    }
+
+    /// The members in wire order, as `(name, role, value)`.
+    fn members(&self) -> impl Iterator<Item = (&'static str, Role, Value<'_>)> {
+        let fields: Vec<Value<'_>> = fields!(self, Value);
+        let names = self.spec().members.iter();
+        names
+            .zip(fields)
+            .map(|(&(name, role), value)| (name, role, value))
+    }
+
+    /// The wire name of the operation.
+    pub fn op(&self) -> &'static str {
+        self.spec().name
+    }
+
+    /// Whether results of this request may be served from the cache:
+    /// true for the deterministic ops (`edit`'s delta path is
+    /// bit-identical to a cold run). `baseline` embeds timing
+    /// statistics and `compare` is cheap post-processing.
     pub fn cacheable(&self) -> bool {
-        matches!(
-            self,
-            ServiceRequest::Analyze { .. }
-                | ServiceRequest::Plan { .. }
-                | ServiceRequest::Simulate { .. }
-                | ServiceRequest::Explain { .. }
-                | ServiceRequest::Edit { .. }
-                | ServiceRequest::Modes { .. }
-        )
+        self.spec().cached
+    }
+
+    /// The `service.op.<op>.latency` histogram of this request.
+    pub(crate) fn latency_histogram(&self) -> &'static str {
+        self.spec().latency
+    }
+
+    /// The daemon-only request named `op` (`stats`, `metrics`, `events`
+    /// or `shutdown`), if it names one.
+    pub fn daemon_op(op: &str) -> Option<ServiceRequest> {
+        let spec = OPS.iter().find(|spec| spec.daemon && spec.name == op)?;
+        Some(spec.default.clone())
     }
 
     /// The canonical text this request is content-addressed by: the
-    /// operation, every result-affecting option, and the canonicalised
-    /// graph.
+    /// op, ` name=value` per result-affecting option, the canonicalised
+    /// graph on the next line, then every later input as an `@name`
+    /// line and its canonical text (no graph line starts with `@`).
+    ///
+    /// `serial` is not keyed: the engine picks the same winner either
+    /// way, so both forms share a slot, and the daemon runs the
+    /// parallel form (see `execute_request_cached`).
     ///
     /// # Errors
     ///
-    /// Fails when the embedded graph does not parse (the same error
-    /// the execution path would report).
+    /// Fails when the op is not cacheable, or when an embedded input
+    /// does not parse (the graph first — the same error the execution
+    /// path would report).
     pub fn canonical_string(&self) -> Result<String, ServiceError> {
-        match self {
-            ServiceRequest::Analyze { graph, full, .. } => {
-                // `serial` is excluded: the engine guarantees the
-                // winner is identical either way, so both forms share
-                // a cache slot (the report's `parallel` field would
-                // differ, so canonicalise to the parallel form on the
-                // daemon — see `execute_request_cached`).
-                let g = parse_graph_input(graph)?;
-                Ok(format!(
-                    "analyze full={full}\n{}",
-                    sdf_core::io::to_text(&g)
-                ))
-            }
-            ServiceRequest::Plan {
-                graph,
-                method,
-                model,
-            } => {
-                let g = parse_graph_input(graph)?;
-                Ok(format!(
-                    "plan method={} model={}\n{}",
-                    method.as_str(),
-                    model.as_str(),
-                    sdf_core::io::to_text(&g)
-                ))
-            }
-            ServiceRequest::Simulate {
-                graph,
-                method,
-                model,
-            } => {
-                let g = parse_graph_input(graph)?;
-                Ok(format!(
-                    "simulate method={} model={}\n{}",
-                    method.as_str(),
-                    model.as_str(),
-                    sdf_core::io::to_text(&g)
-                ))
-            }
-            ServiceRequest::Explain { graph } => {
-                let g = parse_graph_input(graph)?;
-                Ok(format!("explain\n{}", sdf_core::io::to_text(&g)))
-            }
-            ServiceRequest::Edit { graph, edits } => {
-                // The key covers the *base* graph and the canonical
-                // edit script, because the payload reports the edit
-                // delta (dirty edges) alongside the edited graph's
-                // synthesis. A `@edits` line separates the two parts;
-                // it cannot collide with canonical graph text (whose
-                // lines all start with `graph`/`actor`/`edge`).
-                let g = parse_graph_input(graph)?;
-                let script = parse_edits_input(edits)?;
-                Ok(format!(
-                    "edit\n{}@edits\n{}",
-                    sdf_core::io::to_text(&g),
-                    script.to_text()
-                ))
-            }
-            ServiceRequest::Modes { graph } => {
-                let mg = parse_mode_graph_input(graph)?;
-                Ok(format!("modes\n{}", sdf_core::mode::to_mode_text(&mg)))
-            }
-            _ => Err(ServiceError::bad_request(format!(
+        let spec = self.spec();
+        if !spec.cached {
+            return Err(ServiceError::bad_request(format!(
                 "`{}` requests are not content-addressable",
-                self.op()
-            ))),
+                spec.name
+            )));
         }
+        let mut members: Vec<_> = self.members().collect();
+        members.sort_by_key(|&(_, role, _)| role);
+        let mut key = spec.name.to_string();
+        for (name, role, value) in members {
+            let text = value.text();
+            key += &match role {
+                Role::Key => format!(" {name}={text}"),
+                Role::Ignored => continue,
+                Role::Graph => format!("\n{}", sdf_core::io::to_text(&parse_graph_input(&text)?)),
+                Role::ModeGraph => {
+                    let mode_graph = parse_mode_graph_input(&text)?;
+                    format!("\n{}", sdf_core::mode::to_mode_text(&mode_graph))
+                }
+                Role::Edits => format!("@{name}\n{}", parse_edits_input(&text)?.to_text()),
+            };
+        }
+        Ok(key)
     }
 
     /// The `(fingerprint, canonical)` cache key pair, for cacheable
@@ -386,67 +561,8 @@ impl ServiceRequest {
     pub fn to_json(&self, request_id: &str) -> String {
         json::document("service_request", |w| {
             w.str("request_id", request_id).str("op", self.op());
-            match self {
-                ServiceRequest::Analyze {
-                    graph,
-                    serial,
-                    full,
-                } => {
-                    w.bool("serial", *serial)
-                        .bool("full", *full)
-                        .str("graph", graph);
-                }
-                ServiceRequest::Plan {
-                    graph,
-                    method,
-                    model,
-                }
-                | ServiceRequest::Simulate {
-                    graph,
-                    method,
-                    model,
-                } => {
-                    w.str("method", method.as_str())
-                        .str("model", model.as_str())
-                        .str("graph", graph);
-                }
-                ServiceRequest::Explain { graph } | ServiceRequest::Modes { graph } => {
-                    w.str("graph", graph);
-                }
-                ServiceRequest::Edit { graph, edits } => {
-                    w.str("edits", edits).str("graph", graph);
-                }
-                ServiceRequest::Baseline {
-                    graph,
-                    repeats,
-                    full,
-                    perturb,
-                } => {
-                    w.num("repeats", repeats).bool("full", *full);
-                    if let Some(p) = perturb {
-                        w.str("perturb", p);
-                    }
-                    w.str("graph", graph);
-                }
-                ServiceRequest::Compare {
-                    baseline,
-                    candidate,
-                    gate,
-                    allow,
-                } => {
-                    w.bool("gate", *gate)
-                        .array("allow", |w| {
-                            for name in allow {
-                                w.item_str(name);
-                            }
-                        })
-                        .str("baseline", baseline)
-                        .str("candidate", candidate);
-                }
-                ServiceRequest::Stats
-                | ServiceRequest::Metrics
-                | ServiceRequest::Events
-                | ServiceRequest::Shutdown => {}
+            for (name, _, value) in self.members() {
+                value.write(w, name);
             }
         })
     }
@@ -457,7 +573,7 @@ impl ServiceRequest {
     ///
     /// Returns a [`ErrorCode::BadRequest`] error for anything that is
     /// not a well-formed `service_request` document of the current
-    /// schema version.
+    /// schema version, including a member of the wrong JSON type.
     pub fn parse(line: &str) -> Result<(String, ServiceRequest), ServiceError> {
         let doc =
             json::parse(line).map_err(|e| ServiceError::bad_request(format!("bad JSON: {e}")))?;
@@ -475,104 +591,20 @@ impl ServiceRequest {
                 sdf_trace::SCHEMA_VERSION
             )));
         }
-        let request_id = doc
-            .get("request_id")
-            .and_then(Json::as_str)
-            .unwrap_or("-")
-            .to_string();
-        let op = doc
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::bad_request("missing \"op\""))?;
-        let str_field = |name: &str| doc.get(name).and_then(Json::as_str).map(str::to_string);
-        let bool_field = |name: &str| doc.get(name).and_then(Json::as_bool).unwrap_or(false);
-        let graph = || {
-            str_field("graph").ok_or_else(|| ServiceError::bad_request("missing \"graph\" text"))
-        };
-        let method = || -> Result<OrderMethod, ServiceError> {
-            match doc.get("method").and_then(Json::as_str) {
-                None => Ok(OrderMethod::default()),
-                Some(name) => OrderMethod::parse(name)
-                    .ok_or_else(|| ServiceError::bad_request(format!("bad method \"{name}\""))),
-            }
-        };
-        let model = || -> Result<MemoryModel, ServiceError> {
-            match doc.get("model").and_then(Json::as_str) {
-                None => Ok(MemoryModel::default()),
-                Some(name) => MemoryModel::parse(name)
-                    .ok_or_else(|| ServiceError::bad_request(format!("bad model \"{name}\""))),
-            }
-        };
-        let request = match op {
-            "analyze" => ServiceRequest::Analyze {
-                graph: graph()?,
-                serial: bool_field("serial"),
-                full: bool_field("full"),
-            },
-            "plan" => ServiceRequest::Plan {
-                graph: graph()?,
-                method: method()?,
-                model: model()?,
-            },
-            "simulate" => ServiceRequest::Simulate {
-                graph: graph()?,
-                method: method()?,
-                model: model()?,
-            },
-            "explain" => ServiceRequest::Explain { graph: graph()? },
-            "modes" => ServiceRequest::Modes { graph: graph()? },
-            "edit" => ServiceRequest::Edit {
-                graph: graph()?,
-                edits: str_field("edits")
-                    .ok_or_else(|| ServiceError::bad_request("missing \"edits\" text"))?,
-            },
-            "baseline" => {
-                let repeats = match doc.get("repeats").and_then(Json::as_num) {
-                    None => 3,
-                    Some(n) if n >= 1.0 && n.fract() == 0.0 && n <= f64::from(u32::MAX) => n as u32,
-                    Some(n) => {
-                        return Err(ServiceError::bad_request(format!("bad repeats {n}")));
-                    }
-                };
-                ServiceRequest::Baseline {
-                    graph: graph()?,
-                    repeats,
-                    full: bool_field("full"),
-                    perturb: str_field("perturb"),
-                }
-            }
-            "compare" => {
-                let allow = match doc.get("allow") {
-                    None => Vec::new(),
-                    Some(value) => value
-                        .as_array()
-                        .ok_or_else(|| ServiceError::bad_request("\"allow\" must be an array"))?
-                        .iter()
-                        .map(|v| {
-                            v.as_str().map(str::to_string).ok_or_else(|| {
-                                ServiceError::bad_request("\"allow\" entries must be strings")
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?,
-                };
-                ServiceRequest::Compare {
-                    baseline: str_field("baseline")
-                        .ok_or_else(|| ServiceError::bad_request("missing \"baseline\" text"))?,
-                    candidate: str_field("candidate")
-                        .ok_or_else(|| ServiceError::bad_request("missing \"candidate\" text"))?,
-                    gate: bool_field("gate"),
-                    allow,
-                }
-            }
-            "stats" => ServiceRequest::Stats,
-            "metrics" => ServiceRequest::Metrics,
-            "events" => ServiceRequest::Events,
-            "shutdown" => ServiceRequest::Shutdown,
-            other => {
-                return Err(ServiceError::bad_request(format!("unknown op \"{other}\"")));
-            }
-        };
-        Ok((request_id, request))
+        let (mut request_id, mut op) = (None, None);
+        Slot::OptText(&mut request_id).fill(&doc, "request_id")?;
+        Slot::OptText(&mut op).fill(&doc, "op")?;
+        let op = op.ok_or_else(|| ServiceError::bad_request("missing \"op\""))?;
+        let spec = OPS
+            .iter()
+            .find(|spec| spec.name == op)
+            .ok_or_else(|| ServiceError::bad_request(format!("unknown op \"{op}\"")))?;
+        let mut request = spec.default.clone();
+        let slots: Vec<Slot<'_>> = fields!(&mut request, Slot);
+        for (&(name, _), slot) in spec.members.iter().zip(slots) {
+            slot.fill(&doc, name)?;
+        }
+        Ok((request_id.unwrap_or_else(|| "-".to_string()), request))
     }
 }
 
@@ -1632,6 +1664,21 @@ mod tests {
             };
             assert_eq!(error.code, ErrorCode::BadRequest);
             assert!(!request.cacheable());
+            assert_eq!(ServiceRequest::daemon_op(request.op()), Some(request));
+        }
+        assert_eq!(ServiceRequest::daemon_op("analyze"), None);
+    }
+
+    #[test]
+    fn ops_declares_every_variant_once_with_its_listed_fields() {
+        for (i, spec) in OPS.iter().enumerate() {
+            // The variant lookup lands on this entry, so no two entries
+            // share a variant.
+            assert_eq!(spec.default.op(), spec.name);
+            assert!(OPS[..i].iter().all(|other| other.name != spec.name));
+            let fields: Vec<Value<'_>> = fields!(&spec.default, Value);
+            assert_eq!(fields.len(), spec.members.len(), "{}", spec.name);
+            assert_eq!(spec.latency, format!("service.op.{}.latency", spec.name));
         }
     }
 

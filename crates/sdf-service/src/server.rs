@@ -95,30 +95,27 @@ impl Shared {
         self.recorder.counter_add(name, 1);
     }
 
-    fn stats_payload(&self) -> ResponsePayload {
-        ResponsePayload::Stats {
-            counters: self.recorder.counters(),
-            gauges: self.recorder.gauges(),
-            histograms: self.recorder.histograms(),
-        }
-    }
-
-    fn metrics_payload(&self) -> ResponsePayload {
-        ResponsePayload::Metrics {
-            exposition: expo::write_exposition(
-                &self.recorder.counters(),
-                &self.recorder.gauges(),
-                &self.recorder.histograms(),
-            ),
-        }
-    }
-
-    fn events_payload(&self) -> ResponsePayload {
-        let (records, dropped) = self.flight.drain();
-        ResponsePayload::Events {
-            capacity: self.flight.capacity(),
-            dropped,
-            records,
+    /// The payload of a daemon-only request: `metrics`, `events`, or
+    /// the instruments' snapshot that `stats` and `shutdown` answer.
+    fn daemon_payload(&self, request: &ServiceRequest) -> ResponsePayload {
+        let r = &self.recorder;
+        match request {
+            ServiceRequest::Metrics => ResponsePayload::Metrics {
+                exposition: expo::write_exposition(&r.counters(), &r.gauges(), &r.histograms()),
+            },
+            ServiceRequest::Events => {
+                let (records, dropped) = self.flight.drain();
+                ResponsePayload::Events {
+                    capacity: self.flight.capacity(),
+                    dropped,
+                    records,
+                }
+            }
+            _ => ResponsePayload::Stats {
+                counters: r.counters(),
+                gauges: r.gauges(),
+                histograms: r.histograms(),
+            },
         }
     }
 
@@ -147,25 +144,6 @@ impl Shared {
             "engine.incremental.sessions",
             self.sessions.session_count() as u64,
         );
-    }
-}
-
-/// The latency-histogram name for an op, from a static vocabulary (the
-/// recorder keys instruments by `&'static str`).
-fn op_latency_histogram(op: &str) -> &'static str {
-    match op {
-        "analyze" => "service.op.analyze.latency",
-        "plan" => "service.op.plan.latency",
-        "simulate" => "service.op.simulate.latency",
-        "explain" => "service.op.explain.latency",
-        "edit" => "service.op.edit.latency",
-        "modes" => "service.op.modes.latency",
-        "baseline" => "service.op.baseline.latency",
-        "compare" => "service.op.compare.latency",
-        "stats" => "service.op.stats.latency",
-        "metrics" => "service.op.metrics.latency",
-        "events" => "service.op.events.latency",
-        _ => "service.op.other.latency",
     }
 }
 
@@ -348,7 +326,7 @@ fn worker_loop(shared: &Shared) {
         };
         shared
             .recorder
-            .histogram_record(op_latency_histogram(job.request.op()), service_ns);
+            .histogram_record(job.request.latency_histogram(), service_ns);
         shared
             .recorder
             .histogram_record("service.queue.wait", queue_wait_ns);
@@ -519,24 +497,13 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             }
         };
         let done = match request {
-            ServiceRequest::Stats => {
-                let envelope = inline_envelope(shared, &request_id, "stats", |s| s.stats_payload());
-                !respond(&mut writer, &envelope)
-            }
-            ServiceRequest::Metrics => {
-                let envelope =
-                    inline_envelope(shared, &request_id, "metrics", |s| s.metrics_payload());
-                !respond(&mut writer, &envelope)
-            }
-            ServiceRequest::Events => {
-                let envelope =
-                    inline_envelope(shared, &request_id, "events", |s| s.events_payload());
-                !respond(&mut writer, &envelope)
+            ServiceRequest::Stats | ServiceRequest::Metrics | ServiceRequest::Events => {
+                !respond(&mut writer, &inline_envelope(shared, &request_id, &request))
             }
             ServiceRequest::Shutdown => {
                 shared.count("service.requests.shutdown");
-                let envelope =
-                    ServiceResponse::Ok(shared.stats_payload()).to_json(&request_id, false);
+                let envelope = ServiceResponse::Ok(shared.daemon_payload(&request))
+                    .to_json(&request_id, false);
                 respond(&mut writer, &envelope);
                 initiate_shutdown(shared);
                 true
@@ -552,19 +519,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 /// Serves a daemon-side op on the connection thread (no queue, no
 /// cache) with request-scoped telemetry: one `render` stage covering
 /// payload construction.
-fn inline_envelope(
-    shared: &Shared,
-    request_id: &str,
-    op: &str,
-    payload: impl FnOnce(&Shared) -> ResponsePayload,
-) -> String {
+fn inline_envelope(shared: &Shared, request_id: &str, request: &ServiceRequest) -> String {
     let started = shared.recorder.now_ns();
     let counters_before = CounterSnapshot::capture_from(&shared.recorder);
-    let rendered = payload(shared).to_json();
+    let rendered = shared.daemon_payload(request).to_json();
     let service_ns = shared.recorder.now_ns().saturating_sub(started);
     shared
         .recorder
-        .histogram_record(op_latency_histogram(op), service_ns);
+        .histogram_record(request.latency_histogram(), service_ns);
     let telemetry = RequestTelemetry {
         cache: CacheStatus::Uncached,
         queue_wait_ns: 0,
@@ -619,7 +581,7 @@ fn handle_job_request(
                 };
                 shared
                     .recorder
-                    .histogram_record(op_latency_histogram(request.op()), service_ns);
+                    .histogram_record(request.latency_histogram(), service_ns);
                 shared
                     .flight
                     .record(telemetry.to_flight_record(request.op(), JobState::Complete.as_str()));
