@@ -201,6 +201,13 @@ impl ChainTables {
         self.crossing_tnse(i, k, j) / self.gcd_range(i, j) + self.crossing_delay(i, k, j)
     }
 
+    /// The `(n+1)×(n+1)` row-major 2-D prefix tables of TNSE and delay:
+    /// `P[r][c]` sums the edges whose source position is `< r` and sink
+    /// position `< c`.  The chain-DP fill reads them row by row.
+    pub(crate) fn prefix_tables(&self) -> (&[u64], &[u64]) {
+        (&self.tnse_ps, &self.delay_ps)
+    }
+
     /// Aggregate `(TNSE, delay)` of the parallel edges from position `u`
     /// to position `v` — the windowed DP's per-pair lower-bound inputs.
     pub(crate) fn pair_weights(&self, u: usize, v: usize) -> (u64, u64) {

@@ -117,7 +117,7 @@ pub fn dppo_from_tables_memo(
         ct,
         mode,
         dpwin::Combine::Sum,
-        |i, k, j| ct.split_cost(i, k, j),
+        true,
         memo.map(|s| (s, DOMAIN_DPPO)),
     );
     let (bufmem, fell_back) = solver.root_value();
@@ -293,13 +293,8 @@ mod tests {
             let q = RepetitionsVector::compute(&g).unwrap();
             let ct = ChainTables::build(&g, &q, &ids).unwrap();
             let nn = ct.len();
-            let mut e = dpwin::Solver::new(&ct, DpMode::Exact, dpwin::Combine::Sum, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
-            let mut w =
-                dpwin::Solver::new(&ct, DpMode::Windowed, dpwin::Combine::Sum, |i, k, j| {
-                    ct.split_cost(i, k, j)
-                });
+            let mut e = dpwin::Solver::new(&ct, DpMode::Exact, dpwin::Combine::Sum, true);
+            let mut w = dpwin::Solver::new(&ct, DpMode::Windowed, dpwin::Combine::Sum, true);
             assert_eq!(
                 e.value(0, nn - 1),
                 w.value(0, nn - 1),

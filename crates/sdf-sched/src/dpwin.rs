@@ -12,7 +12,7 @@
 //!
 //! * [`DpMode::Exact`] fills the whole triangular table bottom-up and
 //!   scans every `k` — Θ(n³) crossing-cost probes, the textbook
-//!   recurrence.
+//!   recurrence, in the same streamed kernel as the pruned fill.
 //! * [`DpMode::Windowed`] gives each recurrence the scan that measures
 //!   best on it, both exact by construction:
 //!   - SDPPO (`max`) uses the **pruned fill** below: the same bottom-up
@@ -39,12 +39,14 @@
 //! probes per cell, and 1,391,422 probes on `scale_chain_128` where the
 //! dense scan makes 699,008.  The pruned fill compares against *exact*
 //! children instead, which the bottom-up order has ready: 36.1 probes
-//! per cell, and `scale` compiles 6.8× faster end to end (36.4 → 5.4 ms
-//! geomean).
+//! per cell, and `scale` compiled 6.8× faster end to end (36.4 → 5.4 ms
+//! geomean).  Streaming the fill in column order (below) then left every
+//! probe count as it was and made each probe about 3× cheaper: `scale`
+//! 5.3 → 3.1 ms geomean, SDPPO 7.5 → 2.3 ms of a traced op.
 //!
 //! The same fill for DPPO would compute every cell the lazy scan skips;
-//! measured, it cut `corpus` p95 (184 → 77 ms) but slowed `scale` (5.4 →
-//! 9.4 ms geomean), so DPPO starts lazy.  On most graphs the lazy scan
+//! measured with the span-ordered fill, it cut `corpus` p95 (184 → 77 ms)
+//! but slowed `scale` (5.4 → 9.4 ms geomean), so DPPO starts lazy.  On most graphs the lazy scan
 //! wins by far: 0.5 % of the dense probes on `scale_chain_128`, 1.3 % on
 //! `qmf12_5d`, at most 23 % on the other registry graphs of 12 actors or
 //! more.  It loses where nearly every edge changes rate by coprime
@@ -67,15 +69,39 @@
 //!
 //! # The pruned fill
 //!
-//! Cells are filled by increasing span, so when `[i..=j]` is scanned
-//! every strictly shorter subchain is final.  Crossing costs are
-//! non-negative, hence `cost(k) ≥ combine(v[i, k], v[k+1, j])`; once
-//! that child term alone reaches the best cost so far, `k` cannot be a
-//! strict improvement and its crossing cost is skipped (counted in
-//! [`Solver::pruned`]).  `k` ascends and only a strictly smaller cost
-//! replaces the incumbent, so the recorded split is the smallest argmin —
-//! the exact scan's tie-break.  Without a memo, probes plus pruned splits
-//! equal the dense scan's `(n³ − n) / 6` on every run.
+//! Cells are filled column by column, `j` ascending and `i` descending
+//! within a column, so when `[i..=j]` is scanned every cell it reads —
+//! `v[i, k]` in an earlier column, `v[k+1, j]` lower in this one — is
+//! final.  Crossing costs are non-negative, hence `cost(k) ≥
+//! combine(v[i, k], v[k+1, j])`; once that child term alone reaches the
+//! best cost so far, `k` cannot be a strict improvement and its crossing
+//! cost is skipped (counted in [`Solver::pruned`]).  `k` ascends and only
+//! a strictly smaller cost replaces the incumbent, so the recorded split
+//! is the smallest argmin — the exact scan's tie-break.  A cell's work
+//! depends only on its own children, not on the fill order, so without a
+//! memo probes plus pruned splits equal the dense scan's `(n³ − n) / 6`
+//! on every run.
+//!
+//! The order is chosen so that each probe reads six contiguous rows and
+//! no table at a stride:
+//!
+//! * row `i` of `v` for `v[i, k]`, and a per-column buffer of `v[k+1, j]`
+//!   that each finished cell of the column appends to;
+//! * a per-column difference `A_j[k] = P[k+1][j+1] − P[k+1][k+1]` of each
+//!   2-D prefix table `P` (TNSE and delay), built once per column in
+//!   O(n): the edges from `[0..=k]` into `[k+1..=j]`;
+//! * row `i` of each prefix table, since the crossing set of `(i, k, j)`
+//!   is `A_j[k]` less the edges from `[0..i)`:
+//!   `crossing(i, k, j) = A_j[k] − (P[i][j+1] − P[i][k+1])`.
+//!
+//! The crossing TNSE is divided by `g = gcd(q[i..=j])` when the split is
+//! factored (DPPO, SDPPO under `Heuristic` and `Always`) and by 1 under
+//! `Never`.  A split wins only when its cost beats the incumbent, and
+//! `children + ⌊t / g⌋ + d < best` is `t < (best − children − d) · g`, so
+//! the kernel tests that product in u128 and divides only for a winner.
+//! A cell the memo answers skips the scan and only joins its column.
+//! On `scale`, SDPPO's traced self time per probe went from about 15 ns
+//! to about 5 ns (2-CPU VM).
 //!
 //! # Why not the Knuth–Yao split window
 //!
@@ -185,32 +211,56 @@ pub(crate) enum Combine {
     Max,
 }
 
-impl Combine {
-    fn apply(self, l: u64, r: u64) -> u64 {
-        match self {
-            Combine::Sum => l.saturating_add(r),
-            Combine::Max => l.max(r),
-        }
-    }
-}
-
 /// Uncomputed-cell sentinel.  Real costs are assumed to stay below it —
 /// the same no-overflow assumption the dense recurrence always made.
 const UNSET: u64 = u64::MAX;
+
+/// One column `j` of the bottom-up fill.
+struct Column {
+    /// `below[m] = v[m][j]` for the rows `m` of column `j` already filled.
+    below: Vec<u64>,
+    /// `tnse[k]`, `delay[k]`: the TNSE and delay of the edges from
+    /// positions `[0..=k]` into `[k+1..=j]`, for `k < j`.
+    tnse: Vec<u64>,
+    delay: Vec<u64>,
+}
+
+impl Column {
+    fn new(n: usize) -> Self {
+        Column {
+            below: vec![0; n],
+            tnse: vec![0; n],
+            delay: vec![0; n],
+        }
+    }
+
+    /// Moves to column `j`, in O(j): `P[k+1][j+1] − P[k+1][k+1]` per `k`.
+    fn start(&mut self, ct: &ChainTables, j: usize) {
+        let w = ct.len() + 1;
+        let (tnse_ps, delay_ps) = ct.prefix_tables();
+        for k in 0..j {
+            let r = (k + 1) * w;
+            self.tnse[k] = tnse_ps[r + j + 1] - tnse_ps[r + k + 1];
+            self.delay[k] = delay_ps[r + j + 1] - delay_ps[r + k + 1];
+        }
+        self.below[j] = 0;
+    }
+}
 
 /// The chain-DP driver: a triangular value/split table filled bottom-up
 /// ([`DpMode::Exact`], and [`DpMode::Windowed`] with [`Combine::Max`]) or
 /// lazily ([`DpMode::Windowed`] with [`Combine::Sum`], bottom-up after
 /// all once the lazy scan exceeds its budget).
 ///
-/// `crossing(i, k, j)` must be a pure, non-negative function of its
-/// arguments; for the best-first scan it must also dominate the per-pair
-/// lower bounds described in the module docs (all crate cost models do).
-pub(crate) struct Solver<'a, C: Fn(usize, usize, usize) -> u64> {
+/// A split's crossing cost is its crossing TNSE, divided by the subchain
+/// gcd when `factored`, plus its crossing delays: [`ChainTables::split_cost`]
+/// or [`ChainTables::split_cost_unfactored`].
+pub(crate) struct Solver<'a> {
     ct: &'a ChainTables,
     mode: DpMode,
     combine: Combine,
-    crossing: C,
+    /// Whether the crossing TNSE is divided by the subchain gcd.
+    factored: bool,
     /// Cross-run memo: the store and this DP's domain tag.  Only active
     /// in windowed mode on tables built with a content hasher; a hit
     /// replays exactly the (value, smallest-argmin split) the scans below
@@ -230,10 +280,10 @@ pub(crate) struct Solver<'a, C: Fn(usize, usize, usize) -> u64> {
     pruned: u64,
 }
 
-impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
+impl<'a> Solver<'a> {
     #[cfg(test)]
-    pub(crate) fn new(ct: &'a ChainTables, mode: DpMode, combine: Combine, crossing: C) -> Self {
-        Self::new_memo(ct, mode, combine, crossing, None)
+    pub(crate) fn new(ct: &'a ChainTables, mode: DpMode, combine: Combine, factored: bool) -> Self {
+        Self::new_memo(ct, mode, combine, factored, None)
     }
 
     /// [`Solver::new`] with an optional cross-run memo.  The memo is
@@ -243,7 +293,7 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
         ct: &'a ChainTables,
         mode: DpMode,
         combine: Combine,
-        crossing: C,
+        factored: bool,
         memo: Option<(&'a MemoStore, u8)>,
     ) -> Self {
         let n = ct.len();
@@ -251,11 +301,15 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             DpMode::Windowed if ct.hasher().is_some() => memo,
             _ => None,
         };
+        debug_assert!(
+            factored || matches!(combine, Combine::Max),
+            "the best-first scan prices factored splits only"
+        );
         let mut s = Solver {
             ct,
             mode,
             combine,
-            crossing,
+            factored,
             memo,
             lb: Vec::new(),
             value: vec![UNSET; n * n],
@@ -274,45 +328,89 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
         s
     }
 
-    /// The bottom-up fill, ascending `k` so ties resolve to the smallest
-    /// argmin.  With `prune`, a split whose exact children alone already
-    /// reach the best cost so far skips its crossing cost (the pruned
-    /// fill of the module docs).  With `RESUME`, cells already resolved
-    /// (by an abandoned best-first scan) are kept; it is a const
-    /// parameter because the check, even never taken, slowed the SDPPO
-    /// fill by a third or more.
+    /// The bottom-up fill (the pruned fill of the module docs when
+    /// `prune`).  With `RESUME`, cells already resolved (by an abandoned
+    /// best-first scan) are kept; it is a const parameter because the
+    /// check, even never taken, slowed the SDPPO fill by a third or more.
+    /// The combine is monomorphised for the same reason.
     fn fill<const RESUME: bool>(&mut self, prune: bool) {
+        match self.combine {
+            Combine::Sum => self.fill_with::<RESUME, _>(prune, u64::saturating_add),
+            Combine::Max => self.fill_with::<RESUME, _>(prune, u64::max),
+        }
+    }
+
+    /// [`Solver::fill`] for one combine, column by column: `j` ascending,
+    /// then `i` descending, so every cell a probe reads is final and every
+    /// read is a contiguous row (module docs).
+    fn fill_with<const RESUME: bool, M: Fn(u64, u64) -> u64>(&mut self, prune: bool, merge: M) {
         let n = self.ct.len();
-        for span in 1..n {
-            for i in 0..(n - span) {
-                let j = i + span;
-                if RESUME && self.value[i * n + j] != UNSET {
-                    continue;
-                }
-                let key = self.memo_key(i, j);
-                if self.replay(key, i, j) {
-                    continue;
-                }
-                let mut best = UNSET;
-                let mut best_k = i;
-                for k in i..j {
-                    let children = self
-                        .combine
-                        .apply(self.value[i * n + k], self.value[(k + 1) * n + j]);
-                    if prune && children >= best {
-                        self.pruned += 1;
-                        continue;
-                    }
-                    self.probes += 1;
-                    let cost = children.saturating_add((self.crossing)(i, k, j));
-                    if cost < best {
-                        best = cost;
-                        best_k = k;
+        let mut col = Column::new(n);
+        for j in 1..n {
+            col.start(self.ct, j);
+            for i in (0..j).rev() {
+                let idx = i * n + j;
+                if !(RESUME && self.value[idx] != UNSET) {
+                    let key = self.memo_key(i, j);
+                    if !self.replay(key, i, j) {
+                        let (best, k) = self.best_split(&col, i, j, prune, &merge);
+                        self.settle(key, i, j, best, k);
                     }
                 }
-                self.settle(key, i, j, best, best_k);
+                col.below[i] = self.value[idx];
             }
         }
+    }
+
+    /// The smallest argmin split of cell `[i..=j]` and its cost, ascending
+    /// `k`, from the finished rows and column `j`'s state.  With `prune`,
+    /// a split whose exact children alone already reach the best cost so
+    /// far skips its crossing cost.
+    fn best_split<M: Fn(u64, u64) -> u64>(
+        &mut self,
+        col: &Column,
+        i: usize,
+        j: usize,
+        prune: bool,
+        merge: &M,
+    ) -> (u64, usize) {
+        let (ct, n, len) = (self.ct, self.ct.len(), j - i);
+        let g = if self.factored { ct.gcd_range(i, j) } else { 1 };
+        let (tnse_ps, delay_ps) = ct.prefix_tables();
+        let row = i * (n + 1);
+        let left = &self.value[i * n + i..][..len];
+        let right = &col.below[i + 1..][..len];
+        let (above_t, above_d) = (&col.tnse[i..][..len], &col.delay[i..][..len]);
+        // Row `i` of the prefix tables: the edges from `[0..i)` into
+        // `[k+1..=j]`, which `above` counts but the crossing set does not,
+        // are `P[i][j+1] − P[i][k+1]`.
+        let (end_t, end_d) = (tnse_ps[row + j + 1], delay_ps[row + j + 1]);
+        let (row_t, row_d) = (
+            &tnse_ps[row + i + 1..][..len],
+            &delay_ps[row + i + 1..][..len],
+        );
+        let (mut best, mut best_x) = (UNSET, 0);
+        let (mut probes, mut pruned) = (0u64, 0u64);
+        for x in 0..len {
+            let children = merge(left[x], right[x]);
+            if prune && children >= best {
+                pruned += 1;
+                continue;
+            }
+            probes += 1;
+            let t = above_t[x] - (end_t - row_t[x]);
+            let d = above_d[x] - (end_d - row_d[x]);
+            // cost < best  ⇔  ⌊t / g⌋ < best − children − d
+            //              ⇔  t < (best − children − d) · g
+            let base = children.saturating_add(d);
+            if base < best && u128::from(t) < u128::from(best - base) * u128::from(g) {
+                best = base + t / g;
+                best_x = x;
+            }
+        }
+        self.probes += probes;
+        self.pruned += pruned;
+        (best, i + best_x)
     }
 
     /// Fills `LB[i][j]`, the sum of the per-pair bounds inside the span,
@@ -438,7 +536,7 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
             self.probes += 1;
             let opt = self.lb[i * n + k]
                 .saturating_add(self.lb[(k + 1) * n + j])
-                .saturating_add((self.crossing)(i, k, j));
+                .saturating_add(self.ct.split_cost(i, k, j));
             heap.push(Reverse((opt, k, false)));
         }
         loop {
@@ -453,7 +551,9 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
                 return None;
             }
             self.probes += 1;
-            let cost = l.saturating_add(r).saturating_add((self.crossing)(i, k, j));
+            let cost = l
+                .saturating_add(r)
+                .saturating_add(self.ct.split_cost(i, k, j));
             heap.push(Reverse((cost, k, true)));
         }
     }
@@ -483,6 +583,7 @@ impl<'a, C: Fn(usize, usize, usize) -> u64> Solver<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sdppo::FactoringPolicy;
     use sdf_core::graph::SdfGraph;
     use sdf_core::repetitions::RepetitionsVector;
 
@@ -509,48 +610,32 @@ mod tests {
         let edges = vec![(1u64, 1u64, 0u64); 16];
         let (_, _, ct) = chain_tables(&edges);
         let n = ct.len();
-        let mut s = Solver::new(&ct, DpMode::Exact, Combine::Sum, |i, k, j| {
-            ct.split_cost(i, k, j)
-        });
+        let mut s = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
         s.value(0, n - 1);
         let n = n as u64;
         assert_eq!(s.probes(), n * (n * n - 1) / 6);
     }
 
     #[test]
-    fn windowed_matches_exact_both_combines() {
-        let (_, _, ct) = cd_dat();
-        let n = ct.len();
-        for combine in [Combine::Sum, Combine::Max] {
-            let mut e = Solver::new(&ct, DpMode::Exact, combine, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
-            let mut w = Solver::new(&ct, DpMode::Windowed, combine, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
-            // Force every cell in the windowed solver and compare tables.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    assert_eq!(e.value(i, j), w.value(i, j), "value ({i}, {j})");
-                    assert_eq!(e.tree_split(i, j), w.tree_split(i, j), "split ({i}, {j})");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pruned_fill_keeps_the_smallest_argmin_on_equal_split_costs() {
-        // Every split costs the same, so ties are everywhere: with a zero
-        // crossing every split of every cell ties at 0, with a unit
-        // crossing the balanced splits tie.  The pruned fill must record
-        // the smallest argmin exactly as the dense scan does.
-        let (_, _, ct) = chain_tables(&[(1, 1, 0); 12]);
-        let n = ct.len();
-        for cost in [0u64, 1] {
-            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Max, |_, _, _| cost);
-            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Max, |_, _, _| cost);
+        // Two tables on which every split of every cell costs the same, so
+        // ties are everywhere: 13 actors with no edges, where no split
+        // crosses anything (every split ties at 0), and a 13-actor
+        // unit-rate chain, where every split crosses one unit edge (the
+        // balanced splits tie).  The pruned fill must record the smallest
+        // argmin exactly as the dense scan does.
+        let mut g = SdfGraph::new("edgeless");
+        let ids: Vec<_> = (0..13).map(|i| g.add_actor(format!("a{i}"))).collect();
+        let q = RepetitionsVector::compute(&g).unwrap();
+        let edgeless = ChainTables::build(&g, &q, &ids).unwrap();
+        let (_, _, chain) = chain_tables(&[(1, 1, 0); 12]);
+        for (cost, ct) in [(0u64, edgeless), (1, chain)] {
+            let n = ct.len();
+            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Max, true);
+            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Max, true);
             for i in 0..n {
                 for j in (i + 1)..n {
+                    assert!((i..j).all(|k| ct.split_cost(i, k, j) == cost));
                     let v = e.value(i, j);
                     assert_eq!(v, w.value(i, j), "value ({i}, {j})");
                     let k = w.tree_split(i, j);
@@ -587,9 +672,8 @@ mod tests {
         let mixed: Vec<_> = (0..24).map(|i| factors[(i * 7) % 6]).collect();
         for (_, _, ct) in [cd_dat(), chain_tables(&mixed)] {
             let n = ct.len();
-            let cost = |i, k, j| ct.split_cost(i, k, j);
-            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, cost);
-            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, cost);
+            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
+            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
             let (value, fell_back) = w.root_value();
             assert!(fell_back, "n = {n}: the scan stayed under budget");
             assert_eq!(e.root_value(), (value, false));
@@ -632,12 +716,8 @@ mod tests {
             .collect();
         let (_, _, ct) = chain_tables(&edges);
         let n = ct.len();
-        let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, |i, k, j| {
-            ct.split_cost(i, k, j)
-        });
-        let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, |i, k, j| {
-            ct.split_cost(i, k, j)
-        });
+        let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
+        let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
         assert_eq!((e.value(0, n - 1), false), w.root_value());
         assert!(
             w.probes() * 4 < e.probes(),
@@ -653,7 +733,7 @@ mod tests {
         let a = g.add_actor("A");
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build(&g, &q, &[a]).unwrap();
-        let mut s = Solver::new(&ct, DpMode::Windowed, Combine::Sum, |_, _, _| 0);
+        let mut s = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
         assert_eq!(s.value(0, 0), 0);
         assert_eq!(s.probes(), 0);
     }
@@ -678,15 +758,11 @@ mod tests {
             let (_, _, ct) = chain_tables(&edges);
             let n = ct.len();
             let t0 = std::time::Instant::now();
-            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
+            let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
             let ev = e.value(0, n - 1);
             let te = t0.elapsed();
             let t1 = std::time::Instant::now();
-            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
+            let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
             let wv = w.value(0, n - 1);
             let tw = t1.elapsed();
             assert_eq!(ev, wv);
@@ -696,6 +772,112 @@ mod tests {
                 w.probes(),
                 e.probes() as f64 / w.probes() as f64
             );
+        }
+    }
+
+    /// The textbook recurrence, independent of [`Solver`]: a dense triple
+    /// loop over every split of every cell, pricing each split with the
+    /// [`ChainTables`] queries and, under `Max`, the policy's own
+    /// factoring branch.  Returns `(value, smallest-argmin split)` tables.
+    fn reference(
+        ct: &ChainTables,
+        combine: Combine,
+        policy: FactoringPolicy,
+    ) -> (Vec<u64>, Vec<usize>) {
+        let n = ct.len();
+        let mut value = vec![0u64; n * n];
+        let mut split = vec![0usize; n * n];
+        for span in 1..n {
+            for i in 0..(n - span) {
+                let j = i + span;
+                let mut best = u64::MAX;
+                for k in i..j {
+                    let (l, r) = (value[i * n + k], value[(k + 1) * n + j]);
+                    let cost = match combine {
+                        Combine::Sum => l + r + ct.split_cost(i, k, j),
+                        Combine::Max if policy.factors(ct.crossing_count(i, k, j)) => {
+                            l.max(r) + ct.split_cost(i, k, j)
+                        }
+                        Combine::Max => l.max(r) + ct.split_cost_unfactored(i, k, j),
+                    };
+                    if cost < best {
+                        best = cost;
+                        split[i * n + j] = k;
+                    }
+                }
+                value[i * n + j] = best;
+            }
+        }
+        (value, split)
+    }
+
+    /// Every (combine, policy) pair the DPs run: DPPO has no policy, so
+    /// `Sum` appears once.
+    const RECURRENCES: [(Combine, FactoringPolicy); 4] = [
+        (Combine::Sum, FactoringPolicy::Always),
+        (Combine::Max, FactoringPolicy::Heuristic),
+        (Combine::Max, FactoringPolicy::Always),
+        (Combine::Max, FactoringPolicy::Never),
+    ];
+
+    /// Asserts that [`Solver`] reproduces [`reference`] on every cell, in
+    /// both modes and for every recurrence.
+    fn assert_matches_reference(ct: &ChainTables, context: &str) {
+        let n = ct.len();
+        for (combine, policy) in RECURRENCES {
+            let (value, split) = reference(ct, combine, policy);
+            for mode in DpMode::ALL {
+                let factored = policy != FactoringPolicy::Never;
+                let mut s = Solver::new(ct, mode, combine, factored);
+                if let Combine::Sum = combine {
+                    // DPPO's entry point: the budgeted scan, then the fill.
+                    s.root_value();
+                }
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let cell = format!("{context} {combine:?} {policy:?} {mode} ({i}, {j})");
+                        assert_eq!(s.value(i, j), value[i * n + j], "value {cell}");
+                        assert_eq!(s.tree_split(i, j), split[i * n + j], "split {cell}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn solver_matches_the_dense_reference_on_app_and_scale_graphs() {
+        use crate::{apgan, rpmc};
+        use sdf_apps::registry::table1_systems;
+        use sdf_apps::scale::scale_systems;
+        let mut graphs = table1_systems();
+        graphs.push(sdf_apps::registry::cd_dat());
+        graphs.extend(sdf_apps::extended::extended_systems());
+        graphs.extend(scale_systems(64));
+        for g in graphs {
+            let q = RepetitionsVector::compute(&g).unwrap();
+            for (name, order) in [("rpmc", rpmc(&g, &q)), ("apgan", apgan(&g, &q))] {
+                let ct = ChainTables::build(&g, &q, &order.unwrap()).unwrap();
+                assert_matches_reference(&ct, &format!("{} {name}", g.name()));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn solver_matches_the_dense_reference_on_random_chains(
+            spec in proptest::collection::vec((0usize..8, 0u64..4), 1..28),
+        ) {
+            // Rate pairs that keep q small; a delay of 0–3 consumptions.
+            const RATES: [(u64, u64); 8] =
+                [(1, 1), (1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (5, 2)];
+            let edges: Vec<_> = spec
+                .iter()
+                .map(|&(r, d)| (RATES[r].0, RATES[r].1, d * RATES[r].1))
+                .collect();
+            let (_, _, ct) = chain_tables(&edges);
+            assert_matches_reference(&ct, &format!("{edges:?}"));
         }
     }
 

@@ -12,6 +12,14 @@
 //! the subchain gcd only when internal (split-crossing) edges exist —
 //! factoring without internal edges cannot shrink any buffer but does
 //! destroy the disjointness that lets lifetimes overlay (Fig. 7).
+//!
+//! For the DP itself `Heuristic` and `Always` are the same cost: a split
+//! with no crossing edges has zero crossing TNSE and delay, so it costs 0
+//! whether or not it is factored, and the DP divides by the subchain gcd
+//! under both.  They differ only in the tree: each chosen split's
+//! `factored` flag says whether the merged loop really is factored, which
+//! changes the schedule's loop structure and hence the lifetimes, so the
+//! flag is re-derived from the split's crossing count.
 
 use sdf_core::error::SdfError;
 use sdf_core::graph::{ActorId, SdfGraph};
@@ -37,7 +45,7 @@ pub enum FactoringPolicy {
 }
 
 impl FactoringPolicy {
-    fn factors(self, crossing_edges: u64) -> bool {
+    pub(crate) fn factors(self, crossing_edges: u64) -> bool {
         match self {
             FactoringPolicy::Heuristic => crossing_edges > 0,
             FactoringPolicy::Always => true,
@@ -152,20 +160,13 @@ pub fn sdppo_from_tables_memo(
     assert!(!ct.is_empty(), "SDPPO needs at least one actor");
     let _span = sdf_trace::span!("sched.sdppo", actors = ct.len());
     let n = ct.len();
-    // The factoring decision is a pure function of (i, k, j), so the DP
-    // table only needs the argmin k; `factored` is re-derived on demand.
-    let crossing = |i: usize, k: usize, j: usize| -> u64 {
-        if policy.factors(ct.crossing_count(i, k, j)) {
-            ct.split_cost(i, k, j)
-        } else {
-            ct.split_cost_unfactored(i, k, j)
-        }
-    };
+    // `Heuristic` prices every split as `Always` does (module docs); only
+    // the tree's `factored` flags below tell them apart.
     let mut solver = dpwin::Solver::new_memo(
         ct,
         mode,
         dpwin::Combine::Max,
-        crossing,
+        policy != FactoringPolicy::Never,
         memo.map(|s| (s, policy.memo_tag())),
     );
     let shared_cost = solver.value(0, n - 1);

@@ -451,3 +451,64 @@ fn dppo_fallbacks_count_abandoned_scans() {
         }
     }
 }
+
+/// `(graph, order, sdppo split_probes, sdppo splits_pruned, dppo
+/// split_probes, dppo fallbacks)` of the default windowed DPs.  A cell's
+/// work depends only on its children, so neither the fill order nor the
+/// cost of a probe may move these; only a change to what is probed or
+/// pruned may, and it must say so.
+const WORK_COUNTS: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("scale_chain_64", "rpmc", 35252, 8428, 657, 0),
+    ("scale_chain_64", "apgan", 35252, 8428, 657, 0),
+    ("scale_tree_64", "rpmc", 20278, 8982, 841, 0),
+    ("scale_tree_64", "apgan", 21672, 7588, 777, 0),
+    ("scale_dag_64", "rpmc", 35556, 8124, 657, 0),
+    ("scale_dag_64", "apgan", 35556, 8124, 657, 0),
+    ("scale_chain_128", "rpmc", 290956, 58548, 1641, 0),
+    ("scale_chain_128", "apgan", 290956, 58548, 1641, 0),
+    ("scale_tree_128", "rpmc", 173237, 114743, 3622, 0),
+    ("scale_tree_128", "apgan", 216063, 71917, 2976, 0),
+    ("scale_dag_128", "rpmc", 298978, 50526, 1641, 0),
+    ("scale_dag_128", "apgan", 298978, 50526, 1641, 0),
+    ("scale_chain_160", "rpmc", 567649, 114991, 2229, 0),
+    ("scale_chain_160", "apgan", 567649, 114991, 2229, 0),
+    ("scale_tree_160", "rpmc", 173237, 114743, 3622, 0),
+    ("scale_tree_160", "apgan", 216063, 71917, 2976, 0),
+    ("scale_dag_160", "rpmc", 491253, 191387, 2229, 0),
+    ("scale_dag_160", "apgan", 491253, 191387, 2229, 0),
+    ("qmf235_5d", "rpmc", 947996, 159418, 1220010, 1),
+    ("qmf235_5d", "apgan", 743755, 363659, 1172979, 1),
+];
+
+#[test]
+fn dp_work_counts_are_pinned() {
+    let mut graphs: Vec<SdfGraph> = [64, 128, 160]
+        .into_iter()
+        .flat_map(sdfmem::apps::scale::scale_systems)
+        .collect();
+    graphs.push(sdfmem::apps::registry::by_name("qmf235_5d").expect("registry graph"));
+    let mut rows = Vec::new();
+    for graph in graphs {
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        for (name, order) in [
+            ("rpmc", rpmc(&graph, &q).expect("acyclic")),
+            ("apgan", apgan(&graph, &q).expect("acyclic")),
+        ] {
+            let sdppo = dp_counters(&graph, &order, DpMode::Windowed, run_sdppo);
+            let dppo = dp_counters(&graph, &order, DpMode::Windowed, run_dppo);
+            rows.push((
+                graph.name().to_string(),
+                name,
+                sdppo("sched.sdppo.split_probes"),
+                sdppo("sched.sdppo.splits_pruned"),
+                dppo("sched.dppo.split_probes"),
+                dppo("sched.dppo.fallbacks"),
+            ));
+        }
+    }
+    let pinned: Vec<_> = WORK_COUNTS
+        .iter()
+        .map(|&(g, o, a, b, c, d)| (g.to_string(), o, a, b, c, d))
+        .collect();
+    assert_eq!(rows, pinned);
+}

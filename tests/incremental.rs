@@ -430,3 +430,66 @@ proptest! {
         );
     }
 }
+
+/// Per-step `(memo_hits, memo_misses)` of [`pinned_edit_stream`] on
+/// `scale_chain_64`, seed run first.  With a store that never evicts,
+/// each distinct subchain misses exactly once whatever order the DPs
+/// visit cells in, so the fill order may not move these.
+const SESSION_MEMO_COUNTS: &[(u64, u64)] = &[
+    (2751, 1344),
+    (3466, 629),
+    (3348, 747),
+    (3136, 959),
+    (3848, 247),
+    (3063, 1032),
+    (3638, 457),
+    (3244, 851),
+    (3228, 867),
+    (3635, 460),
+    (3072, 1023),
+    (3866, 229),
+    (3149, 946),
+    (3364, 731),
+    (3468, 627),
+    (3103, 992),
+    (4025, 70),
+    (3093, 1002),
+    (3510, 585),
+    (3322, 773),
+    (3159, 936),
+];
+
+/// Twenty single-edge edits on a chain, alternating delay and rate
+/// changes over edges spread along it.
+fn pinned_edit_stream(graph: &SdfGraph) -> Vec<EditScript> {
+    let edges: Vec<_> = graph.edges().map(|(_, e)| *e).collect();
+    (0..20)
+        .map(|k| {
+            let e = &edges[(k * 37 + 11) % edges.len()];
+            let (src, snk) = (graph.actor_name(e.src), graph.actor_name(e.snk));
+            let line = if k % 2 == 0 {
+                let delay = e.delay + e.cons * (k as u64 % 3 + 1);
+                format!("set-delay {src} {snk} {delay}")
+            } else {
+                let (g, f) = (gcd(e.prod, e.cons), k as u64 / 2 % 2 + 2);
+                format!("set-rate {src} {snk} {} {}", e.prod / g * f, e.cons / g * f)
+            };
+            EditScript::parse(&line).expect("edit line")
+        })
+        .collect()
+}
+
+#[test]
+fn edit_session_memo_counts_are_pinned() {
+    let base = sdfmem::apps::scale::scale_chain(64);
+    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
+    let mut counts = Vec::new();
+    let seed = session.synthesize(&base).unwrap();
+    counts.push((seed.stats.memo_hits, seed.stats.memo_misses));
+    for script in pinned_edit_stream(&base) {
+        let r = session.apply_edits(&script).unwrap();
+        counts.push((r.stats.memo_hits, r.stats.memo_misses));
+    }
+    assert_eq!(session.store().stats().evictions, 0);
+    assert_eq!(counts, SESSION_MEMO_COUNTS);
+}
