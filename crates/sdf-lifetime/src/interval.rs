@@ -176,34 +176,30 @@ impl PeriodicLifetime {
         if t <= self.start {
             return Some(self.start);
         }
-        let mut rem = t - self.start;
-        let m = self.periods.len();
-        let mut ks = vec![0u64; m];
-        // Greedy decomposition, outermost (largest stride) first.
-        for (slot, p) in self.periods.iter().enumerate().rev() {
-            let k = (rem / p.stride).min(p.count - 1);
-            ks[slot] = k;
-            rem -= k * p.stride;
+        match self.locate(t) {
+            (floor, _) if floor == t => Some(t),
+            (_, next) => next,
         }
-        if rem == 0 {
-            return Some(t);
-        }
-        // Increment with carries, innermost digit first.
-        for (slot, p) in self.periods.iter().enumerate() {
-            if ks[slot] + 1 < p.count {
-                ks[slot] += 1;
-                for prev in &mut ks[..slot] {
-                    *prev = 0;
-                }
-                let s = self.start
-                    + ks.iter()
-                        .zip(&self.periods)
-                        .map(|(k, p)| k * p.stride)
-                        .sum::<u64>();
-                return Some(s);
+    }
+
+    /// For `t ≥ start`: the start of the last occurrence at or before `t`,
+    /// and the start of the occurrence after it, if any.
+    ///
+    /// One pass, outermost digit first, holds no index vector: the greedy
+    /// digit `k` of each level is taken from the remainder, and the
+    /// increment of the counter is the innermost level with `k + 1 <
+    /// count` — its outer digits as decomposed, itself plus one, every
+    /// inner digit 0 — so the candidate is overwritten at each such level.
+    fn locate(&self, t: u64) -> (u64, Option<u64>) {
+        let (mut floor, mut next) = (self.start, None);
+        for p in self.periods.iter().rev() {
+            let k = ((t - floor) / p.stride).min(p.count - 1);
+            if k + 1 < p.count {
+                next = Some(floor + (k + 1) * p.stride);
             }
+            floor += k * p.stride;
         }
-        None
+        (floor, next)
     }
 
     /// Iterates over all occurrence start times in increasing order.
@@ -237,13 +233,13 @@ impl PeriodicLifetime {
         if from >= to || self.dur == 0 {
             return false;
         }
-        if self.live_at(from) {
-            return true;
+        if from < self.start {
+            return self.start < to;
         }
-        match self.next_occurrence_at_or_after(from) {
-            Some(s) => s < to,
-            None => false,
-        }
+        // Live at `from` (the last occurrence started at most `dur` ago),
+        // or the next occurrence starts inside the window.
+        let (floor, next) = self.locate(from);
+        from - floor < self.dur || next.is_some_and(|s| s < to)
     }
 
     /// True if the two lifetimes overlap at some schedule step.
@@ -279,14 +275,23 @@ impl PeriodicLifetime {
         if few.occurrence_count() > cap {
             return true; // conservative
         }
-        let mut occ = Some(few.start);
-        while let Some(s) = occ {
-            if many.intersects_window(s, s + few.dur) {
-                return true;
-            }
-            occ = few.next_occurrence_at_or_after(s + 1);
+        any_occurrence(&few.periods, few.start, &mut |s| {
+            many.intersects_window(s, s + few.dur)
+        })
+    }
+}
+
+/// True if `hit` holds for some occurrence start of the nest `periods`
+/// (innermost first) offset by `base`, walked in increasing order.  The
+/// mixed-radix counter advances in place: each level's digit is the loop
+/// variable of one stack frame, so a nest of any depth walks without
+/// allocating.
+fn any_occurrence(periods: &[Period], base: u64, hit: &mut impl FnMut(u64) -> bool) -> bool {
+    match periods.split_last() {
+        None => hit(base),
+        Some((outer, inner)) => {
+            (0..outer.count).any(|k| any_occurrence(inner, base + k * outer.stride, hit))
         }
-        false
     }
 }
 

@@ -18,11 +18,10 @@
 //!   - SDPPO (`max`) uses the **pruned fill** below: the same bottom-up
 //!     table, but a split's crossing cost is only evaluated when its
 //!     exact children could still beat the best split so far;
-//!   - DPPO (`+`) uses the **best-first scan** below: cells are computed
-//!     lazily, narrowed by an admissible lower bound, so only splits
-//!     whose optimistic score could still win are evaluated.  The scan
-//!     has a budget of a quarter of the dense scan's probes; a run that
-//!     spends it hands the rest of the table to the pruned fill.
+//!   - DPPO (`+`) uses the **descent** below: it follows an admissible
+//!     lower bound down from the root, resolving only the cells of the
+//!     optimal tree while the bound is tight, and hands the table to the
+//!     pruned fill at the first cell where it is loose.
 //!
 //! Values **and** split tables are byte-for-byte identical to
 //! [`DpMode::Exact`] in both cases (enforced by tests over the registry
@@ -31,41 +30,46 @@
 //! # Why each recurrence gets its own scan
 //!
 //! Under `+` the per-pair lower bounds below add up to a tight bound on
-//! long homogeneous stretches: the best-first scan probes about 0.3
-//! splits per DPPO cell on the pipeline bench's `scale` corpus and never
+//! long homogeneous stretches: the descent probes about 0.3 splits per
+//! DPPO cell on the pipeline bench's `scale` corpus and never
 //! materialises most cells.  Under `max` they do not add up — the max
-//! of pair bounds is loose — so the same scan resolved every SDPPO cell,
-//! probed every split twice and paid heap and recursion on top: 88.6
-//! probes per cell, and 1,391,422 probes on `scale_chain_128` where the
-//! dense scan makes 699,008.  The pruned fill compares against *exact*
-//! children instead, which the bottom-up order has ready: 36.1 probes
-//! per cell, and `scale` compiled 6.8× faster end to end (36.4 → 5.4 ms
-//! geomean).  Streaming the fill in column order (below) then left every
-//! probe count as it was and made each probe about 3× cheaper: `scale`
-//! 5.3 → 3.1 ms geomean, SDPPO 7.5 → 2.3 ms of a traced op.
+//! of pair bounds is loose — so a bound-guided best-first scan resolved
+//! every SDPPO cell, probed every split twice and paid heap and
+//! recursion on top: 88.6 probes per cell, and 1,391,422 probes on
+//! `scale_chain_128` where the dense scan makes 699,008.  The pruned fill
+//! compares against *exact* children instead, which the bottom-up order
+//! has ready: 36.1 probes per cell, and `scale` compiled 6.8× faster end
+//! to end (36.4 → 5.4 ms geomean).  Streaming the fill in column order
+//! (below) then left every probe count as it was and made each probe
+//! about 3× cheaper: `scale` 5.3 → 3.1 ms geomean, SDPPO 7.5 → 2.3 ms of
+//! a traced op.
 //!
-//! The same fill for DPPO would compute every cell the lazy scan skips;
+//! The same fill for DPPO would compute every cell the descent skips;
 //! measured with the span-ordered fill, it cut `corpus` p95 (184 → 77 ms)
-//! but slowed `scale` (5.4 → 9.4 ms geomean), so DPPO starts lazy.  On most graphs the lazy scan
-//! wins by far: 0.5 % of the dense probes on `scale_chain_128`, 1.3 % on
-//! `qmf12_5d`, at most 23 % on the other registry graphs of 12 actors or
-//! more.  It loses where nearly every edge changes rate by coprime
-//! factors and the pair bounds are loose: on `qmf235_5d` it made
-//! 2,115,447 probes where the dense scan makes 1,107,414, and with its
-//! heap and recursion it ran 6× slower than that scan (137.6 against
-//! 21.7 ms on a 2-CPU VM); `qmf235_3d` and `qmf23_3d` lose the same way.
+//! but slowed `scale` (5.4 → 9.4 ms geomean), so DPPO starts with the
+//! descent.  Where the bound is tight the descent resolves only the
+//! `n − 1` cells of the optimal tree: 0.5 % of the dense probes on
+//! `scale_chain_128`, 1.3 % on `qmf12_5d`.  Where nearly every edge
+//! changes rate by coprime factors the bound is loose (`qmf235_5d`,
+//! `qmf235_3d`, `qmf23_3d`, `cd2dat`), and the descent stops at the
+//! first loose cell, usually the root after its `n − 1` scores; the
+//! pruned fill then costs about the dense scan.
 //!
-//! The scan's own probe count tells the two cases apart, so
-//! `Solver::root_value` gives the scan a budget of a quarter of the
-//! dense `(n³ − n) / 6` probes.  A run that spends it abandons the scan,
-//! and the pruned fill completes the table, keeping every cell the scan
-//! already resolved.  The worst case drops from about 1.9× to 1.25× the
-//! dense probes (`qmf235_5d`: 1,220,010 probes, 40.3 ms); a run under
-//! budget is unchanged.  An eighth of the dense probes would also trip on
-//! 20-actor graphs (`qmf23_2d` needs 14 %), where the lazy scan is about
-//! 3× faster than the fill.  The quarter still trips on the smallest
-//! graphs (`cd2dat`, `overAddFFT`), where either scan takes a few
-//! microseconds.
+//! The descent replaced a best-first scan over a candidate heap that had
+//! a budget of a quarter of the dense probes before it handed over to
+//! the fill.  Every run that stayed under that budget already resolved
+//! one split per tree cell, so the descent makes the same probes there
+//! without the heap (RPMC + APGAN on `qmf12_5d`: 27,895 probes, 1.6 →
+//! 1.4–1.5 ms, most of it building `LB`).  A run that spent the budget
+//! paid over 100 ns for each heap probe before the fill redid the table:
+//! both orders of `qmf235_5d` went from 37–43 to 12–14 ms, and 1,200
+//! random paper-style runs from 71 to 43–51 ms (2-CPU VM).  The descent
+//! loses on long chains whose every edge changes rate by 1–9: the bound
+//! is loose there but the crossing term dominates, so the heap scan
+//! needed 4 % of the dense probes where the descent stops at the root
+//! and the fill pays nearly all of them (11 chains of 60–200 actors:
+//! 14–17 → 36 ms).  Its worst case is the fill's, as for
+//! [`DpMode::Exact`].
 //!
 //! # The pruned fill
 //!
@@ -111,11 +115,11 @@
 //! changes non-monotonically with the span.  On random rate-changing
 //! chains a static window (even with boundary-widening fallback) returned
 //! wrong values on ~5 % of instances, so it was rejected for the
-//! bound-guided scan below, which is exact by construction.
+//! bound-guided descent below, which is exact by construction.
 //!
 //! # The admissible bound
 //!
-//! For every position pair `(u, v)` the best-first scan precomputes
+//! For every position pair `(u, v)` the descent precomputes
 //!
 //! ```text
 //! lb(u, v) = pair_tnse(u, v) / gcd(q[u..=v]) + pair_delay(u, v)
@@ -129,28 +133,36 @@
 //! span gives `LB[i][j] ≤ v[i, j]` for DPPO, whose factored crossing cost
 //! charges each crossing edge at least its `lb` share.
 //!
-//! # The best-first scan
+//! Every pair crossing split `k` of `[i..=j]` lies inside that span and
+//! in neither child, so `crossing(i, k, j) ≥ LB[i, j] − LB[i, k] −
+//! LB[k+1, j]` for every `k`.
 //!
-//! Each cell pushes every candidate `k` into a min-heap keyed by
-//! `(optimistic score, k, resolved)` where the optimistic score is
-//! `LB[i,k] + LB[k+1,j] + crossing(i, k, j)`.  Popping an unresolved
-//! candidate computes its children exactly (recursing into this same
-//! scan) and re-pushes its true cost; the first *resolved* pop is the
-//! cell's answer.  The tuple ordering makes the returned `k` the
-//! smallest argmin — any candidate with a smaller true cost, or an equal
-//! cost and smaller `k`, would have popped first — which is exactly the
-//! tie-break of the ascending exact scan.  The worst case per cell
-//! degrades to the full scan plus heap overhead, about 2× the dense
-//! probes over a table; the budget above caps that.
+//! # The descent
 //!
-//! Once the budget is spent the scan unwinds with `None` from every
-//! cell still open, leaving them unset for the fill; an explicit
-//! `Option` rather than the `UNSET` sentinel, which a saturated cost
-//! can also reach.  The abort and the fill sit in a DPPO-only entry
-//! point, so the SDPPO solver's code is unchanged.
+//! At cell `[i..=j]` the descent scores every split by its bound,
+//! `opt(k) = LB[i, k] + LB[k+1, j] + crossing(i, k, j) ≥ LB[i, j]`, and
+//! takes the smallest argmin `k*` (ascending `k`, strict improvement):
+//!
+//! * if `opt(k*) > LB[i, j]` the bound is loose here: stop;
+//! * otherwise descend into both children, then price the split with
+//!   their values; if that exceeds `opt(k*)` — only a child replayed from
+//!   the memo can be above its bound, since a descended one settles at
+//!   it — stop;
+//! * otherwise settle `(opt(k*), k*)`.
+//!
+//! A settled cost equals `LB[i, j] ≤ v[i, j]`, so it is optimal.  Every
+//! `k < k*` has `cost(k) ≥ opt(k) > LB[i, j]`, so `k*` is the smallest
+//! exact argmin, the ascending exact scan's tie-break.  A descent that
+//! never stops resolves exactly the `n − 1` cells of its tree and
+//! returns `LB[0][n−1]`; it makes `j − i` scores and one resolution per
+//! cell, at most `n(n−1)/2 + n − 1` probes (a caterpillar tree).  A stop
+//! unwinds with `None` from every open cell, an explicit `Option` rather
+//! than the `UNSET` sentinel, which a saturated cost can also reach.  It
+//! keeps every cell already resolved, and the pruned fill completes the
+//! table, so a run that stops makes at most the dense probes plus the
+//! descent's.  The stop and the fill sit in a DPPO-only entry point, so
+//! the SDPPO solver's code is unchanged.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -163,7 +175,7 @@ pub enum DpMode {
     /// Probe every split `k ∈ [i, j)` — Θ(n³) total probes.
     Exact,
     /// Exact-by-construction pruned scans — the bottom-up pruned fill for
-    /// SDPPO, the lazy best-first scan for DPPO — with the same values and
+    /// SDPPO, the descent along the bound for DPPO — with the same values and
     /// schedule trees as [`DpMode::Exact`] and far fewer probes.
     #[default]
     Windowed,
@@ -249,15 +261,14 @@ impl Column {
 
 /// The chain-DP driver: a triangular value/split table filled bottom-up
 /// ([`DpMode::Exact`], and [`DpMode::Windowed`] with [`Combine::Max`]) or
-/// lazily ([`DpMode::Windowed`] with [`Combine::Sum`], bottom-up after
-/// all once the lazy scan exceeds its budget).
+/// along the bound ([`DpMode::Windowed`] with [`Combine::Sum`], bottom-up
+/// after all once the descent meets a loose cell).
 ///
 /// A split's crossing cost is its crossing TNSE, divided by the subchain
 /// gcd when `factored`, plus its crossing delays: [`ChainTables::split_cost`]
 /// or [`ChainTables::split_cost_unfactored`].
 pub(crate) struct Solver<'a> {
     ct: &'a ChainTables,
-    mode: DpMode,
     combine: Combine,
     /// Whether the crossing TNSE is divided by the subchain gcd.
     factored: bool,
@@ -266,7 +277,7 @@ pub(crate) struct Solver<'a> {
     /// replays exactly the (value, smallest-argmin split) the scans below
     /// would recompute, so results are bit-identical either way.
     memo: Option<(&'a MemoStore, u8)>,
-    /// Admissible lower bounds `LB[i*n + j]`; only the best-first scan
+    /// Admissible lower bounds `LB[i*n + j]`; only the DPPO descent
     /// builds them.
     lb: Vec<u64>,
     /// `v[i*n + j]` for `i <= j`; diagonal 0, [`UNSET`] where unfilled.
@@ -303,11 +314,10 @@ impl<'a> Solver<'a> {
         };
         debug_assert!(
             factored || matches!(combine, Combine::Max),
-            "the best-first scan prices factored splits only"
+            "the descent prices factored splits only"
         );
         let mut s = Solver {
             ct,
-            mode,
             combine,
             factored,
             memo,
@@ -329,8 +339,8 @@ impl<'a> Solver<'a> {
     }
 
     /// The bottom-up fill (the pruned fill of the module docs when
-    /// `prune`).  With `RESUME`, cells already resolved (by an abandoned
-    /// best-first scan) are kept; it is a const parameter because the
+    /// `prune`).  With `RESUME`, cells already resolved (by a stopped
+    /// descent) are kept; it is a const parameter because the
     /// check, even never taken, slowed the SDPPO fill by a third or more.
     /// The combine is monomorphised for the same reason.
     fn fill<const RESUME: bool>(&mut self, prune: bool) {
@@ -473,46 +483,39 @@ impl<'a> Solver<'a> {
     }
 
     /// The exact DP value of the whole chain, for DPPO, and whether the
-    /// best-first scan was abandoned (the `fallbacks` counter).  The scan
-    /// runs under a budget of a quarter of the dense scan's probes; if the
-    /// budget runs out, the pruned fill computes every cell the scan left
-    /// unresolved.  Both are exact with the same tie-break, so the value
-    /// and every split are those of [`DpMode::Exact`] either way.
+    /// descent stopped at a loose cell (the `fallbacks` counter).  A stop
+    /// keeps every cell the descent resolved and the pruned fill computes
+    /// the rest.  Both are exact with the same tie-break, so the value and
+    /// every split are those of [`DpMode::Exact`] either way.
     pub(crate) fn root_value(&mut self) -> (u64, bool) {
         let n = self.ct.len();
-        let nn = n as u64;
-        match self.scan(0, n - 1, (nn * nn * nn - nn) / 6 / 4) {
-            Some(value) => (value, false),
-            None => {
-                self.fill::<true>(true);
-                (self.value[n - 1], true)
-            }
+        let fell_back = self.descend(0, n - 1).is_none();
+        if fell_back {
+            self.fill::<true>(true);
         }
+        (self.value[n - 1], fell_back)
     }
 
-    /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`),
-    /// computing it on demand with the best-first scan when the table was
-    /// not filled up front.
+    /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`).  A cell
+    /// the DPPO descent has not resolved is descended into from here, and
+    /// the pruned fill completes the table if that descent stops.
     pub(crate) fn value(&mut self, i: usize, j: usize) -> u64 {
         if i >= j {
             return 0;
         }
         let idx = i * self.ct.len() + j;
-        if self.value[idx] != UNSET {
-            return self.value[idx];
+        // Only the descent leaves cells unset: the other scans fill the
+        // table up front, where `UNSET` can only be a saturated cost.
+        if self.value[idx] == UNSET && !self.lb.is_empty() && self.descend(i, j).is_none() {
+            self.fill::<true>(true);
         }
-        debug_assert!(
-            matches!((self.mode, self.combine), (DpMode::Windowed, Combine::Sum)),
-            "bottom-up fill missed cell ({i}, {j})"
-        );
-        self.scan(i, j, u64::MAX)
-            .expect("an unbudgeted scan always finishes")
+        self.value[idx]
     }
 
-    /// The best-first scan of subchain `[i..=j]`; `None` once the solver
-    /// has made `budget` probes, leaving every cell it did not finish
-    /// unset.
-    fn scan(&mut self, i: usize, j: usize, budget: u64) -> Option<u64> {
+    /// The descent along the bound from subchain `[i..=j]`: its exact
+    /// value, or `None` at the first loose cell, leaving every cell it
+    /// did not resolve unset.
+    fn descend(&mut self, i: usize, j: usize) -> Option<u64> {
         if i >= j {
             return Some(0);
         }
@@ -527,35 +530,28 @@ impl<'a> Solver<'a> {
         if self.replay(key, i, j) {
             return Some(self.value[idx]);
         }
-        if self.probes >= budget {
+        let (ct, lb) = (self.ct, &self.lb);
+        let opt = |k: usize| {
+            lb[i * n + k]
+                .saturating_add(lb[(k + 1) * n + j])
+                .saturating_add(ct.split_cost(i, k, j))
+        };
+        // The smallest `(opt, k)` pair: the smallest argmin.
+        let (bound, k) = (i..j).map(|k| (opt(k), k)).min().expect("i < j");
+        self.probes += (j - i) as u64;
+        if bound > self.lb[idx] {
             return None;
         }
-        let mut heap: BinaryHeap<Reverse<(u64, usize, bool)>> =
-            BinaryHeap::with_capacity(j - i + 1);
-        for k in i..j {
-            self.probes += 1;
-            let opt = self.lb[i * n + k]
-                .saturating_add(self.lb[(k + 1) * n + j])
-                .saturating_add(self.ct.split_cost(i, k, j));
-            heap.push(Reverse((opt, k, false)));
+        let l = self.descend(i, k)?;
+        let r = self.descend(k + 1, j)?;
+        self.probes += 1;
+        let cost = l.saturating_add(r).saturating_add(ct.split_cost(i, k, j));
+        // Above the bound only when a child replayed from the memo is.
+        if cost > bound {
+            return None;
         }
-        loop {
-            let Reverse((score, k, resolved)) = heap.pop().expect("candidate heap never drains");
-            if resolved {
-                self.settle(key, i, j, score, k);
-                return Some(score);
-            }
-            let l = self.scan(i, k, budget)?;
-            let r = self.scan(k + 1, j, budget)?;
-            if self.probes >= budget {
-                return None;
-            }
-            self.probes += 1;
-            let cost = l
-                .saturating_add(r)
-                .saturating_add(self.ct.split_cost(i, k, j));
-            heap.push(Reverse((cost, k, true)));
-        }
+        self.settle(key, i, j, cost, k);
+        Some(cost)
     }
 
     /// The smallest argmin split of subchain `[i..=j]`, for tree
@@ -603,6 +599,19 @@ mod tests {
 
     fn cd_dat() -> (SdfGraph, RepetitionsVector, ChainTables) {
         chain_tables(&[(1, 1, 0), (2, 3, 0), (2, 7, 0), (8, 7, 0), (5, 1, 0)])
+    }
+
+    /// The dense scan's `(n³ − n) / 6` probes.
+    fn dense(n: usize) -> u64 {
+        let n = n as u64;
+        (n * n * n - n) / 6
+    }
+
+    /// The descent's most probes without a stop: `j − i` scored splits
+    /// and one resolution per cell of a caterpillar tree.
+    fn tree(n: usize) -> u64 {
+        let n = n as u64;
+        n * (n - 1) / 2 + n - 1
     }
 
     #[test]
@@ -658,9 +667,9 @@ mod tests {
     #[test]
     fn abandoned_scan_leaves_the_exact_table() {
         // Every edge changes rate by a factor of 2, 3 or 5, so the pair
-        // bounds are loose everywhere and the best-first scan runs out of
-        // budget; CD-DAT trips it too.  The pruned fill that finishes the
-        // table must reproduce every value and split of the dense scan.
+        // bounds are loose everywhere and the descent stops; CD-DAT's root
+        // bound is loose too.  The pruned fill that finishes the table
+        // must reproduce every value and split of the dense scan.
         let factors: [(u64, u64, u64); 6] = [
             (2, 3, 0),
             (5, 2, 0),
@@ -675,10 +684,9 @@ mod tests {
             let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
             let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
             let (value, fell_back) = w.root_value();
-            assert!(fell_back, "n = {n}: the scan stayed under budget");
+            assert!(fell_back, "n = {n}: the descent never stopped");
             assert_eq!(e.root_value(), (value, false));
-            let dense = (n * n * n - n) as u64 / 6;
-            assert!(w.probes() * 4 <= dense * 5 + 4 * n as u64, "n = {n}");
+            assert!(w.probes() <= dense(n) + tree(n), "n = {n}");
             // The fill completed the table: no cell is computed on demand.
             let probes = w.probes();
             for i in 0..n {
@@ -696,11 +704,11 @@ mod tests {
         // CD-DAT-style structure: long homogeneous filter stretches with
         // sparse sample-rate changers.  Inside a stretch the pair bound is
         // tight (the pair gcd equals every enclosing within-stretch span
-        // gcd), so the best-first scan prunes hard; the bound only slackens
-        // near the rate boundaries.  The adversarial opposite — every edge
-        // changing rate — can degrade to ~2× the exact probes, which is
-        // why `windowed_matches_exact_on_random_chains` (dppo.rs) asserts
-        // equality of results, not probe wins, per instance.
+        // gcd), so the descent prunes hard; the bound only slackens near
+        // the rate boundaries.  The adversarial opposite — every edge
+        // changing rate — stops the descent and pays the dense fill on top,
+        // which is why `windowed_matches_exact_on_random_chains` (dppo.rs)
+        // asserts equality of results, not probe wins, per instance.
         let edges: Vec<_> = (0..64)
             .map(|i| {
                 if i % 16 == 8 {
@@ -725,6 +733,48 @@ mod tests {
             w.probes(),
             e.probes()
         );
+    }
+
+    #[test]
+    fn a_descent_that_never_stops_returns_the_root_bound() {
+        // Over the registry, the 64-actor scale graphs and random
+        // paper-style graphs: a run that never stops settles every cell
+        // of its tree at its bound, so it returns `LB[0][n−1]` within the
+        // tree bound of probes; a run that stops pays the dense scan on
+        // top at most.  Both agree with the exact table's root.
+        use crate::{apgan, rpmc};
+        use rand::SeedableRng;
+        use sdf_apps::random::{random_sdf_graph, RandomGraphConfig};
+        let mut graphs = sdf_apps::registry::table1_systems();
+        graphs.push(sdf_apps::registry::cd_dat());
+        graphs.extend(sdf_apps::extended::extended_systems());
+        graphs.extend(sdf_apps::scale::scale_systems(64));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(20);
+        graphs.extend(
+            (0..200)
+                .map(|s| random_sdf_graph(&RandomGraphConfig::paper_style(3 + s % 38), &mut rng)),
+        );
+        let mut stops = 0;
+        for g in &graphs {
+            let q = RepetitionsVector::compute(g).unwrap();
+            for order in [rpmc(g, &q), apgan(g, &q)] {
+                let ct = ChainTables::build(g, &q, &order.unwrap()).unwrap();
+                let n = ct.len();
+                let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Sum, true);
+                let (value, fell_back) = w.root_value();
+                let mut e = Solver::new(&ct, DpMode::Exact, Combine::Sum, true);
+                assert_eq!(e.value(0, n - 1), value, "{}", g.name());
+                if fell_back {
+                    stops += 1;
+                    assert!(w.probes() <= dense(n) + tree(n), "{}", g.name());
+                } else {
+                    assert_eq!(value, w.lb[n - 1], "{}", g.name());
+                    assert!(w.probes() <= tree(n), "{}", g.name());
+                }
+            }
+        }
+        // Both branches are exercised.
+        assert!(stops > 0 && stops < 2 * graphs.len());
     }
 
     #[test]
@@ -830,7 +880,7 @@ mod tests {
                 let factored = policy != FactoringPolicy::Never;
                 let mut s = Solver::new(ct, mode, combine, factored);
                 if let Combine::Sum = combine {
-                    // DPPO's entry point: the budgeted scan, then the fill.
+                    // DPPO's entry point: the descent, then the fill.
                     s.root_value();
                 }
                 for i in 0..n {

@@ -15,6 +15,16 @@ use sdfmem::pipeline::Analysis;
 use sdfmem::sched::{apgan, rpmc, sdppo, ChainTables, DpMode, LoopVariant};
 use sdfmem::{AnalysisBuilder, Heuristic};
 
+/// Held by every test that installs a process-wide recorder
+/// (`trace::scoped`) or asserts that an untraced run recorded nothing:
+/// tests run on parallel threads, and a global recorder installed by one
+/// would trace the other's "untraced" runs.
+static GLOBAL_RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn global_recorder_lock() -> std::sync::MutexGuard<'static, ()> {
+    GLOBAL_RECORDER.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn all_app_graphs() -> Vec<SdfGraph> {
     let mut graphs = table1_systems();
     graphs.extend(extended_systems());
@@ -139,6 +149,7 @@ fn parallel_matches_serial_on_every_app() {
 
 #[test]
 fn tracing_never_changes_engine_results() {
+    let _global = global_recorder_lock();
     // The acceptance bar for the observability layer: a run under an
     // installed recorder must be bit-for-bit identical to a run with
     // tracing disabled — instruments observe, never steer.
@@ -188,6 +199,7 @@ fn tracing_never_changes_engine_results() {
 
 #[test]
 fn serial_traced_runs_attribute_counters_per_candidate() {
+    let _global = global_recorder_lock();
     use std::collections::BTreeMap;
     for graph in [table1_systems().remove(0), homogeneous_grid(3, 3)] {
         let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
@@ -258,6 +270,7 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
 
 #[test]
 fn candidate_counters_serialise_in_the_report() {
+    let _global = global_recorder_lock();
     let graph = homogeneous_grid(3, 3);
     let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
     let traced = sdfmem::trace::scoped(&recorder, || {
@@ -411,18 +424,23 @@ fn windowed_sdppo_never_probes_more_than_exact() {
 }
 
 #[test]
-fn windowed_dppo_probes_at_most_a_quarter_over_exact() {
-    // The best-first scan gives up after a quarter of the dense probes
-    // (plus at most one cell's candidates) and the pruned fill never
-    // probes more than the dense scan.
+fn windowed_dppo_probes_within_the_descent_bounds() {
+    // A descent that never stops scores at most `j − i` splits and
+    // resolves one split per cell of its tree, a caterpillar at worst:
+    // `n(n−1)/2 + n − 1` probes.  One that stops pays the pruned fill on
+    // top, never more than the dense scan.
     for (graph, order) in graphs_and_orders() {
-        let windowed =
-            dp_counters(&graph, &order, DpMode::Windowed, run_dppo)("sched.dppo.split_probes");
+        let counter = dp_counters(&graph, &order, DpMode::Windowed, run_dppo);
+        let windowed = counter("sched.dppo.split_probes");
         let n = order.len() as u64;
-        let dense = (n * n * n - n) / 6;
+        let (tree, dense) = (n * (n - 1) / 2 + n - 1, (n * n * n - n) / 6);
+        let bound = match counter("sched.dppo.fallbacks") {
+            0 => tree,
+            _ => dense + tree,
+        };
         assert!(
-            windowed * 4 <= dense * 5 + 4 * n,
-            "{}: windowed DPPO probed {windowed}, dense {dense}",
+            windowed <= bound,
+            "{}: windowed DPPO probed {windowed}, bound {bound}",
             graph.name()
         );
     }
@@ -476,8 +494,8 @@ const WORK_COUNTS: &[(&str, &str, u64, u64, u64, u64)] = &[
     ("scale_tree_160", "apgan", 216063, 71917, 2976, 0),
     ("scale_dag_160", "rpmc", 491253, 191387, 2229, 0),
     ("scale_dag_160", "apgan", 491253, 191387, 2229, 0),
-    ("qmf235_5d", "rpmc", 947996, 159418, 1220010, 1),
-    ("qmf235_5d", "apgan", 743755, 363659, 1172979, 1),
+    ("qmf235_5d", "rpmc", 947996, 159418, 1106241, 1),
+    ("qmf235_5d", "apgan", 743755, 363659, 1093669, 1),
 ];
 
 #[test]

@@ -15,12 +15,14 @@ use sdfmem::sched::topsort::random_topological_sort;
 use sdfmem::sched::{apgan::apgan, dppo::dppo, rpmc::rpmc, sdppo::sdppo};
 
 /// A strategy for structurally valid periodic lifetimes: nesting strides,
-/// occurrence length within the innermost stride.
+/// occurrence length within the innermost stride.  A stride factor of 1
+/// makes a level abut the one inside it (`stride_i·count_i ==
+/// stride_{i+1}`), and up to three levels reach multi-digit carries.
 fn lifetime_strategy() -> impl Strategy<Value = PeriodicLifetime> {
     (
         0u64..50,                                        // start
         1u64..8,                                         // dur
-        prop::collection::vec((2u64..5, 2u64..4), 0..3), // (stride factor, count)
+        prop::collection::vec((1u64..5, 2u64..4), 0..4), // (stride factor, count)
         1u64..100,                                       // size
     )
         .prop_map(|(start, dur, levels, size)| {
@@ -508,8 +510,8 @@ proptest! {
 
 /// A chain whose every edge changes rate by a factor of 2, 3 or 5, with
 /// sporadic delays: the per-pair bounds are loose everywhere, so windowed
-/// DPPO's best-first scan usually runs out of budget and hands the table
-/// to the pruned fill.  Each prime's exponent in the running rate ratio
+/// DPPO's descent usually stops at a loose cell and hands the table to
+/// the pruned fill.  Each prime's exponent in the running rate ratio
 /// stays within ±2, which keeps the repetitions vector small.
 fn mixed_factor_chain_spec(seed: u64) -> Vec<ChainEdgeSpec> {
     const FACTORS: [u64; 4] = [1, 2, 3, 5];
@@ -544,7 +546,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Windowed DPPO against the dense exact scan on chains that make the
-    /// best-first scan give up: same bufmem and same tree, cold, with a
+    /// descent stop: same bufmem and same tree, cold, with a
     /// memo store partially warmed by an edited sibling chain, and with
     /// the store fully warm.
     #[test]
