@@ -170,6 +170,22 @@ fn compare_formats() {
 }
 
 #[test]
+fn graphs_whose_buffers_overflow_u64_are_refused() {
+    // Parallel edges whose TNSE sum wraps, and one edge whose TNSE wraps
+    // on its own: `analyze` prints nothing and fails instead of reporting
+    // pools computed from wrapped sums.  An error prints no timings, so
+    // these `analyze` cases can be pinned.
+    let cases: Vec<Case> = ["overflow_parallel", "overflow_tnse"]
+        .into_iter()
+        .map(|g| {
+            let file = format!("tests/golden/cli/graphs/{g}.sdf");
+            case(format!("{g}.analyze"), &["analyze", &file], 2)
+        })
+        .collect();
+    check(&cases);
+}
+
+#[test]
 fn usage_errors_exit_2_with_empty_stdout() {
     let cases: &[&[&str]] = &[
         // A bad or missing flag value.

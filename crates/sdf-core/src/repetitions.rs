@@ -53,7 +53,11 @@ impl RepetitionsVector {
     /// * [`SdfError::EmptyGraph`] if the graph has no actors.
     /// * [`SdfError::Inconsistent`] if some balance equation has no positive
     ///   solution.
-    /// * [`SdfError::Overflow`] if some firing count does not fit in a `u64`.
+    /// * [`SdfError::Overflow`] if some firing count does not fit in a `u64`,
+    ///   or the edges' TNSE plus delay, summed over the graph, is not below
+    ///   `u64::MAX`.  That sum bounds every buffer, crossing cost,
+    ///   loop-DP cell and pool the later stages compute, so none of them
+    ///   can wrap or reach a `u64::MAX` sentinel.
     pub fn compute(graph: &SdfGraph) -> Result<Self, SdfError> {
         let n = graph.actor_count();
         if n == 0 {
@@ -73,12 +77,19 @@ impl RepetitionsVector {
         let result = RepetitionsVector { q };
         // Double-check every edge: propagation covers spanning-tree edges,
         // this validates the rest (and catches inconsistency on multi-edges).
-        // The products are exact in u128.
+        // The products, each edge's TNSE, and their sum are exact in u128.
+        let mut total = 0u128;
         for (id, e) in graph.edges() {
             let produced = u128::from(e.prod) * u128::from(result.get(e.src));
             if produced != u128::from(e.cons) * u128::from(result.get(e.snk)) {
                 return Err(SdfError::Inconsistent { edge: id });
             }
+            total += produced + u128::from(e.delay);
+        }
+        if total >= u128::from(u64::MAX) {
+            return Err(SdfError::Overflow(format!(
+                "the edges' TNSE plus delay sum to {total}, not below 2^64 - 1"
+            )));
         }
         Ok(result)
     }
@@ -410,6 +421,35 @@ mod tests {
         let (a, b, c) = (g.add_actor("A"), g.add_actor("B"), g.add_actor("C"));
         g.add_edge(a, b, 1, 3).unwrap();
         g.add_edge(a, c, 1 << 63, 1).unwrap();
+        assert!(is_overflow(&g));
+    }
+
+    #[test]
+    fn buffers_that_cannot_fit_in_u64_are_a_typed_error() {
+        let is_overflow =
+            |g: &SdfGraph| matches!(RepetitionsVector::compute(g), Err(SdfError::Overflow(_)));
+        // Two parallel edges of TNSE 2^63 each: their sum wraps to 0.
+        let mut g = SdfGraph::new("parallel");
+        let (a, b) = (g.add_actor("A"), g.add_actor("B"));
+        g.add_edge(a, b, 1 << 63, 1 << 63).unwrap();
+        g.add_edge(a, b, 1 << 63, 1 << 63).unwrap();
+        assert!(is_overflow(&g));
+        // One edge whose TNSE, 2^62 · q(B) = 2^62 · 4, wraps on its own.
+        let mut g = SdfGraph::new("tnse");
+        let (a, b, c) = (g.add_actor("A"), g.add_actor("B"), g.add_actor("C"));
+        g.add_edge(a, b, 4, 1).unwrap();
+        g.add_edge(b, c, 1 << 62, 1 << 62).unwrap();
+        assert!(is_overflow(&g));
+        // Just under the bound is accepted; one delay token more is not.
+        let mut g = SdfGraph::new("under");
+        let (a, b) = (g.add_actor("A"), g.add_actor("B"));
+        g.add_edge(a, b, u64::MAX - 1, u64::MAX - 1).unwrap();
+        let q = RepetitionsVector::compute(&g).unwrap();
+        assert_eq!(q.tnse(&g, EdgeId::from_index(0)), u64::MAX - 1);
+        let mut g = SdfGraph::new("at");
+        let (a, b) = (g.add_actor("A"), g.add_actor("B"));
+        g.add_edge_with_delay(a, b, u64::MAX - 1, u64::MAX - 1, 1)
+            .unwrap();
         assert!(is_overflow(&g));
     }
 }

@@ -16,8 +16,10 @@
 //! * [`DpMode::Windowed`] gives each recurrence the scan that measures
 //!   best on it, both exact by construction:
 //!   - SDPPO (`max`) uses the **pruned fill** below: the same bottom-up
-//!     table, but a split's crossing cost is only evaluated when its
-//!     exact children could still beat the best split so far;
+//!     table, but in a cell whose span gcd exceeds 1 a split's crossing
+//!     cost is only evaluated when its exact children could still beat
+//!     the best split so far (**coprime cells**, below, price every
+//!     split without a branch);
 //!   - DPPO (`+`) uses the **descent** below: it follows an admissible
 //!     lower bound down from the root, resolving only the cells of the
 //!     optimal tree while the bound is tight, and hands the table to the
@@ -105,7 +107,34 @@
 //! the kernel tests that product in u128 and divides only for a winner.
 //! A cell the memo answers skips the scan and only joins its column.
 //! On `scale`, SDPPO's traced self time per probe went from about 15 ns
-//! to about 5 ns (2-CPU VM).
+//! to about 5 ns (2-CPU VM).  The tables themselves are upper triangles,
+//! one contiguous row per `i` (`ChainTables::cell`).
+//!
+//! # Coprime cells
+//!
+//! Most cells have span gcd `g = 1`: 78–93 % of the cells of the `scale`
+//! graphs under either order, 96–100 % on `qmf12_*` and `overAddFFT`, but
+//! 27 % on `cd2dat`, 34 % on `satrec` and 34–52 % on `qmf235_5d`.  Such a
+//! cell needs neither the division nor, in practice, the prune: the loop
+//! above pays two unpredictable branches per split, which cost more than
+//! the crossing terms they skip.  A coprime cell therefore prices every
+//! split as `combine(v[i, k], v[k+1, j]) + t + d` and keeps a select-based
+//! running minimum, ascending `k` with a strict `<`, which is still the
+//! smallest argmin.  Every split of a coprime cell counts as a probe, so
+//! pruned splits now come only from cells with `g > 1`, which keep the
+//! pruned, division-free loop; probes plus pruned splits still make the
+//! dense scan.  The choice is made per cell from `g`, for both combines
+//! and in every mode, so the DPPO fallback fill and [`DpMode::Exact`] run
+//! the same kernel (under `Never`, `g` is 1 everywhere).  On `scale`
+//! SDPPO probes 44.6 splits per cell instead of 36.1, and in two traced
+//! runs its self time per op fell from 3.4 to 1.7 ms and from 5.2 to
+//! 3.1 ms, 6.9–10.6 → 2.8–5.1 ns a probe (with the triangular tables;
+//! 2-CPU VM under different host load).  The sums cannot wrap:
+//! [`RepetitionsVector::compute`] admits a graph only when the TNSE plus
+//! delay of its edges sums below `u64::MAX`, and every cost here is at
+//! most that sum.
+//!
+//! [`RepetitionsVector::compute`]: sdf_core::repetitions::RepetitionsVector::compute
 //!
 //! # Why not the Knuth–Yao split window
 //!
@@ -248,12 +277,11 @@ impl Column {
 
     /// Moves to column `j`, in O(j): `P[k+1][j+1] − P[k+1][k+1]` per `k`.
     fn start(&mut self, ct: &ChainTables, j: usize) {
-        let w = ct.len() + 1;
         let (tnse_ps, delay_ps) = ct.prefix_tables();
         for k in 0..j {
-            let r = (k + 1) * w;
-            self.tnse[k] = tnse_ps[r + j + 1] - tnse_ps[r + k + 1];
-            self.delay[k] = delay_ps[r + j + 1] - delay_ps[r + k + 1];
+            let (diag, end) = (ct.cell(k + 1, k + 1), ct.cell(k + 1, j + 1));
+            self.tnse[k] = tnse_ps[end] - tnse_ps[diag];
+            self.delay[k] = delay_ps[end] - delay_ps[diag];
         }
         self.below[j] = 0;
     }
@@ -277,13 +305,14 @@ pub(crate) struct Solver<'a> {
     /// replays exactly the (value, smallest-argmin split) the scans below
     /// would recompute, so results are bit-identical either way.
     memo: Option<(&'a MemoStore, u8)>,
-    /// Admissible lower bounds `LB[i*n + j]`; only the DPPO descent
-    /// builds them.
+    /// Admissible lower bounds `LB[i, j]`; only the DPPO descent builds
+    /// them.  This table and the two below are upper triangles indexed by
+    /// [`ChainTables::cell`].
     lb: Vec<u64>,
-    /// `v[i*n + j]` for `i <= j`; diagonal 0, [`UNSET`] where unfilled.
+    /// `v[i, j]` for `i <= j`; diagonal 0, [`UNSET`] where unfilled.
     value: Vec<u64>,
-    /// Smallest argmin split per computed cell, `split[i*n + j]`.
-    split: Vec<usize>,
+    /// Smallest argmin split per computed cell.
+    split: Vec<u32>,
     /// Crossing-cost evaluations so far (the `split_probes` counter).
     probes: u64,
     /// Splits the pruned fill skipped without a crossing-cost evaluation
@@ -307,7 +336,6 @@ impl<'a> Solver<'a> {
         factored: bool,
         memo: Option<(&'a MemoStore, u8)>,
     ) -> Self {
-        let n = ct.len();
         let memo = match mode {
             DpMode::Windowed if ct.hasher().is_some() => memo,
             _ => None,
@@ -322,13 +350,13 @@ impl<'a> Solver<'a> {
             factored,
             memo,
             lb: Vec::new(),
-            value: vec![UNSET; n * n],
-            split: vec![0; n * n],
+            value: vec![UNSET; ct.cells()],
+            split: vec![0; ct.cells()],
             probes: 0,
             pruned: 0,
         };
-        for i in 0..n {
-            s.value[i * n + i] = 0;
+        for i in 0..ct.len() {
+            s.value[ct.cell(i, i)] = 0;
         }
         match (mode, combine) {
             (DpMode::Exact, _) => s.fill::<false>(false),
@@ -359,7 +387,7 @@ impl<'a> Solver<'a> {
         for j in 1..n {
             col.start(self.ct, j);
             for i in (0..j).rev() {
-                let idx = i * n + j;
+                let idx = self.ct.cell(i, j);
                 if !(RESUME && self.value[idx] != UNSET) {
                     let key = self.memo_key(i, j);
                     if !self.replay(key, i, j) {
@@ -373,9 +401,10 @@ impl<'a> Solver<'a> {
     }
 
     /// The smallest argmin split of cell `[i..=j]` and its cost, ascending
-    /// `k`, from the finished rows and column `j`'s state.  With `prune`,
-    /// a split whose exact children alone already reach the best cost so
-    /// far skips its crossing cost.
+    /// `k`, from the finished rows and column `j`'s state.  A coprime cell
+    /// prices every split without a branch (module docs); otherwise, with
+    /// `prune`, a split whose exact children alone already reach the best
+    /// cost so far skips its crossing cost.
     fn best_split<M: Fn(u64, u64) -> u64>(
         &mut self,
         col: &Column,
@@ -384,22 +413,32 @@ impl<'a> Solver<'a> {
         prune: bool,
         merge: &M,
     ) -> (u64, usize) {
-        let (ct, n, len) = (self.ct, self.ct.len(), j - i);
+        let (ct, len) = (self.ct, j - i);
         let g = if self.factored { ct.gcd_range(i, j) } else { 1 };
         let (tnse_ps, delay_ps) = ct.prefix_tables();
-        let row = i * (n + 1);
-        let left = &self.value[i * n + i..][..len];
+        let left = &self.value[ct.cell(i, i)..][..len];
         let right = &col.below[i + 1..][..len];
         let (above_t, above_d) = (&col.tnse[i..][..len], &col.delay[i..][..len]);
         // Row `i` of the prefix tables: the edges from `[0..i)` into
         // `[k+1..=j]`, which `above` counts but the crossing set does not,
         // are `P[i][j+1] − P[i][k+1]`.
-        let (end_t, end_d) = (tnse_ps[row + j + 1], delay_ps[row + j + 1]);
-        let (row_t, row_d) = (
-            &tnse_ps[row + i + 1..][..len],
-            &delay_ps[row + i + 1..][..len],
-        );
+        let end = ct.cell(i, j + 1);
+        let (end_t, end_d) = (tnse_ps[end], delay_ps[end]);
+        let row = ct.cell(i, i + 1);
+        let (row_t, row_d) = (&tnse_ps[row..][..len], &delay_ps[row..][..len]);
         let (mut best, mut best_x) = (UNSET, 0);
+        if g == 1 {
+            for x in 0..len {
+                let t = above_t[x] - (end_t - row_t[x]);
+                let d = above_d[x] - (end_d - row_d[x]);
+                let cost = merge(left[x], right[x]) + t + d;
+                let better = cost < best;
+                best = if better { cost } else { best };
+                best_x = if better { x } else { best_x };
+            }
+            self.probes += len as u64;
+            return (best, i + best_x);
+        }
         let (mut probes, mut pruned) = (0u64, 0u64);
         for x in 0..len {
             let children = merge(left[x], right[x]);
@@ -424,21 +463,25 @@ impl<'a> Solver<'a> {
     }
 
     /// Fills `LB[i][j]`, the sum of the per-pair bounds inside the span,
-    /// in O(n²).
+    /// in O(n²), row by row from the last.
     fn build_bounds(&mut self) {
-        let n = self.ct.len();
-        let mut lb = vec![0u64; n * n];
-        for span in 1..n {
-            for i in 0..(n - span) {
-                let j = i + span;
-                let (t, d) = self.ct.pair_weights(i, j);
-                let edge = t / self.ct.gcd_range(i, j) + d;
+        let ct = self.ct;
+        let n = ct.len();
+        let mut lb = vec![0u64; ct.cells()];
+        for i in (0..n).rev() {
+            for j in (i + 1)..n {
+                let (t, d) = ct.pair_weights(i, j);
+                let mut bound = t / ct.gcd_range(i, j) + d;
                 // Inclusion–exclusion over the pairs inside the span; the
                 // subtraction cannot underflow because the pair set of
-                // [i, j-1] contains that of [i+1, j-1].
-                lb[i * n + j] = (lb[i * n + (j - 1)] - lb[(i + 1) * n + (j - 1)])
-                    .saturating_add(lb[(i + 1) * n + j])
-                    .saturating_add(edge);
+                // [i, j-1] contains that of [i+1, j-1].  Both are empty
+                // when j = i + 1.
+                if j > i + 1 {
+                    bound = (lb[ct.cell(i, j - 1)] - lb[ct.cell(i + 1, j - 1)])
+                        .saturating_add(lb[ct.cell(i + 1, j)])
+                        .saturating_add(bound);
+                }
+                lb[ct.cell(i, j)] = bound;
             }
         }
         self.lb = lb;
@@ -460,17 +503,17 @@ impl<'a> Solver<'a> {
         let Some(entry) = store.lookup(&key) else {
             return false;
         };
-        let idx = i * self.ct.len() + j;
+        let idx = self.ct.cell(i, j);
         self.value[idx] = entry.value;
-        self.split[idx] = i + entry.split_rel as usize;
+        self.split[idx] = i as u32 + entry.split_rel;
         true
     }
 
     /// Records the resolved cell `[i..=j]` in the table and the memo.
     fn settle(&mut self, key: Option<MemoKey>, i: usize, j: usize, value: u64, k: usize) {
-        let idx = i * self.ct.len() + j;
+        let idx = self.ct.cell(i, j);
         self.value[idx] = value;
-        self.split[idx] = k;
+        self.split[idx] = k as u32;
         if let (Some((store, _)), Some(key)) = (self.memo, key) {
             store.insert(
                 key,
@@ -493,7 +536,7 @@ impl<'a> Solver<'a> {
         if fell_back {
             self.fill::<true>(true);
         }
-        (self.value[n - 1], fell_back)
+        (self.value[self.ct.cell(0, n - 1)], fell_back)
     }
 
     /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`).  A cell
@@ -503,7 +546,7 @@ impl<'a> Solver<'a> {
         if i >= j {
             return 0;
         }
-        let idx = i * self.ct.len() + j;
+        let idx = self.ct.cell(i, j);
         // Only the descent leaves cells unset: the other scans fill the
         // table up front, where `UNSET` can only be a saturated cost.
         if self.value[idx] == UNSET && !self.lb.is_empty() && self.descend(i, j).is_none() {
@@ -519,8 +562,7 @@ impl<'a> Solver<'a> {
         if i >= j {
             return Some(0);
         }
-        let n = self.ct.len();
-        let idx = i * n + j;
+        let idx = self.ct.cell(i, j);
         if self.value[idx] != UNSET {
             return Some(self.value[idx]);
         }
@@ -532,8 +574,8 @@ impl<'a> Solver<'a> {
         }
         let (ct, lb) = (self.ct, &self.lb);
         let opt = |k: usize| {
-            lb[i * n + k]
-                .saturating_add(lb[(k + 1) * n + j])
+            lb[ct.cell(i, k)]
+                .saturating_add(lb[ct.cell(k + 1, j)])
                 .saturating_add(ct.split_cost(i, k, j))
         };
         // The smallest `(opt, k)` pair: the smallest argmin.
@@ -561,7 +603,7 @@ impl<'a> Solver<'a> {
     pub(crate) fn tree_split(&mut self, i: usize, j: usize) -> usize {
         debug_assert!(i < j);
         self.value(i, j);
-        self.split[i * self.ct.len() + j]
+        self.split[self.ct.cell(i, j)] as usize
     }
 
     /// Crossing-cost evaluations performed so far.
@@ -627,40 +669,50 @@ mod tests {
 
     #[test]
     fn pruned_fill_keeps_the_smallest_argmin_on_equal_split_costs() {
-        // Two tables on which every split of every cell costs the same, so
-        // ties are everywhere: 13 actors with no edges, where no split
-        // crosses anything (every split ties at 0), and a 13-actor
-        // unit-rate chain, where every split crosses one unit edge (the
-        // balanced splits tie).  The pruned fill must record the smallest
-        // argmin exactly as the dense scan does.
+        // Tables on which the splits of a cell tie everywhere: 13 actors
+        // with no edges, where no split crosses anything (every split ties
+        // at 0), and a 13-actor unit-rate chain, where every split crosses
+        // one unit edge (the balanced splits tie).  Both are coprime
+        // everywhere, so every split is probed.  On the third every span
+        // past the head has gcd 2 and every split there costs 2 / 2 = 1,
+        // so the ties run through the pruned loop.  The fill must record
+        // the smallest argmin exactly as the dense scan does.
         let mut g = SdfGraph::new("edgeless");
         let ids: Vec<_> = (0..13).map(|i| g.add_actor(format!("a{i}"))).collect();
         let q = RepetitionsVector::compute(&g).unwrap();
         let edgeless = ChainTables::build(&g, &q, &ids).unwrap();
         let (_, _, chain) = chain_tables(&[(1, 1, 0); 12]);
-        for (cost, ct) in [(0u64, edgeless), (1, chain)] {
+        let mut even_edges = vec![(2, 1, 0)];
+        even_edges.extend([(1, 1, 0); 12]);
+        let (_, _, even) = chain_tables(&even_edges);
+        for (cost, first, ct) in [(0u64, 0, edgeless), (1, 0, chain), (1, 1, even)] {
             let n = ct.len();
             let mut e = Solver::new(&ct, DpMode::Exact, Combine::Max, true);
             let mut w = Solver::new(&ct, DpMode::Windowed, Combine::Max, true);
             for i in 0..n {
                 for j in (i + 1)..n {
-                    assert!((i..j).all(|k| ct.split_cost(i, k, j) == cost));
+                    if i >= first {
+                        assert!((i..j).all(|k| ct.split_cost(i, k, j) == cost));
+                    }
                     let v = e.value(i, j);
                     assert_eq!(v, w.value(i, j), "value ({i}, {j})");
                     let k = w.tree_split(i, j);
                     assert_eq!(e.tree_split(i, j), k, "split ({i}, {j})");
                     let smallest = (i..j)
-                        .find(|&k| e.value(i, k).max(e.value(k + 1, j)) + cost == v)
+                        .find(|&k| {
+                            e.value(i, k).max(e.value(k + 1, j)) + ct.split_cost(i, k, j) == v
+                        })
                         .unwrap();
                     assert_eq!(k, smallest, "cost {cost}, cell ({i}, {j})");
                 }
             }
-            if cost == 0 {
-                // Only the first split of each cell is probed.
-                assert_eq!(w.probes(), (n * (n - 1) / 2) as u64);
+            let dense = dense(n);
+            assert_eq!(w.probes() + w.pruned(), dense);
+            if first == 0 {
+                assert_eq!(w.probes(), dense, "a coprime split went unprobed");
+            } else {
+                assert!(w.pruned() > 0, "nothing pruned");
             }
-            let n = n as u64;
-            assert_eq!(w.probes() + w.pruned(), (n * n * n - n) / 6);
         }
     }
 
@@ -768,7 +820,7 @@ mod tests {
                     stops += 1;
                     assert!(w.probes() <= dense(n) + tree(n), "{}", g.name());
                 } else {
-                    assert_eq!(value, w.lb[n - 1], "{}", g.name());
+                    assert_eq!(value, w.lb[ct.cell(0, n - 1)], "{}", g.name());
                     assert!(w.probes() <= tree(n), "{}", g.name());
                 }
             }
@@ -845,7 +897,7 @@ mod tests {
                     let (l, r) = (value[i * n + k], value[(k + 1) * n + j]);
                     let cost = match combine {
                         Combine::Sum => l + r + ct.split_cost(i, k, j),
-                        Combine::Max if policy.factors(ct.crossing_count(i, k, j)) => {
+                        Combine::Max if policy.factors(ct.crosses(i, k, j)) => {
                             l.max(r) + ct.split_cost(i, k, j)
                         }
                         Combine::Max => l.max(r) + ct.split_cost_unfactored(i, k, j),

@@ -19,7 +19,7 @@
 //! under both.  They differ only in the tree: each chosen split's
 //! `factored` flag says whether the merged loop really is factored, which
 //! changes the schedule's loop structure and hence the lifetimes, so the
-//! flag is re-derived from the split's crossing count.
+//! flag is re-derived from whether the split crosses an edge.
 
 use sdf_core::error::SdfError;
 use sdf_core::graph::{ActorId, SdfGraph};
@@ -45,9 +45,9 @@ pub enum FactoringPolicy {
 }
 
 impl FactoringPolicy {
-    pub(crate) fn factors(self, crossing_edges: u64) -> bool {
+    pub(crate) fn factors(self, crosses: bool) -> bool {
         match self {
-            FactoringPolicy::Heuristic => crossing_edges > 0,
+            FactoringPolicy::Heuristic => crosses,
             FactoringPolicy::Always => true,
             FactoringPolicy::Never => false,
         }
@@ -176,7 +176,7 @@ pub fn sdppo_from_tables_memo(
     let factored_splits = std::cell::Cell::new(0u64);
     let tree = build_tree(ct, q, &|i, j| {
         let k = solver.borrow_mut().tree_split(i, j);
-        let factored = policy.factors(ct.crossing_count(i, k, j));
+        let factored = policy.factors(ct.crosses(i, k, j));
         if factored {
             factored_splits.set(factored_splits.get() + 1);
         }
@@ -349,7 +349,9 @@ mod tests {
     fn probes_and_pruned_splits_cover_the_dense_scan() {
         // Without a memo every split of every cell is either probed or
         // pruned, so the two counters sum to the dense `(n³ − n) / 6`;
-        // the exact scan prunes nothing.
+        // the exact scan prunes nothing.  Coprime spans are probed in
+        // full, so pruning needs spans of gcd > 1: q is (2, 3, 5, 2, 2, 8,
+        // 4, 4, 4, 4), even from position 3 on.
         let edges = [
             (3, 2, 0),
             (5, 3, 2),
@@ -357,6 +359,9 @@ mod tests {
             (1, 1, 0),
             (4, 1, 1),
             (1, 2, 0),
+            (1, 1, 0),
+            (1, 1, 0),
+            (1, 1, 0),
         ];
         let mut g = SdfGraph::new("mixed");
         let ids: Vec<_> = (0..=edges.len())
@@ -366,6 +371,7 @@ mod tests {
             g.add_edge_with_delay(ids[w], ids[w + 1], p, c, d).unwrap();
         }
         let q = RepetitionsVector::compute(&g).unwrap();
+        assert_eq!(q.as_slice(), &[2, 3, 5, 2, 2, 8, 4, 4, 4, 4]);
         let ct = ChainTables::build(&g, &q, &ids).unwrap();
         let n = ct.len() as u64;
         let counter = |counters: &[(String, u64)], name: &str| {

@@ -476,26 +476,26 @@ fn dppo_fallbacks_count_abandoned_scans() {
 /// cost of a probe may move these; only a change to what is probed or
 /// pruned may, and it must say so.
 const WORK_COUNTS: &[(&str, &str, u64, u64, u64, u64)] = &[
-    ("scale_chain_64", "rpmc", 35252, 8428, 657, 0),
-    ("scale_chain_64", "apgan", 35252, 8428, 657, 0),
-    ("scale_tree_64", "rpmc", 20278, 8982, 841, 0),
-    ("scale_tree_64", "apgan", 21672, 7588, 777, 0),
-    ("scale_dag_64", "rpmc", 35556, 8124, 657, 0),
-    ("scale_dag_64", "apgan", 35556, 8124, 657, 0),
-    ("scale_chain_128", "rpmc", 290956, 58548, 1641, 0),
-    ("scale_chain_128", "apgan", 290956, 58548, 1641, 0),
-    ("scale_tree_128", "rpmc", 173237, 114743, 3622, 0),
-    ("scale_tree_128", "apgan", 216063, 71917, 2976, 0),
-    ("scale_dag_128", "rpmc", 298978, 50526, 1641, 0),
-    ("scale_dag_128", "apgan", 298978, 50526, 1641, 0),
-    ("scale_chain_160", "rpmc", 567649, 114991, 2229, 0),
-    ("scale_chain_160", "apgan", 567649, 114991, 2229, 0),
-    ("scale_tree_160", "rpmc", 173237, 114743, 3622, 0),
-    ("scale_tree_160", "apgan", 216063, 71917, 2976, 0),
-    ("scale_dag_160", "rpmc", 491253, 191387, 2229, 0),
-    ("scale_dag_160", "apgan", 491253, 191387, 2229, 0),
-    ("qmf235_5d", "rpmc", 947996, 159418, 1106241, 1),
-    ("qmf235_5d", "apgan", 743755, 363659, 1093669, 1),
+    ("scale_chain_64", "rpmc", 43185, 495, 657, 0),
+    ("scale_chain_64", "apgan", 43185, 495, 657, 0),
+    ("scale_tree_64", "rpmc", 29069, 191, 841, 0),
+    ("scale_tree_64", "apgan", 28613, 647, 777, 0),
+    ("scale_dag_64", "rpmc", 43185, 495, 657, 0),
+    ("scale_dag_64", "apgan", 43185, 495, 657, 0),
+    ("scale_chain_128", "rpmc", 348389, 1115, 1641, 0),
+    ("scale_chain_128", "apgan", 348389, 1115, 1641, 0),
+    ("scale_tree_128", "rpmc", 287226, 754, 3622, 0),
+    ("scale_tree_128", "apgan", 280392, 7588, 2976, 0),
+    ("scale_dag_128", "rpmc", 348389, 1115, 1641, 0),
+    ("scale_dag_128", "apgan", 348389, 1115, 1641, 0),
+    ("scale_chain_160", "rpmc", 681215, 1425, 2229, 0),
+    ("scale_chain_160", "apgan", 681215, 1425, 2229, 0),
+    ("scale_tree_160", "rpmc", 287226, 754, 3622, 0),
+    ("scale_tree_160", "apgan", 280392, 7588, 2976, 0),
+    ("scale_dag_160", "rpmc", 681215, 1425, 2229, 0),
+    ("scale_dag_160", "apgan", 681215, 1425, 2229, 0),
+    ("qmf235_5d", "rpmc", 1081321, 26093, 1106335, 1),
+    ("qmf235_5d", "apgan", 972523, 134891, 1099089, 1),
 ];
 
 #[test]

@@ -232,6 +232,26 @@ fn malformed_lines_get_error_envelopes_not_disconnects() {
     server.wait();
 }
 
+#[test]
+fn a_graph_whose_buffers_overflow_u64_gets_an_error_envelope() {
+    let (server, addr) = start(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    for graph in [
+        include_str!("golden/cli/graphs/overflow_parallel.sdf"),
+        include_str!("golden/cli/graphs/overflow_tnse.sdf"),
+    ] {
+        let response = client.call("overflow", &analyze(graph)).expect("call");
+        assert_eq!(response.status, "error", "{response:?}");
+        let error = response.error.expect("error");
+        assert_eq!(error.code, "engine_error", "{error:?}");
+        assert!(error.message.contains("overflow"), "{error:?}");
+    }
+    let ok = client.call("after", &analyze(FIG2)).expect("call");
+    assert!(ok.is_ok());
+    server.shutdown();
+    server.wait();
+}
+
 /// Reads one response line from `reader` and parses it.
 fn read_response(reader: &mut impl BufRead) -> WireResponse {
     let mut line = String::new();
