@@ -32,7 +32,6 @@ use sdf_core::SdfGraph;
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport};
 use sdf_trace::json::{self, Json};
 use sdfmem::engine::AnalysisBuilder;
-use sdfmem::sched::LoopVariant;
 use sdfmem::sentinel::{capture_profile, CaptureOptions, PERTURB_ENV};
 
 /// Wall times of one serial-vs-parallel comparison, plus the traced
@@ -47,9 +46,7 @@ struct Sample {
 }
 
 fn measure(graph: &SdfGraph, repeats: u32) -> Sample {
-    let serial = AnalysisBuilder::new()
-        .loop_opts(LoopVariant::ALL)
-        .parallel(false);
+    let serial = AnalysisBuilder::new().full(true).parallel(false);
     let parallel = serial.clone().parallel(true);
     // Warm-up run of each, then keep the fastest of `repeats` to damp
     // scheduler noise.

@@ -17,15 +17,15 @@ use sdf_core::bounds::{bmlb, min_buffer_bound};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
 use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
-use sdf_lifetime::tree::ScheduleTree;
-use sdf_lifetime::wig::{ConflictGraph, IntersectionGraph};
+use sdf_lifetime::wig::ConflictGraph;
 use sdf_regress::ReportFormat as DiffFormat;
-use sdf_sched::{dppo, sdppo, LoopVariant};
+use sdf_sched::{dppo, sdppo};
 use sdf_service::{
     execute_request, Client, ExplainReport, MemoryModel, OrderMethod, ResponsePayload, Server,
     ServerConfig, ServiceRequest, ServiceResponse,
 };
 use sdfmem::engine::AnalysisBuilder;
+use sdfmem::pipeline::{shared_layout, SharedLayout};
 use sdfmem::sentinel::PERTURB_ENV;
 
 /// Output format of `sdfmem analyze`.
@@ -539,7 +539,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 /// Usage text shown by `help` and on argument errors; its OPTIONS
-/// section is rendered from [`FLAGS`].
+/// section is rendered from `FLAGS`.
 pub fn usage() -> String {
     let mut s = USAGE_HEAD.to_string();
     for flag in FLAGS {
@@ -730,9 +730,36 @@ fn build(cmd: &str, file: String, candidate: String, o: Options) -> Command {
     }
 }
 
-fn load(file: &str) -> Result<SdfGraph, String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-    sdf_core::io::parse_graph(&text).map_err(|e| format!("{file}: {e}"))
+/// Why a command failed: the message `main` prints and its exit code.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Failure {
+    /// The human-readable message.
+    pub message: String,
+    /// 1 for a domain failure (an input read fine but rejected: a graph
+    /// that does not parse or that the engine refuses, an error
+    /// response), 2 for an I/O failure (an unreadable or unwritable
+    /// file, a bind or connect error, a missing input).
+    pub code: i32,
+}
+
+/// Plain-message errors are I/O failures.
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure { message, code: 2 }
+    }
+}
+
+/// A domain failure: the input was read but is rejected.
+fn rejected(error: impl ToString) -> Failure {
+    Failure {
+        message: error.to_string(),
+        code: 1,
+    }
+}
+
+fn load(file: &str) -> Result<SdfGraph, Failure> {
+    let text = read_input(file)?;
+    sdf_core::io::parse_graph(&text).map_err(|e| rejected(format!("{file}: {e}")))
 }
 
 fn read_input(file: &str) -> Result<String, String> {
@@ -846,23 +873,24 @@ fn service_request(command: &Command) -> Result<ServiceRequest, String> {
 
 /// Unwraps a service response into its payload, or maps the typed
 /// error back to the CLI's `{file}: {message}` convention using
-/// `inputs` (pairs of request-member name and the file it came from).
+/// `inputs` (pairs of request-member name and the file it came from):
+/// a domain failure, as an error envelope is for `submit`.
 fn into_payload(
     response: ServiceResponse,
     inputs: &[(&str, &str)],
-) -> Result<ResponsePayload, String> {
+) -> Result<ResponsePayload, Failure> {
     match response {
         ServiceResponse::Ok(payload) => Ok(payload),
-        ServiceResponse::Rejected { message } => Err(message),
+        ServiceResponse::Rejected { message } => Err(rejected(message)),
         ServiceResponse::Err(error) => {
             let file = error
                 .input
                 .and_then(|name| inputs.iter().find(|(n, _)| *n == name))
                 .map(|(_, file)| *file);
-            Err(match file {
+            Err(rejected(match file {
                 Some(file) => format!("{file}: {}", error.message),
                 None => error.message,
-            })
+            }))
         }
     }
 }
@@ -873,7 +901,9 @@ fn into_payload(
 ///
 /// Returns a human-readable message on any I/O, parse or analysis error.
 pub fn run(command: &Command) -> Result<String, String> {
-    execute(command).map(|(out, _)| out)
+    execute(command)
+        .map(|(out, _)| out)
+        .map_err(|failure| failure.message)
 }
 
 /// Executes a command, returning its stdout text and the process exit
@@ -881,9 +911,9 @@ pub fn run(command: &Command) -> Result<String, String> {
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on any I/O, parse or analysis error
-/// (`main` exits 2 for these).
-pub fn execute(command: &Command) -> Result<(String, i32), String> {
+/// A [`Failure`] on any I/O, parse or analysis error, with the exit
+/// code `main` returns for it.
+pub fn execute(command: &Command) -> Result<(String, i32), Failure> {
     let mut out = String::new();
     let mut code = 0;
     match command {
@@ -961,13 +991,10 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             let g = load(file)?;
             // Serial evaluation keeps every candidate span nested under the
             // run span; rayon workers would start fresh span stacks.
-            let mut builder = AnalysisBuilder::new().parallel(false);
-            if *full {
-                builder = builder.loop_opts(LoopVariant::ALL);
-            }
+            let builder = AnalysisBuilder::new().parallel(false).full(*full);
             let recorder = std::sync::Arc::new(sdf_trace::Recorder::new());
             let synthesis =
-                sdf_trace::scoped(&recorder, || builder.run_full(&g)).map_err(|e| e.to_string())?;
+                sdf_trace::scoped(&recorder, || builder.run_full(&g)).map_err(rejected)?;
             let snapshot = recorder.snapshot();
             let an = &synthesis.analysis;
             let _ = writeln!(
@@ -1028,7 +1055,7 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         }
         Command::Bounds { file } => {
             let g = load(file)?;
-            RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
+            RepetitionsVector::compute(&g).map_err(rejected)?;
             let _ = writeln!(out, "BMLB (over all SASs):           {}", bmlb(&g));
             let _ = writeln!(
                 out,
@@ -1042,16 +1069,16 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
             model,
         } => {
             let g = load(file)?;
-            let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
+            let q = RepetitionsVector::compute(&g).map_err(rejected)?;
+            let order = method.order(&g, &q).map_err(rejected)?;
             match model {
                 MemoryModel::NonShared => {
-                    let r = dppo(&g, &q, &order).map_err(|e| e.to_string())?;
+                    let r = dppo(&g, &q, &order).map_err(rejected)?;
                     let _ = writeln!(out, "schedule: {}", r.tree.to_looped_schedule().display(&g));
                     let _ = writeln!(out, "bufmem (non-shared): {}", r.bufmem);
                 }
                 MemoryModel::Shared => {
-                    let r = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
+                    let r = sdppo(&g, &q, &order).map_err(rejected)?;
                     let _ = writeln!(out, "schedule: {}", r.tree.to_looped_schedule().display(&g));
                     let _ = writeln!(out, "shared cost estimate: {}", r.shared_cost);
                 }
@@ -1059,17 +1086,16 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         }
         Command::Allocate { file, method } => {
             let g = load(file)?;
-            let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
-            let shared = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
-            let tree = ScheduleTree::build(&g, &q, &shared.tree).map_err(|e| e.to_string())?;
-            let wig = IntersectionGraph::build(&g, &q, &tree);
+            let q = RepetitionsVector::compute(&g).map_err(rejected)?;
+            let SharedLayout {
+                sdppo: shared, wig, ..
+            } = shared_layout(&g, &q, *method).map_err(rejected)?;
             let alloc = allocate(
                 &wig,
                 AllocationOrder::DurationDescending,
                 PlacementPolicy::FirstFit,
             );
-            validate_allocation(&wig, &alloc).map_err(|e| e.to_string())?;
+            validate_allocation(&wig, &alloc).map_err(rejected)?;
             let _ = writeln!(
                 out,
                 "schedule: {}",
@@ -1108,11 +1134,12 @@ pub fn execute(command: &Command) -> Result<(String, i32), String> {
         }
         Command::Gantt { file, method } => {
             let g = load(file)?;
-            let q = RepetitionsVector::compute(&g).map_err(|e| e.to_string())?;
-            let order = method.order(&g, &q).map_err(|e| e.to_string())?;
-            let shared = sdppo(&g, &q, &order).map_err(|e| e.to_string())?;
-            let tree = ScheduleTree::build(&g, &q, &shared.tree).map_err(|e| e.to_string())?;
-            let wig = IntersectionGraph::build(&g, &q, &tree);
+            let q = RepetitionsVector::compute(&g).map_err(rejected)?;
+            let SharedLayout {
+                sdppo: shared,
+                tree,
+                wig,
+            } = shared_layout(&g, &q, *method).map_err(rejected)?;
             let _ = writeln!(
                 out,
                 "schedule: {}\n",
@@ -2088,14 +2115,17 @@ mod tests {
         .unwrap();
         assert_eq!(code, 0, "{text}");
         sdf_trace::json::parse(&text).expect("JSON report parses");
-        // Unreadable and malformed inputs are errors (exit 2 in main),
-        // not panics.
+        // Unreadable and malformed inputs are errors, not panics: an
+        // unreadable file is an I/O failure (exit 2), a foreign document
+        // a domain failure (exit 1).
         let missing = compare(std::path::Path::new("/nonexistent.json")).unwrap_err();
-        assert!(missing.contains("cannot read"), "{missing}");
+        assert!(missing.message.contains("cannot read"), "{missing:?}");
+        assert_eq!(missing.code, 2);
         let garbage = dir.join(format!("garbage-{}.json", std::process::id()));
         std::fs::write(&garbage, "{\"schema_version\":1}").unwrap();
         let foreign = compare(&garbage).unwrap_err();
-        assert!(foreign.contains("schema_version"), "{foreign}");
+        assert!(foreign.message.contains("schema_version"), "{foreign:?}");
+        assert_eq!(foreign.code, 1);
         for f in [base, cand, perturbed, garbage] {
             let _ = std::fs::remove_file(f);
         }

@@ -2,15 +2,22 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match sdf_cli::parse_args(&args).and_then(|cmd| sdf_cli::execute(&cmd)) {
-        Ok((output, code)) => {
-            print!("{output}");
-            std::process::exit(code);
-        }
+    let command = match sdf_cli::parse_args(&args) {
+        Ok(command) => command,
         Err(message) => {
             eprintln!("error: {message}\n");
             eprint!("{}", sdf_cli::usage());
             std::process::exit(2);
+        }
+    };
+    match sdf_cli::execute(&command) {
+        Ok((output, code)) => {
+            print!("{output}");
+            std::process::exit(code);
+        }
+        Err(failure) => {
+            eprintln!("error: {}", failure.message);
+            std::process::exit(failure.code);
         }
     }
 }

@@ -16,15 +16,17 @@ fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Runs `sdfmem argv…` from the workspace root: (stdout, exit code).
-fn sdfmem(argv: &[String]) -> (String, i32) {
+/// Runs `sdfmem argv…` from the workspace root: (stdout, stderr, exit
+/// code).
+fn sdfmem(argv: &[String]) -> (String, String, i32) {
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_sdfmem"))
         .args(argv)
         .current_dir(root())
         .output()
         .expect("spawn sdfmem");
     let stdout = String::from_utf8(output.stdout).expect("stdout is UTF-8");
-    (stdout, output.status.code().expect("exit code"))
+    let stderr = String::from_utf8(output.stderr).expect("stderr is UTF-8");
+    (stdout, stderr, output.status.code().expect("exit code"))
 }
 
 /// One pinned invocation: fixture name, argv, expected exit code.
@@ -49,7 +51,7 @@ fn check(cases: &[Case]) {
         let path = root().join(format!("tests/golden/cli/{}.stdout", c.name));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let (actual, code) = sdfmem(&c.argv);
+        let (actual, _, code) = sdfmem(&c.argv);
         if code != c.code {
             failures.push(format!(
                 "{}: {:?} exited {code}, want {}",
@@ -174,15 +176,21 @@ fn graphs_whose_buffers_overflow_u64_are_refused() {
     // Parallel edges whose TNSE sum wraps, and one edge whose TNSE wraps
     // on its own: `analyze` prints nothing and fails instead of reporting
     // pools computed from wrapped sums.  An error prints no timings, so
-    // these `analyze` cases can be pinned.
+    // these `analyze` cases can be pinned.  A rejected graph is a domain
+    // failure: exit 1, the reason on stderr, and no usage text.
     let cases: Vec<Case> = ["overflow_parallel", "overflow_tnse"]
         .into_iter()
         .map(|g| {
             let file = format!("tests/golden/cli/graphs/{g}.sdf");
-            case(format!("{g}.analyze"), &["analyze", &file], 2)
+            case(format!("{g}.analyze"), &["analyze", &file], 1)
         })
         .collect();
     check(&cases);
+    for c in &cases {
+        let (_, stderr, _) = sdfmem(&c.argv);
+        assert!(stderr.starts_with("error: "), "{}: {stderr}", c.name);
+        assert!(!stderr.contains("USAGE:"), "{}: {stderr}", c.name);
+    }
 }
 
 #[test]
@@ -242,7 +250,7 @@ fn usage_errors_exit_2_with_empty_stdout() {
     let mut failures = Vec::new();
     for argv in cases {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
-        let (stdout, code) = sdfmem(&argv);
+        let (stdout, _, code) = sdfmem(&argv);
         if code != 2 || !stdout.is_empty() {
             failures.push(format!("{argv:?}: exit {code}, stdout {stdout:?}"));
         }

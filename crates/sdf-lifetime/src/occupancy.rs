@@ -18,7 +18,7 @@
 //!   [`clique`](crate::clique)).
 //! * **occupied words** — the pool high-water mark `max(offset + size)`
 //!   over live buffers: how far up the pool the layout reaches.  Its peak
-//!   equals [`Allocation::total`](first-fit's pool size) exactly, because
+//!   equals first-fit's pool size (`Allocation::total`) exactly, because
 //!   the buffer that defines the total is live at its own start and no
 //!   live buffer ever reaches higher.
 //!

@@ -64,25 +64,11 @@ pub fn dppo(
     q: &RepetitionsVector,
     order: &[ActorId],
 ) -> Result<DppoResult, SdfError> {
-    dppo_with_mode(graph, q, order, DpMode::default())
-}
-
-/// Runs DPPO with an explicit [`DpMode`].
-///
-/// # Errors
-///
-/// Same as [`dppo`].
-pub fn dppo_with_mode(
-    graph: &SdfGraph,
-    q: &RepetitionsVector,
-    order: &[ActorId],
-    mode: DpMode,
-) -> Result<DppoResult, SdfError> {
     if graph.actor_count() == 0 {
         return Err(SdfError::EmptyGraph);
     }
     let ct = ChainTables::build(graph, q, order)?;
-    Ok(dppo_from_tables(&ct, q, mode))
+    Ok(dppo_from_tables(&ct, q, DpMode::default()))
 }
 
 /// Runs DPPO over prebuilt [`ChainTables`], so candidates sharing a
@@ -256,8 +242,9 @@ mod tests {
             g.add_edge(ids[i], ids[i + 1], p, c).unwrap();
         }
         let q = RepetitionsVector::compute(&g).unwrap();
-        let exact = dppo_with_mode(&g, &q, &ids, DpMode::Exact).unwrap();
-        let windowed = dppo_with_mode(&g, &q, &ids, DpMode::Windowed).unwrap();
+        let ct = ChainTables::build(&g, &q, &ids).unwrap();
+        let exact = dppo_from_tables(&ct, &q, DpMode::Exact);
+        let windowed = dppo_from_tables(&ct, &q, DpMode::Windowed);
         assert_eq!(exact.bufmem, windowed.bufmem);
         assert_eq!(exact.tree, windowed.tree);
     }

@@ -81,7 +81,7 @@
 //! final.  Crossing costs are non-negative, hence `cost(k) ≥
 //! combine(v[i, k], v[k+1, j])`; once that child term alone reaches the
 //! best cost so far, `k` cannot be a strict improvement and its crossing
-//! cost is skipped (counted in [`Solver::pruned`]).  `k` ascends and only
+//! cost is skipped (counted as a pruned split).  `k` ascends and only
 //! a strictly smaller cost replaces the incumbent, so the recorded split
 //! is the smallest argmin — the exact scan's tie-break.  A cell's work
 //! depends only on its own children, not on the fill order, so without a
@@ -185,15 +185,10 @@
 //! never stops resolves exactly the `n − 1` cells of its tree and
 //! returns `LB[0][n−1]`; it makes `j − i` scores and one resolution per
 //! cell, at most `n(n−1)/2 + n − 1` probes (a caterpillar tree).  A stop
-//! unwinds with `None` from every open cell, an explicit `Option` rather
-//! than the `UNSET` sentinel, which a saturated cost can also reach.  It
-//! keeps every cell already resolved, and the pruned fill completes the
-//! table, so a run that stops makes at most the dense probes plus the
-//! descent's.  The stop and the fill sit in a DPPO-only entry point, so
+//! unwinds with `None` from every open cell.  It keeps every cell
+//! already resolved, and the pruned fill completes the table, so a run
+//! that stops makes at most the dense probes plus the descent's.  The stop and the fill sit in a DPPO-only entry point, so
 //! the SDPPO solver's code is unchanged.
-
-use std::fmt;
-use std::str::FromStr;
 
 use crate::chain::ChainTables;
 use crate::memo::{MemoEntry, MemoKey, MemoStore};
@@ -213,34 +208,6 @@ pub enum DpMode {
 impl DpMode {
     /// Both modes, exact first.
     pub const ALL: [DpMode; 2] = [DpMode::Exact, DpMode::Windowed];
-
-    /// Short lower-case name (`exact`, `windowed`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DpMode::Exact => "exact",
-            DpMode::Windowed => "windowed",
-        }
-    }
-}
-
-impl fmt::Display for DpMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for DpMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "exact" => Ok(DpMode::Exact),
-            "windowed" => Ok(DpMode::Windowed),
-            other => Err(format!(
-                "unknown DP mode `{other}` (expected exact or windowed)"
-            )),
-        }
-    }
 }
 
 /// How a split's two child costs merge into the parent cost.
@@ -252,8 +219,12 @@ pub(crate) enum Combine {
     Max,
 }
 
-/// Uncomputed-cell sentinel.  Real costs are assumed to stay below it —
-/// the same no-overflow assumption the dense recurrence always made.
+/// Uncomputed-cell sentinel.  Real costs stay below it: every bound,
+/// child, crossing and cell value is a sum over disjoint edge sets, and
+/// [`RepetitionsVector::compute`] admits a graph only when the TNSE plus
+/// delay of all its edges sums below `u64::MAX`.
+///
+/// [`RepetitionsVector::compute`]: sdf_core::repetitions::RepetitionsVector::compute
 const UNSET: u64 = u64::MAX;
 
 /// One column `j` of the bottom-up fill.
@@ -373,7 +344,7 @@ impl<'a> Solver<'a> {
     /// The combine is monomorphised for the same reason.
     fn fill<const RESUME: bool>(&mut self, prune: bool) {
         match self.combine {
-            Combine::Sum => self.fill_with::<RESUME, _>(prune, u64::saturating_add),
+            Combine::Sum => self.fill_with::<RESUME, _>(prune, |l, r| l + r),
             Combine::Max => self.fill_with::<RESUME, _>(prune, u64::max),
         }
     }
@@ -451,7 +422,7 @@ impl<'a> Solver<'a> {
             let d = above_d[x] - (end_d - row_d[x]);
             // cost < best  ⇔  ⌊t / g⌋ < best − children − d
             //              ⇔  t < (best − children − d) · g
-            let base = children.saturating_add(d);
+            let base = children + d;
             if base < best && u128::from(t) < u128::from(best - base) * u128::from(g) {
                 best = base + t / g;
                 best_x = x;
@@ -477,9 +448,8 @@ impl<'a> Solver<'a> {
                 // [i, j-1] contains that of [i+1, j-1].  Both are empty
                 // when j = i + 1.
                 if j > i + 1 {
-                    bound = (lb[ct.cell(i, j - 1)] - lb[ct.cell(i + 1, j - 1)])
-                        .saturating_add(lb[ct.cell(i + 1, j)])
-                        .saturating_add(bound);
+                    bound +=
+                        lb[ct.cell(i, j - 1)] - lb[ct.cell(i + 1, j - 1)] + lb[ct.cell(i + 1, j)];
                 }
                 lb[ct.cell(i, j)] = bound;
             }
@@ -548,7 +518,7 @@ impl<'a> Solver<'a> {
         }
         let idx = self.ct.cell(i, j);
         // Only the descent leaves cells unset: the other scans fill the
-        // table up front, where `UNSET` can only be a saturated cost.
+        // table up front.
         if self.value[idx] == UNSET && !self.lb.is_empty() && self.descend(i, j).is_none() {
             self.fill::<true>(true);
         }
@@ -573,11 +543,7 @@ impl<'a> Solver<'a> {
             return Some(self.value[idx]);
         }
         let (ct, lb) = (self.ct, &self.lb);
-        let opt = |k: usize| {
-            lb[ct.cell(i, k)]
-                .saturating_add(lb[ct.cell(k + 1, j)])
-                .saturating_add(ct.split_cost(i, k, j))
-        };
+        let opt = |k: usize| lb[ct.cell(i, k)] + lb[ct.cell(k + 1, j)] + ct.split_cost(i, k, j);
         // The smallest `(opt, k)` pair: the smallest argmin.
         let (bound, k) = (i..j).map(|k| (opt(k), k)).min().expect("i < j");
         self.probes += (j - i) as u64;
@@ -587,7 +553,7 @@ impl<'a> Solver<'a> {
         let l = self.descend(i, k)?;
         let r = self.descend(k + 1, j)?;
         self.probes += 1;
-        let cost = l.saturating_add(r).saturating_add(ct.split_cost(i, k, j));
+        let cost = l + r + ct.split_cost(i, k, j);
         // Above the bound only when a child replayed from the memo is.
         if cost > bound {
             return None;
@@ -937,7 +903,7 @@ mod tests {
                 }
                 for i in 0..n {
                     for j in (i + 1)..n {
-                        let cell = format!("{context} {combine:?} {policy:?} {mode} ({i}, {j})");
+                        let cell = format!("{context} {combine:?} {policy:?} {mode:?} ({i}, {j})");
                         assert_eq!(s.value(i, j), value[i * n + j], "value {cell}");
                         assert_eq!(s.tree_split(i, j), split[i * n + j], "split {cell}");
                     }
@@ -984,12 +950,7 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for m in DpMode::ALL {
-            assert_eq!(m.as_str().parse::<DpMode>().unwrap(), m);
-            assert_eq!(m.to_string(), m.as_str());
-        }
-        assert!("bogus".parse::<DpMode>().is_err());
+    fn windowed_is_the_default() {
         assert_eq!(DpMode::default(), DpMode::Windowed);
     }
 }

@@ -11,8 +11,7 @@
 //!   (Eq. 5) with the §5.1 factoring rule;
 //! * [`chain_precise`](crate::chain_precise::chain_precise) — the exact
 //!   triple-cost DP of §6 for chain-structured graphs;
-//! * [`random_topological_sort`](crate::topsort::random_topological_sort)
-//!   and [`demand_driven_schedule`](crate::demand::demand_driven_schedule)
+//! * [`random_topological_sort`] and [`demand_driven_schedule`]
 //!   — the baselines of §10.1 and §11.1.3.
 //!
 //! # Examples
@@ -62,7 +61,7 @@ pub use apgan::apgan;
 pub use chain::ChainTables;
 pub use chain_precise::{chain_precise, ChainPreciseResult, CostTriple};
 pub use demand::demand_driven_schedule;
-pub use dppo::{dppo, dppo_from_tables, dppo_from_tables_memo, dppo_with_mode, DppoResult};
+pub use dppo::{dppo, dppo_from_tables, dppo_from_tables_memo, DppoResult};
 pub use dpwin::DpMode;
 pub use memo::{MemoEntry, MemoKey, MemoStats, MemoStore};
 pub use rpmc::rpmc;
@@ -71,7 +70,4 @@ pub use sdppo::{
     SdppoResult,
 };
 pub use topsort::random_topological_sort;
-pub use variant::{
-    schedule_variant, schedule_variant_from_tables, schedule_variant_from_tables_memo, LoopVariant,
-    ScheduledVariant,
-};
+pub use variant::{schedule_variant_from_tables_memo, LoopVariant, ScheduledVariant};

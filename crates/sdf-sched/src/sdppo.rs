@@ -388,7 +388,7 @@ mod tests {
             let counters = recorder.counters();
             let probes = counter(&counters, "sched.sdppo.split_probes");
             let pruned = counter(&counters, "sched.sdppo.splits_pruned");
-            assert_eq!(probes + pruned, (n * n * n - n) / 6, "{mode}");
+            assert_eq!(probes + pruned, (n * n * n - n) / 6, "{mode:?}");
             match mode {
                 DpMode::Exact => assert_eq!(pruned, 0),
                 DpMode::Windowed => assert!(pruned > 0, "nothing pruned"),

@@ -2,24 +2,25 @@
 //!
 //! The synthesis engine sweeps a candidate lattice whose second axis is
 //! *which* dynamic program builds the loop hierarchy for a given lexical
-//! order. [`LoopVariant`] names the choices and [`schedule_variant`]
-//! dispatches to the right DP, normalising their differing result types
-//! into one [`ScheduledVariant`].
+//! order. [`LoopVariant`] names the choices and
+//! [`schedule_variant_from_tables_memo`] dispatches to the right DP,
+//! normalising their differing result types into one
+//! [`ScheduledVariant`].
 
 use std::fmt;
 use std::str::FromStr;
 
 use sdf_core::error::SdfError;
-use sdf_core::graph::{ActorId, SdfGraph};
+use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
 use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::chain_precise::{chain_precise, DEFAULT_FRONTIER_CAP};
-use crate::dppo::{dppo, dppo_from_tables_memo};
+use crate::dppo::dppo_from_tables_memo;
 use crate::dpwin::DpMode;
 use crate::memo::MemoStore;
-use crate::sdppo::{sdppo, sdppo_from_tables_memo, FactoringPolicy};
+use crate::sdppo::{sdppo_from_tables_memo, FactoringPolicy};
 
 /// Which loop-hierarchy dynamic program to run over a lexical order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -102,20 +103,25 @@ pub struct ScheduledVariant {
     pub cost_estimate: u64,
 }
 
-/// Runs `variant` on `order`, normalising the result.
+/// Runs `variant` against prebuilt [`ChainTables`] with an explicit
+/// [`DpMode`], so candidates sharing a lexical order share one table
+/// build, plus an optional cross-run [`MemoStore`] the chain DPs probe
+/// for content-addressed subchain results.  Chain-precise ignores the
+/// tables and the store (it derives the chain order itself and has no
+/// windowed formulation) and always runs exactly.  Results are
+/// bit-identical with and without a store.
 ///
 /// # Errors
 ///
-/// * Whatever the underlying DP reports ([`SdfError::EmptyGraph`], order
-///   validation failures, …).
-/// * [`SdfError::NotChainStructured`] for
-///   [`LoopVariant::ChainPrecise`] on a non-chain graph.
+/// [`SdfError::NotChainStructured`] for [`LoopVariant::ChainPrecise`] on
+/// a non-chain graph.
 ///
 /// # Examples
 ///
 /// ```
 /// use sdf_core::{SdfGraph, RepetitionsVector};
-/// use sdf_sched::variant::{schedule_variant, LoopVariant};
+/// use sdf_sched::variant::{schedule_variant_from_tables_memo, LoopVariant};
+/// use sdf_sched::{ChainTables, DpMode};
 ///
 /// # fn main() -> Result<(), sdf_core::SdfError> {
 /// let mut g = SdfGraph::new("fig2");
@@ -125,69 +131,14 @@ pub struct ScheduledVariant {
 /// g.add_edge(a, b, 20, 10)?;
 /// g.add_edge(b, c, 20, 10)?;
 /// let q = RepetitionsVector::compute(&g)?;
-/// let s = schedule_variant(&g, &q, &[a, b, c], LoopVariant::Sdppo)?;
+/// let ct = ChainTables::build(&g, &q, &[a, b, c])?;
+/// let s = schedule_variant_from_tables_memo(
+///     &g, &q, &ct, LoopVariant::Sdppo, DpMode::Windowed, None,
+/// )?;
 /// assert_eq!(s.cost_estimate, 40);
 /// # Ok(())
 /// # }
 /// ```
-pub fn schedule_variant(
-    graph: &SdfGraph,
-    q: &RepetitionsVector,
-    order: &[ActorId],
-    variant: LoopVariant,
-) -> Result<ScheduledVariant, SdfError> {
-    match variant {
-        LoopVariant::Sdppo => {
-            let r = sdppo(graph, q, order)?;
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.shared_cost,
-            })
-        }
-        LoopVariant::Dppo => {
-            let r = dppo(graph, q, order)?;
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.bufmem,
-            })
-        }
-        LoopVariant::ChainPrecise => {
-            let r = chain_precise(graph, q, DEFAULT_FRONTIER_CAP)?;
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.cost.center,
-            })
-        }
-    }
-}
-
-/// Runs `variant` against prebuilt [`ChainTables`] with an explicit
-/// [`DpMode`], so candidates sharing a lexical order share one table
-/// build.  Chain-precise ignores the tables (it derives the chain order
-/// itself) and always runs exactly.
-///
-/// # Errors
-///
-/// * [`SdfError::NotChainStructured`] for [`LoopVariant::ChainPrecise`]
-///   on a non-chain graph.
-pub fn schedule_variant_from_tables(
-    graph: &SdfGraph,
-    q: &RepetitionsVector,
-    ct: &ChainTables,
-    variant: LoopVariant,
-    mode: DpMode,
-) -> Result<ScheduledVariant, SdfError> {
-    schedule_variant_from_tables_memo(graph, q, ct, variant, mode, None)
-}
-
-/// Like [`schedule_variant_from_tables`], plus an optional cross-run
-/// [`MemoStore`] the chain DPs probe for content-addressed subchain
-/// results. Chain-precise has no windowed formulation and ignores the
-/// store. Results are bit-identical with and without a store.
-///
-/// # Errors
-///
-/// Same as [`schedule_variant_from_tables`].
 pub fn schedule_variant_from_tables_memo(
     graph: &SdfGraph,
     q: &RepetitionsVector,
@@ -224,6 +175,9 @@ pub fn schedule_variant_from_tables_memo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dppo::dppo;
+    use crate::sdppo::sdppo;
+    use sdf_core::graph::ActorId;
 
     fn fig2() -> (SdfGraph, RepetitionsVector, Vec<ActorId>) {
         let mut g = SdfGraph::new("fig2");
@@ -239,33 +193,28 @@ mod tests {
     #[test]
     fn dispatch_matches_direct_calls() {
         let (g, q, order) = fig2();
-        let s = schedule_variant(&g, &q, &order, LoopVariant::Sdppo).unwrap();
-        assert_eq!(s.cost_estimate, sdppo(&g, &q, &order).unwrap().shared_cost);
-        let d = schedule_variant(&g, &q, &order, LoopVariant::Dppo).unwrap();
-        assert_eq!(d.cost_estimate, dppo(&g, &q, &order).unwrap().bufmem);
-        let c = schedule_variant(&g, &q, &order, LoopVariant::ChainPrecise).unwrap();
-        assert_eq!(
-            c.cost_estimate,
-            chain_precise(&g, &q, DEFAULT_FRONTIER_CAP)
-                .unwrap()
-                .cost
-                .center
-        );
-    }
-
-    #[test]
-    fn from_tables_dispatch_matches_plain_dispatch() {
-        let (g, q, order) = fig2();
         let ct = ChainTables::build(&g, &q, &order).unwrap();
+        let direct = |variant| match variant {
+            LoopVariant::Sdppo => {
+                let r = sdppo(&g, &q, &order).unwrap();
+                (r.tree, r.shared_cost)
+            }
+            LoopVariant::Dppo => {
+                let r = dppo(&g, &q, &order).unwrap();
+                (r.tree, r.bufmem)
+            }
+            LoopVariant::ChainPrecise => {
+                let r = chain_precise(&g, &q, DEFAULT_FRONTIER_CAP).unwrap();
+                (r.tree, r.cost.center)
+            }
+        };
         for variant in LoopVariant::ALL {
-            let plain = schedule_variant(&g, &q, &order, variant).unwrap();
+            let (tree, cost) = direct(variant);
             for mode in DpMode::ALL {
-                let tabled = schedule_variant_from_tables(&g, &q, &ct, variant, mode).unwrap();
-                assert_eq!(plain.tree, tabled.tree, "{variant} {mode}");
-                assert_eq!(
-                    plain.cost_estimate, tabled.cost_estimate,
-                    "{variant} {mode}"
-                );
+                let s =
+                    schedule_variant_from_tables_memo(&g, &q, &ct, variant, mode, None).unwrap();
+                assert_eq!(s.tree, tree, "{variant} {mode:?}");
+                assert_eq!(s.cost_estimate, cost, "{variant} {mode:?}");
             }
         }
     }

@@ -26,62 +26,26 @@ use std::borrow::Cow;
 use std::time::Instant;
 
 pub use sdf_codegen::MemoryModel;
+/// Topological-sort heuristic selector shared by plan-shaped requests:
+/// the engine's [`Heuristic`](sdfmem::engine::Heuristic) under its wire
+/// name.
+pub use sdfmem::engine::Heuristic as OrderMethod;
+
 use sdf_codegen::{execute_plan, ExecReport, ExecutablePlan};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::{ActorId, SdfError};
+use sdf_core::SdfError;
 use sdf_regress::{diff, DiffOptions, Profile, RegressionReport, ReportFormat as DiffFormat};
 use sdf_trace::json::{self, Json, Writer};
 use sdf_trace::{CacheStatus, FlightRecord, Histogram, StageSpan};
 use sdfmem::engine::{AnalysisBuilder, StageTimings, Synthesis};
 use sdfmem::incremental::{apply_edits, dirty_edges, EditScript};
 use sdfmem::modes::{synthesize_modes, ModeSynthesis};
-use sdfmem::pipeline::Analysis;
+use sdfmem::pipeline::{shared_layout, Analysis};
 use sdfmem::sentinel::{capture_profile, CaptureOptions};
 
 use crate::explain::ExplainReport;
 use crate::hash::fingerprint;
-
-/// Topological-sort heuristic selector shared by plan-shaped requests.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum OrderMethod {
-    /// APGAN (bottom-up clustering).
-    #[default]
-    Apgan,
-    /// RPMC (top-down min-cut partitioning).
-    Rpmc,
-}
-
-impl OrderMethod {
-    /// The wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            OrderMethod::Apgan => "apgan",
-            OrderMethod::Rpmc => "rpmc",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn parse(name: &str) -> Option<OrderMethod> {
-        match name {
-            "apgan" => Some(OrderMethod::Apgan),
-            "rpmc" => Some(OrderMethod::Rpmc),
-            _ => None,
-        }
-    }
-
-    /// The heuristic's topological order of `g`'s actors.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the heuristic reports for a graph it cannot order.
-    pub fn order(self, g: &SdfGraph, q: &RepetitionsVector) -> Result<Vec<ActorId>, SdfError> {
-        match self {
-            OrderMethod::Apgan => sdf_sched::apgan(g, q),
-            OrderMethod::Rpmc => sdf_sched::rpmc(g, q),
-        }
-    }
-}
 
 /// Machine-readable failure class of a [`ServiceError`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1010,30 +974,24 @@ pub fn lower_plan(
     model: MemoryModel,
 ) -> Result<ExecutablePlan, ServiceError> {
     use sdf_alloc::{allocate, AllocationOrder, PlacementPolicy};
-    use sdf_lifetime::tree::ScheduleTree;
-    use sdf_lifetime::wig::IntersectionGraph;
-    use sdf_sched::{dppo, sdppo};
 
-    let engine = ServiceError::engine;
-    let q = RepetitionsVector::compute(g).map_err(|e| engine(e.to_string()))?;
-    let order = method.order(g, &q).map_err(|e| engine(e.to_string()))?;
+    let engine = |e: SdfError| ServiceError::engine(e.to_string());
+    let q = RepetitionsVector::compute(g).map_err(engine)?;
     match model {
         MemoryModel::NonShared => {
-            let r = dppo(g, &q, &order).map_err(|e| engine(e.to_string()))?;
-            ExecutablePlan::lower_nonshared(g, &q, &r.tree.to_looped_schedule())
-                .map_err(|e| engine(e.to_string()))
+            let order = method.order(g, &q).map_err(engine)?;
+            let r = sdf_sched::dppo(g, &q, &order).map_err(engine)?;
+            ExecutablePlan::lower_nonshared(g, &q, &r.tree.to_looped_schedule()).map_err(engine)
         }
         MemoryModel::Shared => {
-            let r = sdppo(g, &q, &order).map_err(|e| engine(e.to_string()))?;
-            let tree = ScheduleTree::build(g, &q, &r.tree).map_err(|e| engine(e.to_string()))?;
-            let wig = IntersectionGraph::build(g, &q, &tree);
+            let layout = shared_layout(g, &q, method).map_err(engine)?;
             let alloc = allocate(
-                &wig,
+                &layout.wig,
                 AllocationOrder::DurationDescending,
                 PlacementPolicy::FirstFit,
             );
-            ExecutablePlan::lower_shared(g, &q, &r.tree, &wig, &alloc)
-                .map_err(|e| engine(e.to_string()))
+            ExecutablePlan::lower_shared(g, &q, &layout.sdppo.tree, &layout.wig, &alloc)
+                .map_err(engine)
         }
     }
 }
@@ -1219,11 +1177,9 @@ fn execute_request_inner(
         } => {
             let g = clock.time("parse", || parse_graph_input(graph))?;
             let synthesis = clock.time("engine", || {
-                let mut builder = AnalysisBuilder::new().parallel(!serial);
-                if *full {
-                    builder = builder.loop_opts(sdf_sched::LoopVariant::ALL);
-                }
-                builder
+                AnalysisBuilder::new()
+                    .parallel(!serial)
+                    .full(*full)
                     .run_full(&g)
                     .map_err(|e| ServiceError::engine(e.to_string()))
             })?;

@@ -25,12 +25,12 @@ use sdf_alloc::provenance::GapRejection;
 use sdf_alloc::{allocate_with_provenance, AllocationOrder, PlacementPolicy};
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
+use sdf_core::SdfError;
 use sdf_lifetime::clique::mcw_optimistic;
 use sdf_lifetime::occupancy::OccupancyTimeline;
-use sdf_lifetime::tree::ScheduleTree;
-use sdf_lifetime::wig::IntersectionGraph;
-use sdf_sched::{apgan, sdppo};
 use sdf_trace::json;
+use sdfmem::engine::Heuristic;
+use sdfmem::pipeline::shared_layout;
 
 use crate::api::ServiceError;
 
@@ -137,12 +137,9 @@ impl ExplainReport {
     /// [`ServiceError`] with an engine code on consistency or
     /// scheduling failures (same paths as `plan`).
     pub fn build(g: &SdfGraph) -> Result<ExplainReport, ServiceError> {
-        let engine = ServiceError::engine;
-        let q = RepetitionsVector::compute(g).map_err(|e| engine(e.to_string()))?;
-        let order = apgan(g, &q).map_err(|e| engine(e.to_string()))?;
-        let r = sdppo(g, &q, &order).map_err(|e| engine(e.to_string()))?;
-        let tree = ScheduleTree::build(g, &q, &r.tree).map_err(|e| engine(e.to_string()))?;
-        let wig = IntersectionGraph::build(g, &q, &tree);
+        let engine = |e: SdfError| ServiceError::engine(e.to_string());
+        let q = RepetitionsVector::compute(g).map_err(engine)?;
+        let wig = shared_layout(g, &q, Heuristic::Apgan).map_err(engine)?.wig;
         let (alloc, log) = allocate_with_provenance(
             &wig,
             AllocationOrder::DurationDescending,

@@ -1,17 +1,16 @@
 //! The `sdfmemd` daemon: a TCP server over the unified API.
 //!
 //! Protocol: line-delimited JSON. Each connection may submit any
-//! number of [`ServiceRequest`](crate::api::ServiceRequest) lines and
-//! receives one [`ServiceResponse`](crate::api::ServiceResponse) line
-//! per request, in order.
+//! number of [`ServiceRequest`] lines and receives one
+//! [`ServiceResponse`] line per request, in order.
 //!
 //! Architecture: an accept thread spawns one lightweight thread per
 //! connection. Connection threads parse requests, probe the result
 //! cache, and on a miss enqueue a [`Job`] on the bounded queue, then
 //! block on the job's channel; a fixed pool of worker threads drains
-//! the queue through [`execute_request_cached`]. A full queue rejects
-//! the submission immediately (state `rejected`) — backpressure
-//! reaches the client as a response, never as a hang.
+//! the queue through [`crate::api::execute_request_cached`]. A full
+//! queue rejects the submission immediately (state `rejected`) —
+//! backpressure reaches the client as a response, never as a hang.
 //!
 //! **Byte-identity invariant.** Workers never install a global
 //! [`sdf_trace`] recorder around job execution: engine counters are

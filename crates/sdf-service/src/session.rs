@@ -14,7 +14,7 @@
 //! The payload stays deterministic either way: a session run is an
 //! [`AnalysisBuilder`] run with a memo store installed, bit-identical
 //! to a cold run without one, and the payload is assembled by the same
-//! [`edit_payload`] the stateless in-process backend uses.
+//! `edit_payload` the stateless in-process backend uses.
 //! Session-history-dependent numbers — memo hits, elapsed time —
 //! travel in [`DeltaStats`], which the daemon worker folds into its
 //! private recorder and the per-request telemetry, never into cached

@@ -100,8 +100,11 @@ use std::time::Instant;
 /// plans, merged cross-mode pool, persistent-buffer table, transition
 /// oracle verdict), the `switch` op in `executable_plan` ops arrays,
 /// the `modes.*` counter namespace, and the `mode_bench` trajectory in
-/// `BENCH_10.json` (another deliberate baseline refresh).
-pub const SCHEMA_VERSION: u32 = 10;
+/// `BENCH_10.json` (another deliberate baseline refresh); `11` removed
+/// the `dp_mode` member from `engine_report`, since the engine always
+/// runs the windowed chain-DP scans (baseline profiles changed only in
+/// their header).
+pub const SCHEMA_VERSION: u32 = 11;
 
 /// Number of event shards; a small power of two keeps cross-thread
 /// contention low without wasting memory on mostly-serial runs.
@@ -128,7 +131,7 @@ pub struct Event {
 
 /// The thread-safe collector behind the global tracing facade.
 ///
-/// Spans land in one of [`SHARDS`] mutex-protected vectors selected by
+/// Spans land in one of `SHARDS` mutex-protected vectors selected by
 /// thread id; instruments live in one mutex-protected map (increments
 /// are batched by the instrumented algorithms, so the lock is cold).
 pub struct Recorder {

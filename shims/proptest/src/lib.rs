@@ -112,7 +112,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Rng, StdRng, Strategy};
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct VecStrategy<S> {
         element: S,

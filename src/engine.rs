@@ -3,17 +3,20 @@
 //! The paper's Fig. 21 flow evaluates independent design points — a
 //! topological-sort heuristic, a loop-hierarchy DP, an allocation order —
 //! and keeps the Table 1 "bold entry" winner. This module makes that
-//! lattice explicit and configurable:
+//! lattice explicit:
 //!
 //! ```text
-//! {RPMC, APGAN, custom order} × {SDPPO, DPPO, chain-precise} × {ffdur, ffstart, …}
+//! {RPMC, APGAN} × {SDPPO | SDPPO, DPPO, chain-precise} × {ffdur, ffstart}
 //! ```
 //!
-//! [`AnalysisBuilder`] selects the swept subset, [`AnalysisBuilder::run`]
-//! returns the winning [`Analysis`], and [`AnalysisBuilder::run_full`]
-//! additionally returns every scored [`Candidate`] plus an
-//! [`EngineReport`] with per-stage wall times and the winner rationale
-//! (serialisable to JSON without external dependencies).
+//! The heuristic and allocation axes are the paper's; [`AnalysisBuilder`]
+//! chooses only between SDPPO alone and every loop DP
+//! ([`AnalysisBuilder::full`]) and between parallel and serial
+//! evaluation. [`AnalysisBuilder::run`] returns the winning [`Analysis`],
+//! and [`AnalysisBuilder::run_full`] additionally returns every scored
+//! [`Candidate`] plus an [`EngineReport`] with per-stage wall times and
+//! the winner rationale (serialisable to JSON without external
+//! dependencies).
 //!
 //! Work is shared across the lattice: the repetitions vector is computed
 //! once, each heuristic's order once, and the non-shared DPPO baseline
@@ -28,13 +31,13 @@
 //! # Examples
 //!
 //! ```
-//! use sdfmem::engine::{AnalysisBuilder, Heuristic};
+//! use sdfmem::engine::AnalysisBuilder;
 //! use sdfmem::apps::satrec::satellite_receiver;
 //!
 //! # fn main() -> Result<(), sdfmem::core::SdfError> {
 //! let graph = satellite_receiver();
 //! let synthesis = AnalysisBuilder::new()
-//!     .heuristics([Heuristic::Rpmc, Heuristic::Apgan])
+//!     .full(true)
 //!     .parallel(true)
 //!     .run_full(&graph)?;
 //! assert!(synthesis.analysis.shared_total() < synthesis.analysis.nonshared_bufmem);
@@ -45,8 +48,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Deref;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,24 +65,45 @@ use sdf_sched::{apgan, dppo_from_tables_memo, rpmc, ChainTables, DpMode, MemoSto
 
 use crate::pipeline::Analysis;
 
-/// Which topological-sort heuristic produced a lexical order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which topological-sort heuristic produces a lexical order (§7). The
+/// engine sweeps both; a one-order request (`plan`, `schedule`,
+/// `allocate`, …) names one by its wire name, APGAN unless told
+/// otherwise.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Heuristic {
     /// RPMC — top-down recursive min-cut partitioning (§7.2).
     Rpmc,
     /// APGAN — bottom-up pairwise clustering (§7.1).
+    #[default]
     Apgan,
-    /// A caller-supplied order ([`AnalysisBuilder::custom_order`]).
-    Custom,
 }
 
 impl Heuristic {
-    /// Short lower-case name (`rpmc`, `apgan`, `custom`).
+    /// Both heuristics, in the engine's lattice order.
+    pub const ALL: [Heuristic; 2] = [Heuristic::Rpmc, Heuristic::Apgan];
+
+    /// The wire name (`rpmc`, `apgan`).
     pub fn as_str(self) -> &'static str {
         match self {
             Heuristic::Rpmc => "rpmc",
             Heuristic::Apgan => "apgan",
-            Heuristic::Custom => "custom",
+        }
+    }
+
+    /// Parses a wire name.
+    pub fn parse(name: &str) -> Option<Heuristic> {
+        Heuristic::ALL.into_iter().find(|h| h.as_str() == name)
+    }
+
+    /// The heuristic's topological order of `g`'s actors.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the heuristic reports for a graph it cannot order.
+    pub fn order(self, g: &SdfGraph, q: &RepetitionsVector) -> Result<Vec<ActorId>, SdfError> {
+        match self {
+            Heuristic::Rpmc => rpmc(g, q),
+            Heuristic::Apgan => apgan(g, q),
         }
     }
 }
@@ -92,63 +114,17 @@ impl fmt::Display for Heuristic {
     }
 }
 
-/// Back-compat string accessor: `Analysis::winner` used to be a
-/// `&'static str`, so `*analysis.winner` and string comparisons keep
-/// working.
-impl Deref for Heuristic {
-    type Target = str;
-
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl PartialEq<&str> for Heuristic {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl PartialEq<str> for Heuristic {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
-
-impl FromStr for Heuristic {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "rpmc" => Ok(Heuristic::Rpmc),
-            "apgan" => Ok(Heuristic::Apgan),
-            "custom" => Ok(Heuristic::Custom),
-            other => Err(format!(
-                "unknown heuristic `{other}` (expected rpmc, apgan or custom)"
-            )),
-        }
-    }
-}
-
-/// The full configuration of one engine run.
+/// The configuration of one engine run. The lattice's other axes are
+/// the paper's: the orders of [`Heuristic::ALL`], the allocation orders
+/// of [`AllocationOrder::PAPER`] and the [`DpMode::Windowed`] chain-DP
+/// scans.
 #[derive(Clone, Debug)]
 pub struct SynthesisOptions {
-    /// Topological-sort heuristics to sweep, in lattice order.
-    pub heuristics: Vec<Heuristic>,
-    /// The order used by [`Heuristic::Custom`] (required iff selected).
-    pub custom_order: Option<Vec<ActorId>>,
-    /// Loop-hierarchy DPs to sweep; inapplicable variants (chain-precise
-    /// on a non-chain graph) are skipped silently.
-    pub loop_opts: Vec<LoopVariant>,
-    /// First-fit enumeration orders to sweep.
-    pub allocation_orders: Vec<AllocationOrder>,
+    /// Sweep every loop-hierarchy DP of [`LoopVariant::ALL`] instead of
+    /// SDPPO alone; chain-precise joins only on chain-structured graphs.
+    pub full: bool,
     /// Evaluate lattice cells on parallel threads.
     pub parallel: bool,
-    /// How the chain DPs scan split positions. Both modes produce
-    /// bit-identical schedules and costs; [`DpMode::Windowed`] (the
-    /// default) probes far fewer splits on long chains, and
-    /// [`DpMode::Exact`] remains as the verification/ablation reference.
-    pub dp_mode: DpMode,
     /// Cross-run memo store for the windowed chain DPs. When set, chain
     /// tables are built with subchain hashers and every DP cell is
     /// content-addressed in the store, so repeated synthesis of similar
@@ -160,17 +136,12 @@ pub struct SynthesisOptions {
 }
 
 impl Default for SynthesisOptions {
-    /// The configuration equivalent to the classic [`Analysis::run`]:
-    /// RPMC and APGAN orders, SDPPO loop hierarchies, both paper
-    /// allocation orders, parallel evaluation, windowed DP scans.
+    /// The configuration of the classic [`Analysis::run`]: SDPPO loop
+    /// hierarchies, parallel evaluation, no memo.
     fn default() -> Self {
         SynthesisOptions {
-            heuristics: vec![Heuristic::Rpmc, Heuristic::Apgan],
-            custom_order: None,
-            loop_opts: vec![LoopVariant::Sdppo],
-            allocation_orders: AllocationOrder::PAPER.to_vec(),
+            full: false,
             parallel: true,
-            dp_mode: DpMode::default(),
             memo: None,
         }
     }
@@ -179,7 +150,7 @@ impl Default for SynthesisOptions {
 /// Builder over [`SynthesisOptions`] — the public seam of the engine.
 ///
 /// The default configuration reproduces the classic [`Analysis::run`]
-/// results bit-for-bit; every method widens or narrows one lattice axis.
+/// results bit-for-bit.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisBuilder {
     options: SynthesisOptions,
@@ -191,35 +162,10 @@ impl AnalysisBuilder {
         AnalysisBuilder::default()
     }
 
-    /// Replaces the heuristic axis.
+    /// Sweeps every loop-hierarchy DP instead of SDPPO alone.
     #[must_use]
-    pub fn heuristics(mut self, heuristics: impl IntoIterator<Item = Heuristic>) -> Self {
-        self.options.heuristics = heuristics.into_iter().collect();
-        self
-    }
-
-    /// Supplies the order for [`Heuristic::Custom`], appending `Custom`
-    /// to the heuristic axis if it is not already selected.
-    #[must_use]
-    pub fn custom_order(mut self, order: Vec<ActorId>) -> Self {
-        self.options.custom_order = Some(order);
-        if !self.options.heuristics.contains(&Heuristic::Custom) {
-            self.options.heuristics.push(Heuristic::Custom);
-        }
-        self
-    }
-
-    /// Replaces the loop-hierarchy axis.
-    #[must_use]
-    pub fn loop_opts(mut self, loop_opts: impl IntoIterator<Item = LoopVariant>) -> Self {
-        self.options.loop_opts = loop_opts.into_iter().collect();
-        self
-    }
-
-    /// Replaces the allocation-order axis.
-    #[must_use]
-    pub fn allocators(mut self, orders: impl IntoIterator<Item = AllocationOrder>) -> Self {
-        self.options.allocation_orders = orders.into_iter().collect();
+    pub fn full(mut self, full: bool) -> Self {
+        self.options.full = full;
         self
     }
 
@@ -228,24 +174,6 @@ impl AnalysisBuilder {
     #[must_use]
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.options.parallel = parallel;
-        self
-    }
-
-    /// Selects the chain-DP scan mode. Results are bit-identical in both
-    /// modes; only the probe count (and wall time on long chains)
-    /// changes.
-    #[must_use]
-    pub fn dp_mode(mut self, mode: DpMode) -> Self {
-        self.options.dp_mode = mode;
-        self
-    }
-
-    /// Installs a cross-run [`MemoStore`] for the windowed chain DPs.
-    /// Results are bit-identical with and without one; warm stores skip
-    /// the quadratic DP sweep for every content-matched subchain.
-    #[must_use]
-    pub fn memo(mut self, store: Arc<MemoStore>) -> Self {
-        self.options.memo = Some(store);
         self
     }
 
@@ -259,8 +187,7 @@ impl AnalysisBuilder {
     /// # Errors
     ///
     /// Propagates consistency, scheduling and allocation errors
-    /// ([`SdfError`]); also fails if the configuration is empty or
-    /// [`Heuristic::Custom`] is selected without an order.
+    /// ([`SdfError`]).
     pub fn run(&self, graph: &SdfGraph) -> Result<Analysis, SdfError> {
         Ok(self.run_full(graph)?.analysis)
     }
@@ -390,8 +317,6 @@ pub struct EngineReport {
     pub parallel: bool,
     /// Threads the parallel backend would use.
     pub threads: usize,
-    /// The chain-DP scan mode the run used.
-    pub dp_mode: DpMode,
     /// Wall time of the repetitions-vector computation.
     pub repetitions_ns: u64,
     /// Best non-shared bufmem over all swept orders (the baseline).
@@ -448,7 +373,6 @@ impl EngineReport {
                 .num("edges", self.edges)
                 .bool("parallel", self.parallel)
                 .num("threads", self.threads)
-                .str("dp_mode", self.dp_mode.as_str())
                 .us("repetitions_us", self.repetitions_ns)
                 .num("nonshared_bufmem", self.nonshared_bufmem);
             w.array("orders", |w| {
@@ -496,13 +420,12 @@ impl fmt::Display for EngineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine report: {} ({} actors, {} edges), {} evaluation on {} threads, {} DP",
+            "engine report: {} ({} actors, {} edges), {} evaluation on {} threads",
             self.graph,
             self.actors,
             self.edges,
             if self.parallel { "parallel" } else { "serial" },
-            self.threads,
-            self.dp_mode
+            self.threads
         )?;
         writeln!(f, "non-shared baseline: {} words", self.nonshared_bufmem)?;
         writeln!(
@@ -552,15 +475,6 @@ pub(crate) fn run_engine(
 ) -> Result<Synthesis, SdfError> {
     let _run_span = sdf_trace::span!("engine.run", graph = graph.name());
     let t_run = Instant::now();
-    if options.heuristics.is_empty()
-        || options.loop_opts.is_empty()
-        || options.allocation_orders.is_empty()
-    {
-        return Err(SdfError::InvalidSchedule(
-            "empty candidate lattice: every SynthesisOptions axis needs at least one entry"
-                .to_string(),
-        ));
-    }
 
     let t = Instant::now();
     let q = {
@@ -571,21 +485,10 @@ pub(crate) fn run_engine(
 
     // Stage 1: one lexical order per heuristic.
     let mut orders: Vec<(Heuristic, Vec<ActorId>, u64)> = Vec::new();
-    for &heuristic in &options.heuristics {
-        if orders.iter().any(|(h, _, _)| *h == heuristic) {
-            continue; // duplicate axis entry
-        }
+    for heuristic in Heuristic::ALL {
         let t = Instant::now();
         let _span = sdf_trace::span!("engine.order", heuristic = heuristic);
-        let order = match heuristic {
-            Heuristic::Rpmc => rpmc(graph, &q)?,
-            Heuristic::Apgan => apgan(graph, &q)?,
-            Heuristic::Custom => options.custom_order.clone().ok_or_else(|| {
-                SdfError::InvalidSchedule(
-                    "Heuristic::Custom selected without AnalysisBuilder::custom_order".to_string(),
-                )
-            })?,
-        };
+        let order = heuristic.order(graph, &q)?;
         orders.push((heuristic, order, elapsed_ns(t)));
     }
 
@@ -612,7 +515,7 @@ pub(crate) fn run_engine(
                     Some(_) => ChainTables::build_hashed(graph, &q, order)?,
                     None => ChainTables::build(graph, &q, order)?,
                 });
-                let b = dppo_from_tables_memo(&ct, &q, options.dp_mode, options.memo.as_deref());
+                let b = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, options.memo.as_deref());
                 let ns = elapsed_ns(t);
                 tables.insert(order.as_slice(), ct);
                 baselines.insert(order.as_slice(), (b.clone(), ns));
@@ -635,9 +538,14 @@ pub(crate) fn run_engine(
     // Stage 3: assemble the schedule-level cells. Chain-precise ignores
     // the lexical order, so it contributes one cell total, attributed to
     // the first heuristic.
+    let loop_opts: &[LoopVariant] = if options.full {
+        &LoopVariant::ALL
+    } else {
+        &[LoopVariant::Sdppo]
+    };
     let mut cells: Vec<Cell> = Vec::new();
     for (heuristic, order, _) in &orders {
-        for &loop_opt in &options.loop_opts {
+        for &loop_opt in loop_opts {
             if !loop_opt.applicable_to(graph) {
                 continue;
             }
@@ -657,20 +565,13 @@ pub(crate) fn run_engine(
             });
         }
     }
-    if cells.is_empty() {
-        return Err(SdfError::InvalidSchedule(
-            "no applicable candidates: selected loop variants cannot run on this graph".to_string(),
-        ));
-    }
 
     // Stage 4: evaluate every cell — schedule, lifetimes, WIG, clique
     // estimates, then one allocation per enumeration order.
-    let allocation_orders = &options.allocation_orders;
     // Per-candidate counter attribution needs exclusive use of the
     // shared recorder: serial runs difference a snapshot around each
     // candidate; parallel cells interleave, so they skip attribution.
     let attribute_counters = !options.parallel && sdf_trace::enabled();
-    let dp_mode = options.dp_mode;
     let memo = options.memo.clone();
     let evaluate = |cell: Cell| -> Result<Vec<Candidate>, SdfError> {
         let _cell_span = sdf_trace::span!(
@@ -698,7 +599,7 @@ pub(crate) fn run_engine(
                             &q,
                             &cell.tables,
                             cell.loop_opt,
-                            dp_mode,
+                            DpMode::Windowed,
                             memo.as_deref(),
                         )?
                         .tree,
@@ -724,8 +625,8 @@ pub(crate) fn run_engine(
         drop(_wig_span);
         timings.wig_ns = elapsed_ns(t);
 
-        let mut out = Vec::with_capacity(allocation_orders.len());
-        for &allocation_order in allocation_orders {
+        let mut out = Vec::with_capacity(AllocationOrder::PAPER.len());
+        for allocation_order in AllocationOrder::PAPER {
             let t = Instant::now();
             let _span = sdf_trace::span!("candidate.alloc", order = allocation_order);
             let allocation = allocate(&wig, allocation_order, PlacementPolicy::FirstFit);
@@ -832,7 +733,6 @@ pub(crate) fn run_engine(
         } else {
             1
         },
-        dp_mode: options.dp_mode,
         repetitions_ns,
         nonshared_bufmem,
         orders: order_timings,
@@ -907,12 +807,12 @@ mod tests {
     fn serial_and_parallel_agree() {
         let graph = satellite_receiver();
         let serial = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .parallel(false)
             .run_full(&graph)
             .unwrap();
         let parallel = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .parallel(true)
             .run_full(&graph)
             .unwrap();
@@ -927,10 +827,7 @@ mod tests {
     #[test]
     fn chain_precise_joins_lattice_once_on_chains() {
         let graph = fig2(); // a chain
-        let synthesis = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .run_full(&graph)
-            .unwrap();
+        let synthesis = AnalysisBuilder::new().full(true).run_full(&graph).unwrap();
         let chain_rows = synthesis
             .candidates
             .iter()
@@ -948,47 +845,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_order_is_swept() {
-        let graph = fig2();
-        let q = RepetitionsVector::compute(&graph).unwrap();
-        let order = apgan(&graph, &q).unwrap();
-        let synthesis = AnalysisBuilder::new()
-            .heuristics([])
-            .custom_order(order)
-            .run_full(&graph)
-            .unwrap();
-        assert!(synthesis
-            .candidates
-            .iter()
-            .all(|c| c.heuristic == Heuristic::Custom));
-        assert_eq!(synthesis.analysis.winner, Heuristic::Custom);
-    }
-
-    #[test]
-    fn custom_without_order_is_rejected() {
-        let graph = fig2();
-        let err = AnalysisBuilder::new()
-            .heuristics([Heuristic::Custom])
-            .run(&graph)
-            .unwrap_err();
-        assert!(err.to_string().contains("custom_order"), "{err}");
-    }
-
-    #[test]
-    fn empty_lattice_is_rejected() {
-        let graph = fig2();
-        assert!(AnalysisBuilder::new().heuristics([]).run(&graph).is_err());
-        assert!(AnalysisBuilder::new().loop_opts([]).run(&graph).is_err());
-        assert!(AnalysisBuilder::new().allocators([]).run(&graph).is_err());
-    }
-
-    #[test]
     fn report_is_consistent_and_serialises() {
         let graph = satellite_receiver();
-        let synthesis = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .run_full(&graph)
-            .unwrap();
+        let synthesis = AnalysisBuilder::new().full(true).run_full(&graph).unwrap();
         let report = &synthesis.report;
         assert_eq!(report.candidates.len(), synthesis.candidates.len());
         assert_eq!(report.candidates.iter().filter(|c| c.winner).count(), 1);
@@ -1015,10 +874,14 @@ mod tests {
 
     #[test]
     fn heuristic_string_compat() {
-        assert_eq!(Heuristic::Apgan, "apgan");
-        assert_eq!(&*Heuristic::Rpmc, "rpmc");
-        assert_eq!(Heuristic::Custom.to_string(), "custom");
-        assert_eq!("apgan".parse::<Heuristic>().unwrap(), Heuristic::Apgan);
-        assert!("other".parse::<Heuristic>().is_err());
+        // The service's `OrderMethod` is this enum: wire names round-trip,
+        // and a one-order request defaults to APGAN.
+        for h in Heuristic::ALL {
+            assert_eq!(Heuristic::parse(h.as_str()), Some(h));
+            assert_eq!(h.to_string(), h.as_str());
+        }
+        assert_eq!(Heuristic::ALL.map(Heuristic::as_str), ["rpmc", "apgan"]);
+        assert_eq!(Heuristic::parse("custom"), None);
+        assert_eq!(Heuristic::default(), Heuristic::Apgan);
     }
 }

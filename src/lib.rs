@@ -20,10 +20,10 @@
 //! | [`regress`] | regression-sentinel profiles and structured diffs |
 //!
 //! On top of the members, the crate hosts the synthesis drivers:
-//! [`engine`] sweeps the candidate lattice (heuristic × loop optimizer ×
-//! allocation order, optionally in parallel) behind the
+//! [`engine`] sweeps the paper's candidate lattice (heuristic × loop
+//! optimizer × allocation order, optionally in parallel) behind the
 //! [`AnalysisBuilder`] seam, [`pipeline`] keeps the classic one-call
-//! [`Analysis`](pipeline::Analysis) wrapper over it, [`incremental`]
+//! [`Analysis`] wrapper over it, [`incremental`]
 //! re-synthesises edited graphs by running the engine with a session's
 //! cross-run chain-DP memo store (bit-identical to cold runs), and
 //! [`sentinel`] captures regression-sentinel baseline profiles from
@@ -39,8 +39,9 @@
 //!
 //! # fn main() -> Result<(), sdfmem::core::SdfError> {
 //! let analysis = AnalysisBuilder::new()
-//!     .heuristics([Heuristic::Rpmc, Heuristic::Apgan])
+//!     .full(true)
 //!     .run(&satellite_receiver())?;
+//! assert!(Heuristic::ALL.contains(&analysis.winner));
 //! assert!(analysis.shared_total() < analysis.nonshared_bufmem);
 //! # Ok(())
 //! # }

@@ -9,8 +9,12 @@
 //! It is a thin wrapper over the candidate-lattice engine in
 //! [`crate::engine`]: `Analysis::run(g)` is exactly
 //! `AnalysisBuilder::default().run(g)`. Use the builder directly to
-//! select heuristics, loop optimizers or allocation orders, or to get
-//! per-candidate timings and the full scoreboard.
+//! sweep every loop optimizer or to get per-candidate timings and the
+//! full scoreboard.
+//!
+//! [`shared_layout`] is the one-order path instead: a single heuristic's
+//! SDPPO schedule, its lifetimes and intersection graph, ready for
+//! whichever allocator the caller packs them with.
 
 use sdf_alloc::Allocation;
 use sdf_codegen::ExecutablePlan;
@@ -18,7 +22,9 @@ use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
 use sdf_core::schedule::SasTree;
+use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
+use sdf_sched::{sdppo, SdppoResult};
 
 use crate::engine::{AnalysisBuilder, Heuristic};
 
@@ -28,7 +34,6 @@ pub struct Analysis {
     /// The repetitions vector.
     pub repetitions: RepetitionsVector,
     /// Which heuristic produced the winning shared implementation.
-    /// Compares against `"apgan"`/`"rpmc"` strings for back-compat.
     pub winner: Heuristic,
     /// Best non-shared `bufmem` over both heuristics (the baseline).
     pub nonshared_bufmem: u64,
@@ -112,6 +117,36 @@ impl Analysis {
     }
 }
 
+/// One heuristic order's shared-buffer layout before allocation.
+#[derive(Clone, Debug)]
+pub struct SharedLayout {
+    /// The SDPPO schedule of the order and its Eq. 5 cost estimate.
+    pub sdppo: SdppoResult,
+    /// The schedule's lifetime tree.
+    pub tree: ScheduleTree,
+    /// The schedule's weighted intersection graph.
+    pub wig: IntersectionGraph,
+}
+
+/// Runs `heuristic`'s order through SDPPO, the schedule tree and the
+/// intersection graph: the chain every single-order shared command
+/// (`plan`, `explain`, `allocate`, `gantt`) packs with its own allocator.
+///
+/// # Errors
+///
+/// Whatever the heuristic, SDPPO or the lifetime analysis reports.
+pub fn shared_layout(
+    graph: &SdfGraph,
+    q: &RepetitionsVector,
+    heuristic: Heuristic,
+) -> Result<SharedLayout, SdfError> {
+    let order = heuristic.order(graph, q)?;
+    let sdppo = sdppo(graph, q, &order)?;
+    let tree = ScheduleTree::build(graph, q, &sdppo.tree)?;
+    let wig = IntersectionGraph::build(graph, q, &tree);
+    Ok(SharedLayout { sdppo, tree, wig })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +163,7 @@ mod tests {
         assert_eq!(an.nonshared_bufmem, 40);
         assert!(an.shared_total() <= 40);
         assert!(an.mco <= an.mcp);
-        assert!(an.winner == "apgan" || an.winner == "rpmc");
+        assert!(Heuristic::ALL.contains(&an.winner));
         let code = an.generate_c(&g).unwrap();
         assert!(code.contains("float mem["));
     }

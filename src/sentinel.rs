@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use sdf_core::graph::SdfGraph;
 use sdf_regress::{Outcomes, Profile, TimingStat};
-use sdf_sched::variant::LoopVariant;
 use sdf_trace::Recorder;
 
 use crate::engine::{AnalysisBuilder, Synthesis};
@@ -112,10 +111,7 @@ pub fn capture_profile(graph: &SdfGraph, options: &CaptureOptions) -> Result<Pro
     let mut counters: Option<Vec<(String, u64)>> = None;
     let mut outcomes = Outcomes::default();
     for repeat in 0..repeats {
-        let mut builder = AnalysisBuilder::new().parallel(false);
-        if options.full {
-            builder = builder.loop_opts(LoopVariant::ALL);
-        }
+        let builder = AnalysisBuilder::new().parallel(false).full(options.full);
         let recorder = Arc::new(Recorder::new());
         // The capture covers the full product, not just the analysis:
         // the winner is lowered to its `ExecutablePlan` and executed by

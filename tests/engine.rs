@@ -12,7 +12,9 @@ use sdfmem::lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdfmem::lifetime::tree::ScheduleTree;
 use sdfmem::lifetime::wig::IntersectionGraph;
 use sdfmem::pipeline::Analysis;
-use sdfmem::sched::{apgan, rpmc, sdppo, ChainTables, DpMode, LoopVariant};
+use sdfmem::sched::{
+    apgan, dppo_from_tables, rpmc, sdppo, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy,
+};
 use sdfmem::{AnalysisBuilder, Heuristic};
 
 /// Held by every test that installs a process-wide recorder
@@ -110,12 +112,12 @@ fn analysis_run_is_the_default_builder() {
 fn parallel_matches_serial_on_every_app() {
     for graph in all_app_graphs() {
         let serial = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .parallel(false)
             .run_full(&graph)
             .expect("serial engine");
         let parallel = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .parallel(true)
             .run_full(&graph)
             .expect("parallel engine");
@@ -155,14 +157,12 @@ fn tracing_never_changes_engine_results() {
     // tracing disabled — instruments observe, never steer.
     for graph in all_app_graphs() {
         let plain = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .run_full(&graph)
             .expect("untraced engine");
         let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
         let traced = sdfmem::trace::scoped(&recorder, || {
-            AnalysisBuilder::new()
-                .loop_opts(LoopVariant::ALL)
-                .run_full(&graph)
+            AnalysisBuilder::new().full(true).run_full(&graph)
         })
         .expect("traced engine");
         assert_eq!(
@@ -207,7 +207,7 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
         // of the tests running beside it.
         let traced = sdfmem::trace::scoped_thread(&recorder, || {
             AnalysisBuilder::new()
-                .loop_opts(LoopVariant::ALL)
+                .full(true)
                 .parallel(false)
                 .run_full(&graph)
         })
@@ -301,7 +301,7 @@ fn widening_the_lattice_never_regresses() {
     for graph in all_app_graphs() {
         let narrow = AnalysisBuilder::default().run(&graph).expect("default");
         let wide = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .run(&graph)
             .expect("full lattice");
         assert!(
@@ -316,54 +316,35 @@ fn widening_the_lattice_never_regresses() {
 
 #[test]
 fn exact_and_windowed_dp_agree_on_every_app_graph() {
-    // The windowed DP is exact by construction; the whole synthesis —
-    // schedules, allocations, pool totals — must be bit-for-bit
-    // identical under both modes on every graph the workspace ships.
+    // The windowed scans are exact by construction: on every graph the
+    // workspace ships, under both heuristic orders, DPPO and SDPPO must
+    // give the same value and the same tree as the dense scan.
     for graph in all_app_graphs() {
-        let exact = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .dp_mode(DpMode::Exact)
-            .run_full(&graph)
-            .expect("exact run");
-        let windowed = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .dp_mode(DpMode::Windowed)
-            .run_full(&graph)
-            .expect("windowed run");
-        assert_eq!(
-            exact.candidates.len(),
-            windowed.candidates.len(),
-            "{}",
-            graph.name()
-        );
-        for (e, w) in exact.candidates.iter().zip(&windowed.candidates) {
-            assert_eq!(e.schedule, w.schedule, "{}", graph.name());
-            assert_eq!(e.shared_total, w.shared_total, "{}", graph.name());
-            assert_eq!(e.allocation, w.allocation, "{}", graph.name());
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        for heuristic in Heuristic::ALL {
+            let order = heuristic.order(&graph, &q).expect("order");
+            let ct = ChainTables::build(&graph, &q, &order).expect("tables");
+            let context = format!("{} {heuristic}", graph.name());
+            let exact = dppo_from_tables(&ct, &q, DpMode::Exact);
+            let windowed = dppo_from_tables(&ct, &q, DpMode::Windowed);
+            assert_eq!(exact.bufmem, windowed.bufmem, "{context}");
+            assert_eq!(exact.tree, windowed.tree, "{context}");
+            let policy = FactoringPolicy::Heuristic;
+            let exact = sdppo_from_tables(&ct, &q, policy, DpMode::Exact);
+            let windowed = sdppo_from_tables(&ct, &q, policy, DpMode::Windowed);
+            assert_eq!(exact.shared_cost, windowed.shared_cost, "{context}");
+            assert_eq!(exact.tree, windowed.tree, "{context}");
         }
-        assert_eq!(
-            exact.report.winner,
-            windowed.report.winner,
-            "{}",
-            graph.name()
-        );
-        assert_eq!(
-            exact.analysis.nonshared_bufmem,
-            windowed.analysis.nonshared_bufmem,
-            "{}",
-            graph.name()
-        );
     }
 }
 
 type DpRun = fn(&ChainTables, &RepetitionsVector, DpMode);
 
 fn run_dppo(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) {
-    sdfmem::sched::dppo_from_tables(ct, q, mode);
+    dppo_from_tables(ct, q, mode);
 }
 
 fn run_sdppo(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) {
-    use sdfmem::sched::{sdppo_from_tables, FactoringPolicy};
     sdppo_from_tables(ct, q, FactoringPolicy::Heuristic, mode);
 }
 

@@ -21,7 +21,6 @@ use sdfmem::incremental::{
     apply_edits, dirty_edges, EditOp, EditScript, IncrementalResult, IncrementalSession,
 };
 use sdfmem::sched::apgan::apgan;
-use sdfmem::sched::variant::LoopVariant;
 use sdfmem::sched::MemoStore;
 
 /// Asserts the incremental result is bit-identical to a cold engine run
@@ -291,9 +290,7 @@ fn non_default_options_match_a_cold_run_with_the_same_options() {
     // Every loop variant (chain-precise joins on the chain) and a parallel
     // flag the session overrides: the session must still reproduce a cold
     // run of exactly these options at every step.
-    let reference = AnalysisBuilder::new()
-        .loop_opts(LoopVariant::ALL)
-        .parallel(true);
+    let reference = AnalysisBuilder::new().full(true).parallel(true);
     let mut session = IncrementalSession::new(reference.options().clone());
     let base = chain_graph(&[0, 0, 0]);
     let seeded = session.synthesize(&base).unwrap();

@@ -16,6 +16,7 @@ use sdfmem::core::io::parse_graph;
 use sdfmem::regress::{diff, DiffOptions, Outcomes, Profile, TimingStat};
 use sdfmem::trace::{
     CacheStatus, CounterTrack, Event, FlightRecord, Histogram, StageSpan, TraceSnapshot,
+    SCHEMA_VERSION,
 };
 use sdfmem::AnalysisBuilder;
 
@@ -410,7 +411,7 @@ fn service_stats_metrics_events() {
 
 fn snapshot() -> TraceSnapshot {
     TraceSnapshot {
-        schema_version: 10,
+        schema_version: SCHEMA_VERSION,
         events: vec![
             Event {
                 id: 1,
@@ -468,7 +469,7 @@ fn chrome_traces_and_jsonl() {
         &snap.to_chrome_trace_json_with_tracks(&tracks),
     );
     let empty = TraceSnapshot {
-        schema_version: 10,
+        schema_version: SCHEMA_VERSION,
         events: Vec::new(),
         counters: Vec::new(),
         gauges: Vec::new(),

@@ -299,12 +299,11 @@ proptest! {
 
     #[test]
     fn engine_invariants_on_random_graphs(seed in 0u64..400, size in 2usize..9) {
-        use sdfmem::sched::LoopVariant;
         use sdfmem::AnalysisBuilder;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let graph = random_sdf_graph(&RandomGraphConfig::paper_style(size), &mut rng);
         let synthesis = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
+            .full(true)
             .run_full(&graph)
             .expect("engine on consistent random graph");
         let an = &synthesis.analysis;

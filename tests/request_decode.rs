@@ -214,11 +214,11 @@ fn rejected() -> Vec<(String, Outcome)> {
                 r#"{{"kind":"service_request","schema_version":{},"op":"stats"}}"#,
                 v + 1
             ),
-            Err("unsupported schema_version Some(11.0) (this server speaks 10)"),
+            Err("unsupported schema_version Some(12.0) (this server speaks 11)"),
         ),
         (
             r#"{"kind":"service_request","op":"stats"}"#.to_string(),
-            Err("unsupported schema_version None (this server speaks 10)"),
+            Err("unsupported schema_version None (this server speaks 11)"),
         ),
         (line(r#""request_id":"r""#), Err(r#"missing "op""#)),
         (
