@@ -306,7 +306,8 @@ OPTIONS:
 const USAGE_TAIL: &str = "
 EXIT CODES:
     0  success
-    1  domain failure: gated regression (compare), oracle violation
+    1  domain failure: a graph a local command rejects (inconsistent
+       rates, overflow), gated regression (compare), oracle violation
        (simulate), error/rejected/unclean response (submit)
     2  usage or I/O error: bad commands or flags, unreadable files,
        bind/connect failures

@@ -69,7 +69,7 @@ pub struct Outcomes {
     /// Best non-shared baseline over the swept orders, words.
     pub nonshared_bufmem: u64,
     /// Words skipped below first-fit placements in the last candidate
-    /// evaluated (lattice order, so deterministic for serial captures).
+    /// row of the lattice.
     pub fragmentation: u64,
     /// Winning lattice point, `heuristic/loop_opt/allocation_order`.
     pub winner: String,

@@ -8,7 +8,6 @@
 //! [`ScheduledVariant`].
 
 use std::fmt;
-use std::str::FromStr;
 
 use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
@@ -76,31 +75,11 @@ impl fmt::Display for LoopVariant {
     }
 }
 
-impl FromStr for LoopVariant {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "sdppo" => Ok(LoopVariant::Sdppo),
-            "dppo" => Ok(LoopVariant::Dppo),
-            "chain_precise" | "chain-precise" => Ok(LoopVariant::ChainPrecise),
-            other => Err(format!(
-                "unknown loop variant `{other}` (expected sdppo, dppo or chain_precise)"
-            )),
-        }
-    }
-}
-
 /// A loop hierarchy produced by one [`LoopVariant`].
 #[derive(Clone, Debug)]
 pub struct ScheduledVariant {
     /// The optimised single appearance schedule.
     pub tree: SasTree,
-    /// The variant's own cost estimate: Eq. 5 for SDPPO, non-shared
-    /// bufmem for DPPO, the triple's `center` for chain-precise. Estimates
-    /// of different variants are comparable as shared-model costs except
-    /// DPPO's, which is the non-shared total.
-    pub cost_estimate: u64,
 }
 
 /// Runs `variant` against prebuilt [`ChainTables`] with an explicit
@@ -135,7 +114,7 @@ pub struct ScheduledVariant {
 /// let s = schedule_variant_from_tables_memo(
 ///     &g, &q, &ct, LoopVariant::Sdppo, DpMode::Windowed, None,
 /// )?;
-/// assert_eq!(s.cost_estimate, 40);
+/// assert_eq!(s.tree.to_looped_schedule().display(&g).to_string(), "A(2B(2C))");
 /// # Ok(())
 /// # }
 /// ```
@@ -147,29 +126,14 @@ pub fn schedule_variant_from_tables_memo(
     mode: DpMode,
     memo: Option<&MemoStore>,
 ) -> Result<ScheduledVariant, SdfError> {
-    match variant {
+    let tree = match variant {
         LoopVariant::Sdppo => {
-            let r = sdppo_from_tables_memo(ct, q, FactoringPolicy::Heuristic, mode, memo);
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.shared_cost,
-            })
+            sdppo_from_tables_memo(ct, q, FactoringPolicy::Heuristic, mode, memo).tree
         }
-        LoopVariant::Dppo => {
-            let r = dppo_from_tables_memo(ct, q, mode, memo);
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.bufmem,
-            })
-        }
-        LoopVariant::ChainPrecise => {
-            let r = chain_precise(graph, q, DEFAULT_FRONTIER_CAP)?;
-            Ok(ScheduledVariant {
-                tree: r.tree,
-                cost_estimate: r.cost.center,
-            })
-        }
-    }
+        LoopVariant::Dppo => dppo_from_tables_memo(ct, q, mode, memo).tree,
+        LoopVariant::ChainPrecise => chain_precise(graph, q, DEFAULT_FRONTIER_CAP)?.tree,
+    };
+    Ok(ScheduledVariant { tree })
 }
 
 #[cfg(test)]
@@ -195,26 +159,16 @@ mod tests {
         let (g, q, order) = fig2();
         let ct = ChainTables::build(&g, &q, &order).unwrap();
         let direct = |variant| match variant {
-            LoopVariant::Sdppo => {
-                let r = sdppo(&g, &q, &order).unwrap();
-                (r.tree, r.shared_cost)
-            }
-            LoopVariant::Dppo => {
-                let r = dppo(&g, &q, &order).unwrap();
-                (r.tree, r.bufmem)
-            }
-            LoopVariant::ChainPrecise => {
-                let r = chain_precise(&g, &q, DEFAULT_FRONTIER_CAP).unwrap();
-                (r.tree, r.cost.center)
-            }
+            LoopVariant::Sdppo => sdppo(&g, &q, &order).unwrap().tree,
+            LoopVariant::Dppo => dppo(&g, &q, &order).unwrap().tree,
+            LoopVariant::ChainPrecise => chain_precise(&g, &q, DEFAULT_FRONTIER_CAP).unwrap().tree,
         };
         for variant in LoopVariant::ALL {
-            let (tree, cost) = direct(variant);
+            let tree = direct(variant);
             for mode in DpMode::ALL {
                 let s =
                     schedule_variant_from_tables_memo(&g, &q, &ct, variant, mode, None).unwrap();
                 assert_eq!(s.tree, tree, "{variant} {mode:?}");
-                assert_eq!(s.cost_estimate, cost, "{variant} {mode:?}");
             }
         }
     }
@@ -235,11 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
+    fn display_is_the_short_name() {
         for v in LoopVariant::ALL {
-            assert_eq!(v.as_str().parse::<LoopVariant>().unwrap(), v);
             assert_eq!(v.to_string(), v.as_str());
         }
-        assert!("bogus".parse::<LoopVariant>().is_err());
     }
 }

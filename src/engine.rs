@@ -19,8 +19,11 @@
 //! dependencies).
 //!
 //! Work is shared across the lattice: the repetitions vector is computed
-//! once, each heuristic's order once, and the non-shared DPPO baseline
-//! once per *distinct* order — a DPPO loop-hierarchy candidate reuses the
+//! once and each heuristic's order once. Everything past the order
+//! depends on the order alone, so the chain tables, the non-shared DPPO
+//! baseline and every order-sensitive cell are evaluated once per
+//! *distinct* order; a heuristic whose order an earlier one produced
+//! copies that one's rows. A DPPO loop-hierarchy candidate reuses the
 //! baseline's schedule tree instead of re-running the DP, and the
 //! order-insensitive chain-precise DP runs at most once per graph.
 //! Candidate evaluation (schedule → lifetime tree → WIG → allocation) is
@@ -46,7 +49,6 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -226,7 +228,13 @@ impl StageTimings {
     }
 }
 
-/// One fully-evaluated point of the candidate lattice.
+/// One row of the candidate lattice.
+///
+/// A heuristic whose lexical order an earlier heuristic already produced
+/// gets *copied* rows: the earlier heuristic's rows of the same loop DP
+/// with `heuristic` set to the copying one, zero [`timings`](Self::timings)
+/// and empty [`counters`](Self::counters) — nothing was evaluated for it,
+/// since everything past the order depends on the order alone.
 #[derive(Clone, Debug)]
 pub struct Candidate {
     /// Which heuristic produced the lexical order.
@@ -235,10 +243,12 @@ pub struct Candidate {
     pub loop_opt: LoopVariant,
     /// Which enumeration order drove first-fit.
     pub allocation_order: AllocationOrder,
-    /// The single appearance schedule.
-    pub schedule: SasTree,
-    /// The schedule's weighted intersection graph.
-    pub wig: IntersectionGraph,
+    /// The single appearance schedule, shared by every row of its cell
+    /// (each allocation order, and the rows copied from them).
+    pub schedule: Arc<SasTree>,
+    /// The schedule's weighted intersection graph, shared like
+    /// [`schedule`](Self::schedule).
+    pub wig: Arc<IntersectionGraph>,
     /// The validated allocation.
     pub allocation: Allocation,
     /// The shared pool size ([`Allocation::total`]), the scoreboard key.
@@ -251,14 +261,15 @@ pub struct Candidate {
     pub conflicts: usize,
     /// Whether the schedule was reused from the memoized DPPO baseline.
     pub memoized_schedule: bool,
-    /// Per-stage wall times.
+    /// Per-stage wall times (zero on a copied row).
     pub timings: StageTimings,
     /// Work counters this candidate moved, as sorted `(name, delta)`
     /// pairs. Populated only for **serial** runs under an installed
     /// recorder — parallel cells interleave on the shared recorder, so
     /// per-candidate attribution would be noise. Cell-shared stage work
     /// (schedule, lifetimes, WIG) lands on the cell's first allocation
-    /// order; the deltas across all candidates sum to the run totals.
+    /// order; a copied row moved nothing and stays empty. The deltas
+    /// across all candidates sum to the run totals.
     pub counters: Vec<(String, u64)>,
 }
 
@@ -277,7 +288,8 @@ pub struct OrderTiming {
 }
 
 /// Scoreboard row of one candidate (the [`Candidate`] minus its heavy
-/// schedule/WIG/allocation payloads).
+/// schedule/WIG/allocation payloads). A copied row (see [`Candidate`])
+/// repeats its source's scores with zero timings and no counters.
 #[derive(Clone, Debug)]
 pub struct CandidateReport {
     /// Which heuristic produced the lexical order.
@@ -296,7 +308,7 @@ pub struct CandidateReport {
     pub conflicts: usize,
     /// Whether the schedule was reused from the memoized baseline.
     pub memoized_schedule: bool,
-    /// Per-stage wall times.
+    /// Per-stage wall times (zero on a copied row).
     pub timings: StageTimings,
     /// Per-candidate work-counter deltas (see [`Candidate::counters`]).
     pub counters: Vec<(String, u64)>,
@@ -323,7 +335,10 @@ pub struct EngineReport {
     pub nonshared_bufmem: u64,
     /// Per-heuristic order/baseline timings.
     pub orders: Vec<OrderTiming>,
-    /// Scoreboard, in lattice order.
+    /// Scoreboard, one row per lattice point in lattice order — copied
+    /// rows included, so its length does not depend on which
+    /// heuristics' orders coincide (`engine.cells.reuses` counts the
+    /// copied cells).
     pub candidates: Vec<CandidateReport>,
     /// Index of the winning row in `candidates`.
     pub winner: usize,
@@ -343,7 +358,7 @@ pub struct EngineReport {
 pub struct Synthesis {
     /// The winning analysis (same shape the classic pipeline returned).
     pub analysis: Analysis,
-    /// Every evaluated candidate, in lattice order.
+    /// Every candidate row, copied ones included, in lattice order.
     pub candidates: Vec<Candidate>,
     /// Instrumentation: timings, scoreboard, rationale.
     pub report: EngineReport,
@@ -465,6 +480,14 @@ struct Cell {
     memoized: Option<SasTree>,
 }
 
+/// The order-level work of one distinct lexical order.
+struct OrderWork {
+    tables: Arc<ChainTables>,
+    /// The DPPO baseline's tree, until the order's DPPO cell takes it.
+    baseline_tree: Option<SasTree>,
+    baseline_bufmem: u64,
+}
+
 fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -483,90 +506,98 @@ pub(crate) fn run_engine(
     };
     let repetitions_ns = elapsed_ns(t);
 
-    // Stage 1: one lexical order per heuristic.
-    let mut orders: Vec<(Heuristic, Vec<ActorId>, u64)> = Vec::new();
+    // Stage 1: one lexical order per heuristic and, once per distinct
+    // order, the shared chain tables plus the non-shared DPPO baseline.
+    // The tables (gcd table + prefix sums) are the O(n²) preprocessing
+    // every chain DP needs; one build serves the baseline and every
+    // dppo/sdppo candidate on that order. Everything past the order
+    // depends on it alone, so a heuristic whose order an earlier one
+    // produced owns no work: its `slot` points at the earlier one's.
+    let mut work: Vec<OrderWork> = Vec::with_capacity(Heuristic::ALL.len());
+    // (heuristic, slot in `work`, whether it produced the order first)
+    let mut heuristics: Vec<(Heuristic, usize, bool)> = Vec::new();
+    let mut order_timings: Vec<OrderTiming> = Vec::with_capacity(Heuristic::ALL.len());
     for heuristic in Heuristic::ALL {
         let t = Instant::now();
-        let _span = sdf_trace::span!("engine.order", heuristic = heuristic);
-        let order = heuristic.order(graph, &q)?;
-        orders.push((heuristic, order, elapsed_ns(t)));
-    }
-
-    // Stage 2: shared chain tables plus the non-shared DPPO baseline,
-    // both memoized per distinct order. The tables (gcd table + prefix
-    // sums) are the O(n²) preprocessing every chain DP needs; one build
-    // serves the baseline and every dppo/sdppo candidate on that order.
-    let mut tables: HashMap<&[ActorId], Arc<ChainTables>> = HashMap::new();
-    let mut baselines: HashMap<&[ActorId], (sdf_sched::DppoResult, u64)> = HashMap::new();
-    let mut order_timings: Vec<OrderTiming> = Vec::new();
-    for (heuristic, order, order_ns) in &orders {
-        let (baseline, dppo_ns) = match baselines.get(order.as_slice()) {
-            Some((b, _)) => {
-                sdf_trace::counter_inc("engine.dppo_memo_hits");
-                (b.clone(), 0)
-            }
-            None => {
-                sdf_trace::counter_inc("engine.dppo_memo_misses");
-                let t = Instant::now();
-                let _span = sdf_trace::span!("engine.baseline", heuristic = heuristic);
-                // A cross-run memo wants content-hashed tables; without
-                // one the hasher build would be dead weight.
-                let ct = Arc::new(match options.memo {
-                    Some(_) => ChainTables::build_hashed(graph, &q, order)?,
-                    None => ChainTables::build(graph, &q, order)?,
-                });
-                let b = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, options.memo.as_deref());
-                let ns = elapsed_ns(t);
-                tables.insert(order.as_slice(), ct);
-                baselines.insert(order.as_slice(), (b.clone(), ns));
-                (b, ns)
-            }
+        let order = {
+            let _span = sdf_trace::span!("engine.order", heuristic = heuristic);
+            heuristic.order(graph, &q)?
         };
+        let order_ns = elapsed_ns(t);
+        let slot = work.iter().position(|w| w.tables.order() == order);
+        let dppo_ns = if slot.is_some() {
+            sdf_trace::counter_inc("engine.dppo_memo_hits");
+            0
+        } else {
+            sdf_trace::counter_inc("engine.dppo_memo_misses");
+            let t = Instant::now();
+            let _span = sdf_trace::span!("engine.baseline", heuristic = heuristic);
+            // A cross-run memo wants content-hashed tables; without one
+            // the hasher build would be dead weight.
+            let tables = Arc::new(match options.memo {
+                Some(_) => ChainTables::build_hashed(graph, &q, &order)?,
+                None => ChainTables::build(graph, &q, &order)?,
+            });
+            let b = dppo_from_tables_memo(&tables, &q, DpMode::Windowed, options.memo.as_deref());
+            work.push(OrderWork {
+                tables,
+                baseline_tree: Some(b.tree),
+                baseline_bufmem: b.bufmem,
+            });
+            elapsed_ns(t)
+        };
+        let (slot, owner) = slot.map_or((work.len() - 1, true), |slot| (slot, false));
+        heuristics.push((heuristic, slot, owner));
         order_timings.push(OrderTiming {
-            heuristic: *heuristic,
-            order_ns: *order_ns,
+            heuristic,
+            order_ns,
             dppo_ns,
-            nonshared_bufmem: baseline.bufmem,
+            nonshared_bufmem: work[slot].baseline_bufmem,
         });
     }
-    let nonshared_bufmem = order_timings
+    let nonshared_bufmem = work
         .iter()
-        .map(|o| o.nonshared_bufmem)
+        .map(|w| w.baseline_bufmem)
         .min()
         .expect("at least one heuristic");
 
-    // Stage 3: assemble the schedule-level cells. Chain-precise ignores
-    // the lexical order, so it contributes one cell total, attributed to
-    // the first heuristic.
+    // Stage 2: the schedule-level cells in lattice order. Chain-precise
+    // ignores the lexical order, so it contributes one cell total,
+    // attributed to the first heuristic. Only a heuristic that owns its
+    // order gets cells evaluated; the others copy rows in stage 4.
     let loop_opts: &[LoopVariant] = if options.full {
         &LoopVariant::ALL
     } else {
         &[LoopVariant::Sdppo]
     };
+    let mut lattice: Vec<(Heuristic, usize, bool, LoopVariant)> = Vec::new();
     let mut cells: Vec<Cell> = Vec::new();
-    for (heuristic, order, _) in &orders {
+    for &(heuristic, slot, owner) in &heuristics {
         for &loop_opt in loop_opts {
             if !loop_opt.applicable_to(graph) {
                 continue;
             }
-            if !loop_opt.order_sensitive() && *heuristic != orders[0].0 {
+            if !loop_opt.order_sensitive() && heuristic != Heuristic::ALL[0] {
                 continue;
             }
-            let memoized = if loop_opt == LoopVariant::Dppo {
-                baselines.get(order.as_slice()).map(|(b, _)| b.tree.clone())
-            } else {
-                None
-            };
-            cells.push(Cell {
-                heuristic: *heuristic,
-                loop_opt,
-                tables: Arc::clone(&tables[order.as_slice()]),
-                memoized,
-            });
+            lattice.push((heuristic, slot, owner, loop_opt));
+            if owner {
+                let memoized = if loop_opt == LoopVariant::Dppo {
+                    work[slot].baseline_tree.take()
+                } else {
+                    None
+                };
+                cells.push(Cell {
+                    heuristic,
+                    loop_opt,
+                    tables: Arc::clone(&work[slot].tables),
+                    memoized,
+                });
+            }
         }
     }
 
-    // Stage 4: evaluate every cell — schedule, lifetimes, WIG, clique
+    // Stage 3: evaluate every cell — schedule, lifetimes, WIG, clique
     // estimates, then one allocation per enumeration order.
     // Per-candidate counter attribution needs exclusive use of the
     // shared recorder: serial runs difference a snapshot around each
@@ -625,12 +656,13 @@ pub(crate) fn run_engine(
         drop(_wig_span);
         timings.wig_ns = elapsed_ns(t);
 
+        let (schedule, wig) = (Arc::new(schedule), Arc::new(wig));
         let mut out = Vec::with_capacity(AllocationOrder::PAPER.len());
         for allocation_order in AllocationOrder::PAPER {
             let t = Instant::now();
             let _span = sdf_trace::span!("candidate.alloc", order = allocation_order);
-            let allocation = allocate(&wig, allocation_order, PlacementPolicy::FirstFit);
-            validate_allocation(&wig, &allocation)?;
+            let allocation = allocate(&*wig, allocation_order, PlacementPolicy::FirstFit);
+            validate_allocation(&*wig, &allocation)?;
             drop(_span);
             let alloc_ns = elapsed_ns(t);
             let shared_total = allocation.total();
@@ -646,8 +678,8 @@ pub(crate) fn run_engine(
                 heuristic: cell.heuristic,
                 loop_opt: cell.loop_opt,
                 allocation_order,
-                schedule: schedule.clone(),
-                wig: wig.clone(),
+                schedule: Arc::clone(&schedule),
+                wig: Arc::clone(&wig),
                 allocation,
                 shared_total,
                 mco,
@@ -669,7 +701,40 @@ pub(crate) fn run_engine(
     } else {
         cells.into_iter().map(evaluate).collect()
     };
-    let candidates: Vec<Candidate> = evaluated?.into_iter().flatten().collect();
+
+    // Stage 4: rows in lattice order. An owner's cell moves its rows in;
+    // a heuristic that shares an earlier order copies that order's rows
+    // of the same loop DP, which share its schedule and WIG.
+    let mut evaluated = evaluated?.into_iter();
+    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut owned: Vec<(usize, LoopVariant, std::ops::Range<usize>)> = Vec::new();
+    for (heuristic, slot, owner, loop_opt) in lattice {
+        let start = candidates.len();
+        if owner {
+            candidates.extend(
+                evaluated
+                    .next()
+                    .expect("one evaluated cell per owned lattice cell"),
+            );
+            owned.push((slot, loop_opt, start..candidates.len()));
+        } else {
+            sdf_trace::counter_inc("engine.cells.reuses");
+            let rows = owned
+                .iter()
+                .find(|(s, l, _)| *s == slot && *l == loop_opt)
+                .map(|(_, _, rows)| rows.clone())
+                .expect("the order's owner evaluated this cell");
+            for i in rows {
+                let copy = Candidate {
+                    heuristic,
+                    timings: StageTimings::default(),
+                    counters: Vec::new(),
+                    ..candidates[i].clone()
+                };
+                candidates.push(copy);
+            }
+        }
+    }
     sdf_trace::counter_add("engine.candidates", candidates.len() as u64);
 
     // Stage 5: the Table 1 "bold entry" rule — smallest shared pool,
@@ -716,8 +781,8 @@ pub(crate) fn run_engine(
         repetitions: q,
         winner: best.heuristic,
         nonshared_bufmem,
-        schedule: best.schedule.clone(),
-        wig: best.wig.clone(),
+        schedule: SasTree::clone(&best.schedule),
+        wig: IntersectionGraph::clone(&best.wig),
         allocation: best.allocation.clone(),
         mco: best.mco,
         mcp: best.mcp,

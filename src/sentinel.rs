@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use sdf_alloc::{allocate_with_provenance, PlacementPolicy};
 use sdf_core::graph::SdfGraph;
 use sdf_regress::{Outcomes, Profile, TimingStat};
 use sdf_trace::Recorder;
@@ -147,13 +148,17 @@ pub fn capture_profile(graph: &SdfGraph, options: &CaptureOptions) -> Result<Pro
         match &counters {
             None => {
                 counters = Some(run_counters);
-                let fragmentation = recorder
-                    .snapshot()
-                    .gauges
-                    .iter()
-                    .find(|(name, _)| name == "alloc.fragmentation_words")
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0);
+                // The last lattice row's fragmentation, replayed outside
+                // the recorder. The last-writer gauge would follow which
+                // cells were evaluated, and a copied row evaluates none.
+                let last = synthesis.candidates.last().expect("at least one candidate");
+                let fragmentation = allocate_with_provenance(
+                    &*last.wig,
+                    last.allocation_order,
+                    PlacementPolicy::FirstFit,
+                )
+                .1
+                .fragmentation_words();
                 outcomes = Outcomes {
                     shared_bufmem: synthesis.analysis.shared_total(),
                     nonshared_bufmem: synthesis.analysis.nonshared_bufmem,

@@ -3,19 +3,29 @@
 //! configuration must reproduce the classic serial pipeline bit-for-bit,
 //! and parallel evaluation must change nothing but wall time.
 
-use sdfmem::alloc::{allocate_both_orders, validate_allocation, Allocation};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use rand::{Rng, SeedableRng};
+use sdfmem::alloc::{
+    allocate, allocate_both_orders, validate_allocation, Allocation, PlacementPolicy,
+};
 use sdfmem::apps::extended::extended_systems;
 use sdfmem::apps::homogeneous::homogeneous_grid;
-use sdfmem::apps::registry::table1_systems;
-use sdfmem::core::{RepetitionsVector, SdfGraph};
+use sdfmem::apps::random::{random_sdf_graph, RandomGraphConfig};
+use sdfmem::apps::registry::{cd_dat, table1_systems};
+use sdfmem::apps::scale::{scale_dag, scale_systems};
+use sdfmem::core::{ActorId, RepetitionsVector, SdfGraph};
 use sdfmem::lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdfmem::lifetime::tree::ScheduleTree;
 use sdfmem::lifetime::wig::IntersectionGraph;
 use sdfmem::pipeline::Analysis;
 use sdfmem::sched::{
-    apgan, dppo_from_tables, rpmc, sdppo, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy,
+    apgan, dppo_from_tables, rpmc, schedule_variant_from_tables_memo, sdppo, sdppo_from_tables,
+    ChainTables, DpMode, FactoringPolicy, LoopVariant,
 };
-use sdfmem::{AnalysisBuilder, Heuristic};
+use sdfmem::trace::Recorder;
+use sdfmem::{AnalysisBuilder, Heuristic, StageTimings};
 
 /// Held by every test that installs a process-wide recorder
 /// (`trace::scoped`) or asserts that an untraced run recorded nothing:
@@ -200,8 +210,12 @@ fn tracing_never_changes_engine_results() {
 #[test]
 fn serial_traced_runs_attribute_counters_per_candidate() {
     let _global = global_recorder_lock();
-    use std::collections::BTreeMap;
-    for graph in [table1_systems().remove(0), homogeneous_grid(3, 3)] {
+    // cd2dat's RPMC and APGAN orders coincide, so its APGAN rows are
+    // copies; the other two graphs evaluate every row.
+    for graph in [table1_systems().remove(0), homogeneous_grid(3, 3), cd_dat()] {
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        let shared_order =
+            rpmc(&graph, &q).expect("acyclic") == apgan(&graph, &q).expect("acyclic");
         let recorder = std::sync::Arc::new(sdfmem::trace::Recorder::new());
         // Serial, so a thread-scoped recorder sees the whole run and none
         // of the tests running beside it.
@@ -212,12 +226,14 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
                 .run_full(&graph)
         })
         .expect("serial traced engine");
-        // Every candidate carries a sorted, non-empty delta (each one at
-        // least runs first-fit), and the deltas sum exactly to the run
-        // totals — no work double-counted, none lost.
+        // Every evaluated candidate carries a sorted, non-empty delta
+        // (each one at least runs first-fit), a copied one moved nothing,
+        // and the deltas sum exactly to the run totals — no work
+        // double-counted, none lost.
         let mut summed: BTreeMap<String, u64> = BTreeMap::new();
         for c in &traced.candidates {
-            assert!(!c.counters.is_empty(), "{}", graph.name());
+            let copied = shared_order && c.heuristic == Heuristic::Apgan;
+            assert_eq!(c.counters.is_empty(), copied, "{}", graph.name());
             assert!(
                 c.counters.windows(2).all(|w| w[0].0 < w[1].0),
                 "{}: unsorted candidate counters",
@@ -228,6 +244,12 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
             }
         }
         let totals: BTreeMap<String, u64> = traced.report.counters.iter().cloned().collect();
+        assert_eq!(
+            totals.contains_key("engine.cells.reuses"),
+            shared_order,
+            "{}",
+            graph.name()
+        );
         for (name, sum) in &summed {
             let total = totals.get(name).copied().unwrap_or(0);
             assert!(
@@ -266,6 +288,135 @@ fn serial_traced_runs_attribute_counters_per_candidate() {
             .expect("untraced engine");
         assert!(untraced.candidates.iter().all(|c| c.counters.is_empty()));
     }
+}
+
+/// The graphs of the copied-row differential: every registry graph, the
+/// `scale` systems at 64 and 128 actors, `scale_dag` at several seeds and
+/// 50 random paper-style graphs.
+fn differential_graphs() -> Vec<SdfGraph> {
+    let mut graphs = all_app_graphs();
+    graphs.push(cd_dat());
+    graphs.extend(scale_systems(64));
+    graphs.extend(scale_systems(128));
+    graphs.extend((0..8).map(|seed| scale_dag(96, seed)));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5d_f00d);
+    for _ in 0..50 {
+        let config = RandomGraphConfig::paper_style(rng.gen_range(3..14));
+        graphs.push(random_sdf_graph(&config, &mut rng));
+    }
+    graphs
+}
+
+/// One lattice row evaluated afresh through the layer functions:
+/// schedule, WIG, allocation, pool, mco and mcp.
+type FreshRow = (
+    sdfmem::core::schedule::SasTree,
+    String,
+    Allocation,
+    u64,
+    u64,
+    u64,
+);
+
+fn fresh_row(
+    graph: &SdfGraph,
+    q: &RepetitionsVector,
+    order: &[ActorId],
+    loop_opt: LoopVariant,
+    allocation_order: sdfmem::alloc::AllocationOrder,
+) -> FreshRow {
+    let ct = ChainTables::build(graph, q, order).expect("topological");
+    let schedule =
+        schedule_variant_from_tables_memo(graph, q, &ct, loop_opt, DpMode::Windowed, None)
+            .expect("schedule")
+            .tree;
+    let tree = ScheduleTree::build(graph, q, &schedule).expect("tree");
+    let wig = IntersectionGraph::build(graph, q, &tree);
+    let allocation = allocate(&wig, allocation_order, PlacementPolicy::FirstFit);
+    let total = allocation.total();
+    let (mco, mcp) = (mcw_optimistic(&wig), mcw_pessimistic(&wig));
+    (schedule, format!("{wig:?}"), allocation, total, mco, mcp)
+}
+
+#[test]
+fn copied_rows_match_a_fresh_evaluation_of_their_order() {
+    let mut copied_rows = 0;
+    for graph in differential_graphs() {
+        let name = graph.name().to_string();
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        let orders: Vec<(Heuristic, Vec<ActorId>)> = Heuristic::ALL
+            .into_iter()
+            .map(|h| (h, h.order(&graph, &q).expect("acyclic")))
+            .collect();
+        // The heuristic that evaluates each heuristic's order: the first
+        // one to produce it.
+        let owner = |h: Heuristic| {
+            let order = &orders.iter().find(|(o, _)| *o == h).expect("swept").1;
+            orders.iter().find(|(_, o)| o == order).expect("itself").0
+        };
+        let mut fresh: BTreeMap<(usize, &str, &str), FreshRow> = BTreeMap::new();
+        for full in [false, true] {
+            for parallel in [false, true] {
+                let context = format!("{name} full={full} parallel={parallel}");
+                // Rows are copied on the calling thread, so a thread-scoped
+                // recorder sees `engine.cells.reuses` under parallel
+                // evaluation too.
+                let recorder = Arc::new(Recorder::new());
+                let synthesis = sdfmem::trace::scoped_thread(&recorder, || {
+                    AnalysisBuilder::new()
+                        .full(full)
+                        .parallel(parallel)
+                        .run_full(&graph)
+                })
+                .expect("engine");
+                // A copying heuristic repeats its owner's lattice points,
+                // minus the order-insensitive chain-precise cell.
+                let points = |h: Heuristic| -> Vec<_> {
+                    synthesis
+                        .candidates
+                        .iter()
+                        .filter(|c| c.heuristic == h && c.loop_opt != LoopVariant::ChainPrecise)
+                        .map(|c| (c.loop_opt, c.allocation_order))
+                        .collect()
+                };
+                for h in Heuristic::ALL {
+                    assert_eq!(points(h), points(owner(h)), "{context} {h}");
+                }
+                let mut copied_cells = std::collections::BTreeSet::new();
+                for c in &synthesis.candidates {
+                    if owner(c.heuristic) == c.heuristic {
+                        continue;
+                    }
+                    copied_rows += 1;
+                    copied_cells.insert((c.heuristic.as_str(), c.loop_opt.as_str()));
+                    assert_eq!(c.timings, StageTimings::default(), "{context}");
+                    assert!(c.counters.is_empty(), "{context}");
+                    let slot = orders.iter().position(|(h, _)| *h == c.heuristic).unwrap();
+                    let (schedule, wig, allocation, total, mco, mcp) = fresh
+                        .entry((slot, c.loop_opt.as_str(), c.allocation_order.as_str()))
+                        .or_insert_with(|| {
+                            fresh_row(&graph, &q, &orders[slot].1, c.loop_opt, c.allocation_order)
+                        });
+                    let what = format!(
+                        "{context} {}x{}x{}",
+                        c.heuristic, c.loop_opt, c.allocation_order
+                    );
+                    assert_eq!(*c.schedule, *schedule, "{what}");
+                    assert_eq!(format!("{:?}", c.wig), *wig, "{what}");
+                    assert_eq!(c.allocation, *allocation, "{what}");
+                    assert_eq!(c.shared_total, *total, "{what}");
+                    assert_eq!((c.mco, c.mcp), (*mco, *mcp), "{what}");
+                }
+                let reuses = recorder
+                    .counters()
+                    .into_iter()
+                    .find(|(n, _)| n == "engine.cells.reuses")
+                    .map_or(0, |(_, v)| v);
+                assert_eq!(reuses, copied_cells.len() as u64, "{context}");
+            }
+        }
+    }
+    assert!(copied_rows > 0, "no graph shared an order");
 }
 
 #[test]

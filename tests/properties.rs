@@ -314,7 +314,7 @@ proptest! {
         // Every candidate's allocation is conflict-free and consistent
         // with its own WIG.
         for c in &synthesis.candidates {
-            validate_allocation(&c.wig, &c.allocation)
+            validate_allocation(&*c.wig, &c.allocation)
                 .expect("every lattice candidate must allocate conflict-free");
             prop_assert_eq!(c.shared_total, c.allocation.total());
             prop_assert!(c.mco <= c.mcp);
