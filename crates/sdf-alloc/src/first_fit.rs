@@ -245,12 +245,9 @@ fn allocate_inner<G: ConflictGraph + ?Sized>(
         sdf_trace::counter_add("alloc.first_fit.probes", probes);
         sdf_trace::counter_add("alloc.first_fit.placement_failures", failures);
         sdf_trace::counter_add("alloc.first_fit.range_merges", range_merges);
-        // Both shapes on purpose: the gauge is last-writer-wins across
-        // engine candidates (handy for "what did the winning run waste"),
-        // while the counter accumulates per run so the regression sentinel
-        // gates every candidate's fragmentation, not just the last one.
+        // A counter, so the regression sentinel gates every candidate's
+        // fragmentation; one run's share is its provenance ledger's sum.
         sdf_trace::counter_add("alloc.first_fit.fragmentation", fragmentation);
-        sdf_trace::gauge_set("alloc.fragmentation_words", fragmentation);
     }
     Allocation { offsets, total }
 }
@@ -640,20 +637,13 @@ mod tests {
             allocate_with_provenance(&w, AllocationOrder::Insertion, PlacementPolicy::FirstFit)
         });
         let snap = recorder.snapshot();
-        let gauge = snap
-            .gauges
-            .iter()
-            .find(|(n, _)| n == "alloc.fragmentation_words")
-            .map(|&(_, v)| v)
-            .unwrap();
         let counter = snap
             .counters
             .iter()
             .find(|(n, _)| n == "alloc.first_fit.fragmentation")
             .map(|&(_, v)| v)
             .unwrap();
-        assert_eq!(log.fragmentation_words(), gauge);
-        assert_eq!(gauge, counter);
+        assert_eq!(log.fragmentation_words(), counter);
         assert_eq!(log.probe_total(), {
             snap.counters
                 .iter()

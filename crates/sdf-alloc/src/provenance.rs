@@ -1,8 +1,9 @@
 //! Allocation provenance: a per-decision audit trail for the shared pool.
 //!
 //! The allocators in this crate compress a whole placement history into a
-//! single number (`Allocation::total`) and one opaque gauge
-//! (`alloc.fragmentation_words`).  This module records *why* the layout
+//! single number (`Allocation::total`) and one opaque counter
+//! (`alloc.first_fit.fragmentation`, summed over every run).  This module
+//! records *why* the layout
 //! came out the way it did: for every buffer, in placement order, which
 //! gaps were probed, which were rejected (and whether they were too small
 //! or skipped by policy), where the buffer finally landed, and how many
@@ -11,9 +12,9 @@
 //! The fragmentation attribution is exact by construction: each decision's
 //! [`PlacementDecision::fragmentation`] counts the words in
 //! `[0, offset)` not covered by any conflicting placed buffer — the same
-//! quantity the allocator accumulates into `alloc.fragmentation_words` —
-//! so the ledger provably sums to the run's fragmentation total
-//! ([`ProvenanceLog::fragmentation_words`]).
+//! quantity the allocator adds to `alloc.first_fit.fragmentation` — so
+//! the ledger sum ([`ProvenanceLog::fragmentation_words`]) is the run's
+//! fragmentation total.
 
 use crate::first_fit::{AllocationOrder, PlacementPolicy};
 
@@ -123,8 +124,9 @@ impl ProvenanceLog {
         }
     }
 
-    /// Sum of per-decision fragmentation attributions.  Equals the
-    /// `alloc.fragmentation_words` gauge the same run would record.
+    /// Sum of per-decision fragmentation attributions: the run's
+    /// fragmentation total, which the same run adds to the
+    /// `alloc.first_fit.fragmentation` counter.
     pub fn fragmentation_words(&self) -> u64 {
         self.decisions.iter().map(|d| d.fragmentation).sum()
     }
@@ -169,8 +171,8 @@ pub(crate) fn coalesce_ranges(ranges: &mut Vec<(u64, u64)>) -> u64 {
 /// Returns the gaps entirely below `offset` (each with its rejection
 /// reason) and the fragmentation words attributed to the decision: every
 /// word in `[0, offset)` not covered by a conflicting range — the exact
-/// quantity the first-fit tracer accumulates into
-/// `alloc.fragmentation_words`.  The heuristic allocators always pick
+/// quantity the first-fit tracer adds to
+/// `alloc.first_fit.fragmentation`.  The heuristic allocators always pick
 /// offsets at gap boundaries, so for them the attribution equals the
 /// summed length of the rejected gaps; the exact solver's replay can land
 /// mid-gap, in which case the skipped head of the chosen gap is counted

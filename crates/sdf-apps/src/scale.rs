@@ -1,5 +1,6 @@
 //! Large synthetic systems for the scale benchmarks (the `scale`
-//! workload of `pipeline_bench`, and `edit_bench`'s chains).
+//! workload of `pipeline_bench`, whose `daemon_cold` edits also walk
+//! a [`scale_chain`]).
 //!
 //! The registry graphs top out below 200 actors, which hides the
 //! asymptotic cost of the loop-hierarchy DPs and the WIG build.  This

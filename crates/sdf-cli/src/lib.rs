@@ -226,10 +226,8 @@ pub enum Command {
         timeout_ms: u64,
     },
     /// `sdfmem edit` — submit an incremental re-synthesis request: a
-    /// base graph plus an edit script. A daemon holding a live
-    /// session for the base runs the engine with that session's warm
-    /// chain-DP memo store; otherwise it runs cold and seeds a session
-    /// for the next edit.
+    /// base graph plus an edit script. The daemon applies the script
+    /// and runs the engine on the edited graph.
     Edit {
         /// Daemon address (`host:port`).
         addr: String,
@@ -242,8 +240,8 @@ pub enum Command {
         timeout_ms: u64,
     },
     /// `sdfmem top` — poll a running daemon's `stats` op and render a
-    /// live table: ops/sec, cache hit rate, queue depth,
-    /// incremental-edit activity, and p50/p95/p99 latency per op.
+    /// live table: ops/sec, cache hit rate, queue depth, and
+    /// p50/p95/p99 latency per op.
     Top {
         /// Daemon address (`host:port`).
         addr: String,
@@ -293,8 +291,7 @@ COMMANDS:
     submit    submit one request to a running daemon, print the response
               envelope (takes <addr>; graph-backed kinds need --file)
     edit      submit an incremental re-synthesis request: a base graph
-              (--file) plus an edit script (--edits); a daemon session
-              holding the base rides the delta path
+              (--file) plus an edit script (--edits)
     top       poll a running daemon and render a live ops/latency table
               (takes <addr>)
     help      show this text
@@ -1485,13 +1482,6 @@ struct TopSample {
     queue_depth: u64,
     complete: u64,
     failed: u64,
-    // Incremental-edit activity; all default to 0 against a daemon
-    // from before the `edit` op existed.
-    delta_runs: u64,
-    cold_runs: u64,
-    memo_occupancy: u64,
-    memo_capacity: u64,
-    sessions: u64,
     ops: Vec<OpLatencyRow>,
 }
 
@@ -1549,11 +1539,6 @@ fn parse_top_sample(payload: &str) -> Result<TopSample, String> {
         queue_depth: table("gauges", "service.queue.depth"),
         complete: table("counters", "service.jobs.complete"),
         failed: table("counters", "service.jobs.failed"),
-        delta_runs: table("counters", "engine.incremental.delta_runs"),
-        cold_runs: table("counters", "engine.incremental.cold_runs"),
-        memo_occupancy: table("gauges", "engine.incremental.memo.occupancy"),
-        memo_capacity: table("gauges", "engine.incremental.memo.capacity"),
-        sessions: table("gauges", "engine.incremental.sessions"),
         ops,
     })
 }
@@ -1578,15 +1563,6 @@ fn render_top_frame(addr: &str, frame: u64, sample: &TopSample, rate: Option<f64
         s,
         "requests {} ({rate})   cache hit {hit_rate}   queue {}   jobs {} ok / {} failed",
         sample.requests, sample.queue_depth, sample.complete, sample.failed
-    );
-    let _ = writeln!(
-        s,
-        "edits {} delta / {} cold   memo {}/{}   sessions {}",
-        sample.delta_runs,
-        sample.cold_runs,
-        sample.memo_occupancy,
-        sample.memo_capacity,
-        sample.sessions
     );
     let _ = writeln!(
         s,
@@ -2972,13 +2948,15 @@ mod tests {
         // Missing inputs are usage errors (exit 2 in main).
         assert!(edit(None, Some(edits.clone())).is_err());
         assert!(edit(Some(file), None).is_err());
-        // `top` surfaces the incremental columns fed by the edit.
+        // `top` lists the edit op among the per-op latency rows.
         let mut captured = String::new();
         let frames = top_frames(&addr, 1, 1, 0, &mut |frame: &str| captured.push_str(frame))
             .expect("top frame");
         assert_eq!(frames, 1);
-        assert!(captured.contains("edits 0 delta / 1 cold"), "{captured}");
-        assert!(captured.contains("sessions 1"), "{captured}");
+        assert!(
+            captured.lines().any(|line| line.starts_with("edit ")),
+            "{captured}"
+        );
         server.shutdown();
         server.wait();
         let _ = std::fs::remove_file(edits_path);

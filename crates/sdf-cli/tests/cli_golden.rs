@@ -150,6 +150,8 @@ fn reports() {
     check(&cases);
 }
 
+/// `compare` reads frozen copies of two baseline profiles, so a refresh
+/// of `bench/baselines` leaves these fixtures alone.
 #[test]
 fn compare_formats() {
     let cases: Vec<Case> = ["text", "json", "md"]
@@ -159,8 +161,8 @@ fn compare_formats() {
                 format!("compare.{format}"),
                 &[
                     "compare",
-                    "bench/baselines/cd2dat.json",
-                    "bench/baselines/satrec.json",
+                    "tests/golden/cli/profiles/cd2dat.json",
+                    "tests/golden/cli/profiles/satrec.json",
                     "--format",
                     format,
                 ],

@@ -36,8 +36,6 @@ use sdf_core::graph::{ActorId, SdfGraph};
 use sdf_core::math::gcd;
 use sdf_core::repetitions::RepetitionsVector;
 
-use crate::memo::MemoKey;
-
 /// One edge in lexical positions: source, sink, TNSE and delay.  Parallel
 /// edges stay separate entries.
 type PosEdge = (usize, usize, u64, u64);
@@ -59,9 +57,6 @@ pub struct ChainTables {
     tnse_ps: Vec<u64>,
     /// The same prefix sums of delays.
     delay_ps: Vec<u64>,
-    /// Subchain content hasher, present only for
-    /// [`ChainTables::build_hashed`] tables.
-    hasher: Option<ChainHasher>,
 }
 
 impl ChainTables {
@@ -78,31 +73,6 @@ impl ChainTables {
         graph: &SdfGraph,
         q: &RepetitionsVector,
         order: &[ActorId],
-    ) -> Result<Self, SdfError> {
-        Self::build_inner(graph, q, order, false)
-    }
-
-    /// [`ChainTables::build`] plus the subchain content hasher that keys
-    /// the cross-run DP memo ([`crate::memo::MemoStore`]).  The hasher
-    /// adds two O(n²) wrapping prefix tables; plain `build` skips them so
-    /// non-incremental paths pay nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ChainTables::build`].
-    pub fn build_hashed(
-        graph: &SdfGraph,
-        q: &RepetitionsVector,
-        order: &[ActorId],
-    ) -> Result<Self, SdfError> {
-        Self::build_inner(graph, q, order, true)
-    }
-
-    fn build_inner(
-        graph: &SdfGraph,
-        q: &RepetitionsVector,
-        order: &[ActorId],
-        hashed: bool,
     ) -> Result<Self, SdfError> {
         let n = graph.actor_count();
         if order.len() != n {
@@ -186,7 +156,6 @@ impl ChainTables {
         // same lexical order, so the build count is a direct measure of
         // that reuse — the sentinel gates on it.
         sdf_trace::counter_inc("sched.chain_tables.builds");
-        let hasher = hashed.then(|| ChainHasher::build(&edges, &reps, n));
         Ok(ChainTables {
             n,
             order: order.to_vec(),
@@ -194,13 +163,7 @@ impl ChainTables {
             g,
             tnse_ps,
             delay_ps,
-            hasher,
         })
-    }
-
-    /// The content hasher, when built via [`ChainTables::build_hashed`].
-    pub(crate) fn hasher(&self) -> Option<&ChainHasher> {
-        self.hasher.as_ref()
     }
 
     /// Number of actors in the chain.
@@ -321,160 +284,6 @@ impl ChainTables {
     }
 }
 
-/// Translation-invariant polynomial hashes of subchain content, the key
-/// source for the cross-run DP memo.
-///
-/// A windowed-DP cell over `[i..=j]` is a pure function of (a) the
-/// repetition counts `q` at positions `i..=j` and (b) the aggregated
-/// `(TNSE, delay, count)` of each position pair inside the window — the
-/// exact values the DP's gcd and rectangle queries read.  The hasher
-/// digests both with position-weighted polynomial sums mod 2⁶⁴:
-///
-/// * positions: `S[p] = Σ_{p'<p} h(q[p'])·B^p'`, so the window digest
-///   `(S[j+1] − S[i])·B^{−i}` depends only on the *relative* content;
-/// * pairs: a 2-D prefix table of `h₂(tnse, delay, count)·B^u·C^v`,
-///   rectangled over `[i..j]²` and normalised by `B^{−i}·C^{−i}`.
-///
-/// `B` and `C` are odd, hence invertible mod 2⁶⁴, which is what makes the
-/// O(1) shift-normalisation exact.  Two independently seeded families
-/// give a 256-bit key; a collision would need two *different* subchains
-/// to agree on all four digests plus length, which is negligible against
-/// the store's 2²² capacity.
-#[derive(Debug)]
-pub(crate) struct ChainHasher {
-    n: usize,
-    /// Per-family 1-D prefix sums of position hashes, length `n+1`.
-    pos_ps: [Vec<u64>; 2],
-    /// Per-family 2-D wrapping prefix sums of pair hashes, `(n+1)²`.
-    pair_ps: [Vec<u64>; 2],
-    /// `inv_b_pow[f][i] = B_f^{−i}` (and likewise for `C_f`).
-    inv_b_pow: [Vec<u64>; 2],
-    inv_c_pow: [Vec<u64>; 2],
-}
-
-/// Per-family polynomial bases (odd, so invertible mod 2⁶⁴) and seeds.
-const HASH_B: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xD6E8_FEB8_6659_FD93];
-const HASH_C: [u64; 2] = [0xC2B2_AE3D_27D4_EB4F, 0xA076_1D64_78BD_642F];
-const SEED_POS: [u64; 2] = [0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344];
-const SEED_PAIR: [u64; 2] = [0xA409_3822_299F_31D0, 0x082E_FA98_EC4E_6C89];
-
-/// The splitmix64 finalizer: a fast full-avalanche 64-bit mixer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The inverse of an odd `a` mod 2⁶⁴ (Newton iteration doubles the
-/// correct low bits each step; five steps cover 64 bits).
-fn inv_u64(a: u64) -> u64 {
-    debug_assert!(a & 1 == 1, "only odd values are invertible mod 2^64");
-    let mut x = a;
-    for _ in 0..5 {
-        x = x.wrapping_mul(2u64.wrapping_sub(a.wrapping_mul(x)));
-    }
-    debug_assert_eq!(a.wrapping_mul(x), 1);
-    x
-}
-
-impl ChainHasher {
-    /// Digests the raw position-pair matrices of `edges`, the hasher's
-    /// alone, and the repetition counts `reps` along the order.
-    fn build(edges: &[PosEdge], reps: &[u64], n: usize) -> ChainHasher {
-        let mut tnse = vec![0u64; n * n];
-        let mut delay = vec![0u64; n * n];
-        let mut count = vec![0u64; n * n];
-        for &(ps, pt, t, d) in edges {
-            tnse[ps * n + pt] += t;
-            delay[ps * n + pt] += d;
-            count[ps * n + pt] += 1;
-        }
-        let mut pos_ps: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        let mut pair_ps: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        let mut inv_b_pow: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        let mut inv_c_pow: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-        for f in 0..2 {
-            let (b, c) = (HASH_B[f], HASH_C[f]);
-            let (inv_b, inv_c) = (inv_u64(b), inv_u64(c));
-            let mut b_pow = 1u64;
-            let mut pos = vec![0u64; n + 1];
-            let mut ibp = vec![1u64; n + 1];
-            let mut icp = vec![1u64; n + 1];
-            for p in 0..n {
-                let h = mix64(reps[p] ^ SEED_POS[f]);
-                pos[p + 1] = pos[p].wrapping_add(h.wrapping_mul(b_pow));
-                b_pow = b_pow.wrapping_mul(b);
-                ibp[p + 1] = ibp[p].wrapping_mul(inv_b);
-                icp[p + 1] = icp[p].wrapping_mul(inv_c);
-            }
-            let w = n + 1;
-            let mut pair = vec![0u64; w * w];
-            let mut bu = 1u64;
-            for u in 0..n {
-                let mut cv = 1u64;
-                for v in 0..n {
-                    let idx = u * n + v;
-                    let mut h = SEED_PAIR[f];
-                    h = mix64(h ^ tnse[idx]);
-                    h = mix64(h ^ delay[idx]);
-                    h = mix64(h ^ count[idx]);
-                    let cell = h.wrapping_mul(bu).wrapping_mul(cv);
-                    pair[(u + 1) * w + (v + 1)] = cell
-                        .wrapping_add(pair[u * w + (v + 1)])
-                        .wrapping_add(pair[(u + 1) * w + v])
-                        .wrapping_sub(pair[u * w + v]);
-                    cv = cv.wrapping_mul(c);
-                }
-                bu = bu.wrapping_mul(b);
-            }
-            pos_ps[f] = pos;
-            pair_ps[f] = pair;
-            inv_b_pow[f] = ibp;
-            inv_c_pow[f] = icp;
-        }
-        ChainHasher {
-            n,
-            pos_ps,
-            pair_ps,
-            inv_b_pow,
-            inv_c_pow,
-        }
-    }
-
-    /// The memo key of subchain `[i..=j]` under DP domain `tag`.
-    pub(crate) fn subchain_key(&self, i: usize, j: usize, tag: u8) -> MemoKey {
-        debug_assert!(i <= j && j < self.n);
-        let mut parts = [0u64; 4];
-        for f in 0..2 {
-            let pos = self.pos_ps[f][j + 1]
-                .wrapping_sub(self.pos_ps[f][i])
-                .wrapping_mul(self.inv_b_pow[f][i]);
-            let pair = rect_wrapping(&self.pair_ps[f], self.n, i, j, i, j)
-                .wrapping_mul(self.inv_b_pow[f][i])
-                .wrapping_mul(self.inv_c_pow[f][i]);
-            parts[2 * f] = pos;
-            parts[2 * f + 1] = pair;
-        }
-        MemoKey {
-            h1: (u128::from(parts[0]) << 64) | u128::from(parts[1]),
-            h2: (u128::from(parts[2]) << 64) | u128::from(parts[3]),
-            len: (j - i + 1) as u32,
-            tag,
-        }
-    }
-}
-
-/// Wrapping inclusion–exclusion rectangle over rows `r1..=r2`, cols
-/// `c1..=c2` of a wrapping 2-D prefix table.
-fn rect_wrapping(ps: &[u64], n: usize, r1: usize, r2: usize, c1: usize, c2: usize) -> u64 {
-    let w = n + 1;
-    ps[(r2 + 1) * w + (c2 + 1)]
-        .wrapping_add(ps[r1 * w + c1])
-        .wrapping_sub(ps[r1 * w + (c2 + 1)])
-        .wrapping_sub(ps[(r2 + 1) * w + c1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,109 +378,6 @@ mod tests {
         assert!(ChainTables::build(&g, &q, &order[..2]).is_err());
     }
 
-    /// Homogeneous chain (`q` all 1) with the given per-edge delays.
-    fn delay_chain(name: &str, delays: &[u64]) -> ChainTables {
-        let mut g = SdfGraph::new(name);
-        let ids: Vec<_> = (0..=delays.len())
-            .map(|i| g.add_actor(format!("a{i}")))
-            .collect();
-        for (w, &d) in delays.iter().enumerate() {
-            g.add_edge_with_delay(ids[w], ids[w + 1], 1, 1, d).unwrap();
-        }
-        let q = RepetitionsVector::compute(&g).unwrap();
-        ChainTables::build_hashed(&g, &q, &ids).unwrap()
-    }
-
-    #[test]
-    fn hasher_keys_are_translation_invariant() {
-        // Delay pattern 5,0,0,5,0,0: windows [0..=1] and [3..=4] hold
-        // identical content at different positions, [1..=2] does not.
-        let t = delay_chain("shift", &[5, 0, 0, 5, 0, 0]);
-        let h = t.hasher().expect("hashed build");
-        assert_eq!(h.subchain_key(0, 1, 1), h.subchain_key(3, 4, 1));
-        assert_eq!(h.subchain_key(0, 2, 1), h.subchain_key(3, 5, 1));
-        assert_ne!(h.subchain_key(0, 1, 1), h.subchain_key(1, 2, 1));
-        // Length and domain tag are part of the key.
-        assert_ne!(h.subchain_key(0, 1, 1), h.subchain_key(0, 2, 1));
-        assert_ne!(h.subchain_key(0, 1, 1), h.subchain_key(0, 1, 2));
-    }
-
-    #[test]
-    fn hasher_keys_match_across_graphs() {
-        // The same subchain content reached from two different graphs
-        // produces the same key — the property that lets an edited
-        // graph's untouched segments hit entries its ancestor inserted.
-        let long = delay_chain("long", &[0, 0, 7, 0, 0]);
-        let short = delay_chain("short", &[0, 7, 0]);
-        let hl = long.hasher().unwrap();
-        let hs = short.hasher().unwrap();
-        assert_eq!(hl.subchain_key(1, 4, 1), hs.subchain_key(0, 3, 1));
-        assert_eq!(hl.subchain_key(2, 3, 1), hs.subchain_key(1, 2, 1));
-        assert_ne!(hl.subchain_key(0, 3, 1), hs.subchain_key(0, 3, 1));
-    }
-
-    #[test]
-    fn hasher_sees_rates_delays_and_multiplicity() {
-        let base = delay_chain("base", &[0, 0, 0]);
-        let delayed = delay_chain("delayed", &[0, 1, 0]);
-        let hb = base.hasher().unwrap();
-        let hd = delayed.hasher().unwrap();
-        assert_ne!(hb.subchain_key(0, 3, 1), hd.subchain_key(0, 3, 1));
-        // A rate change alters q and TNSE inside the window.
-        let mut g = SdfGraph::new("rates");
-        let ids: Vec<_> = (0..4).map(|i| g.add_actor(format!("a{i}"))).collect();
-        g.add_edge(ids[0], ids[1], 2, 3).unwrap();
-        g.add_edge(ids[1], ids[2], 1, 1).unwrap();
-        g.add_edge(ids[2], ids[3], 1, 1).unwrap();
-        let q = RepetitionsVector::compute(&g).unwrap();
-        let t = ChainTables::build_hashed(&g, &q, &ids).unwrap();
-        assert_ne!(
-            t.hasher().unwrap().subchain_key(0, 3, 1),
-            hb.subchain_key(0, 3, 1)
-        );
-        // Parallel-edge multiplicity with equal aggregates still differs
-        // through the count matrix.
-        let mut g1 = SdfGraph::new("single");
-        let a1 = g1.add_actor("A");
-        let b1 = g1.add_actor("B");
-        g1.add_edge(a1, b1, 2, 2).unwrap();
-        let q1 = RepetitionsVector::compute(&g1).unwrap();
-        let t1 = ChainTables::build_hashed(&g1, &q1, &[a1, b1]).unwrap();
-        let mut g2 = SdfGraph::new("double");
-        let a2 = g2.add_actor("A");
-        let b2 = g2.add_actor("B");
-        g2.add_edge(a2, b2, 1, 1).unwrap();
-        g2.add_edge(a2, b2, 1, 1).unwrap();
-        let q2 = RepetitionsVector::compute(&g2).unwrap();
-        let t2 = ChainTables::build_hashed(&g2, &q2, &[a2, b2]).unwrap();
-        assert_ne!(
-            t1.hasher().unwrap().subchain_key(0, 1, 1),
-            t2.hasher().unwrap().subchain_key(0, 1, 1)
-        );
-    }
-
-    #[test]
-    fn plain_build_skips_the_hasher() {
-        let (g, q, order) = chain3();
-        let t = ChainTables::build(&g, &q, &order).unwrap();
-        assert!(t.hasher().is_none());
-        let th = ChainTables::build_hashed(&g, &q, &order).unwrap();
-        assert!(th.hasher().is_some());
-        // Hashed tables answer every query identically.
-        assert_eq!(t.gcd_range(0, 2), th.gcd_range(0, 2));
-        assert_eq!(t.crossing_tnse(0, 0, 2), th.crossing_tnse(0, 0, 2));
-        assert_eq!(t.split_cost(0, 1, 2), th.split_cost(0, 1, 2));
-    }
-
-    #[test]
-    fn odd_base_inverses_are_exact() {
-        for f in 0..2 {
-            for base in [HASH_B[f], HASH_C[f]] {
-                assert_eq!(base.wrapping_mul(inv_u64(base)), 1);
-            }
-        }
-    }
-
     #[test]
     fn multi_edges_aggregate() {
         let mut g = SdfGraph::new("m");
@@ -713,7 +419,7 @@ mod tests {
         for graph in &graphs {
             let q = RepetitionsVector::compute(graph).unwrap();
             for order in [rpmc(graph, &q).unwrap(), apgan(graph, &q).unwrap()] {
-                let t = ChainTables::build_hashed(graph, &q, &order).unwrap();
+                let t = ChainTables::build(graph, &q, &order).unwrap();
                 let n = t.len();
                 let mut pos = vec![0; n];
                 for (p, a) in order.iter().enumerate() {

@@ -18,7 +18,6 @@ use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::dpwin::{self, DpMode};
-use crate::memo::{MemoStore, DOMAIN_DPPO};
 use crate::treebuild::{build_tree, SplitDecision};
 
 /// The result of a DPPO run: an order-optimal R-schedule and its predicted
@@ -78,34 +77,10 @@ pub fn dppo(
 ///
 /// Panics if `ct` is empty (callers validate via [`ChainTables::build`]).
 pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -> DppoResult {
-    dppo_from_tables_memo(ct, q, mode, None)
-}
-
-/// [`dppo_from_tables`] with an optional cross-run [`MemoStore`]: cells
-/// whose subchain content was solved by *any* earlier run (this graph or
-/// an edited relative) are answered from the store.  Requires tables
-/// built via [`ChainTables::build_hashed`] and [`DpMode::Windowed`] for
-/// the memo to engage; results are bit-identical with or without it.
-///
-/// # Panics
-///
-/// Panics if `ct` is empty (callers validate via [`ChainTables::build`]).
-pub fn dppo_from_tables_memo(
-    ct: &ChainTables,
-    q: &RepetitionsVector,
-    mode: DpMode,
-    memo: Option<&MemoStore>,
-) -> DppoResult {
     assert!(!ct.is_empty(), "DPPO needs at least one actor");
     let _span = sdf_trace::span!("sched.dppo", actors = ct.len());
     let n = ct.len();
-    let mut solver = dpwin::Solver::new_memo(
-        ct,
-        mode,
-        dpwin::Combine::Sum,
-        true,
-        memo.map(|s| (s, DOMAIN_DPPO)),
-    );
+    let mut solver = dpwin::Solver::new(ct, mode, dpwin::Combine::Sum, true);
     let (bufmem, fell_back) = solver.root_value();
     // Tree decisions read argmin splits straight from the solver: the
     // windowed scan provably reproduces the exact scan's smallest-k
@@ -127,6 +102,18 @@ pub fn dppo_from_tables_memo(
         sdf_trace::counter_add("sched.dppo.fallbacks", u64::from(fell_back));
     }
     DppoResult { tree, bufmem }
+}
+
+/// [`dppo_from_tables`] under its older name, whose last argument can
+/// only be `None`.  `pipeline_bench` still calls it; the next benchmark
+/// change drops it together with those calls.
+pub fn dppo_from_tables_memo(
+    ct: &ChainTables,
+    q: &RepetitionsVector,
+    mode: DpMode,
+    _memo: Option<std::convert::Infallible>,
+) -> DppoResult {
+    dppo_from_tables(ct, q, mode)
 }
 
 #[cfg(test)]
@@ -294,79 +281,6 @@ mod tests {
             assert_eq!(er.bufmem, wr.bufmem, "trial {trial} n={n}");
             assert_eq!(er.tree, wr.tree, "trial {trial} n={n}");
         }
-    }
-
-    #[test]
-    fn memo_assisted_runs_are_bit_identical() {
-        // Random chains; every run with the memo (cold store, warm store,
-        // evicting store) must reproduce the no-memo result exactly —
-        // bufmem AND tree.
-        struct Lcg(u64);
-        impl Lcg {
-            fn next(&mut self, m: u64) -> u64 {
-                self.0 = self
-                    .0
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (self.0 >> 33) % m
-            }
-        }
-        let mut rng = Lcg(0x5851f42d4c957f2d);
-        let shared = crate::memo::MemoStore::with_capacity(1 << 16);
-        let tiny = crate::memo::MemoStore::with_capacity(3);
-        for trial in 0..120u64 {
-            let n = 2 + rng.next(30) as usize;
-            let mut g = SdfGraph::new("m");
-            let ids: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
-            for w in 0..n - 1 {
-                let p = 1 + rng.next(7);
-                let c = 1 + rng.next(7);
-                let d = if rng.next(5) == 0 { rng.next(9) } else { 0 };
-                g.add_edge_with_delay(ids[w], ids[w + 1], p, c, d).unwrap();
-            }
-            let q = RepetitionsVector::compute(&g).unwrap();
-            let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
-            let cold = dppo_from_tables(&ct, &q, DpMode::Windowed);
-            let first = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&shared));
-            let warm = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&shared));
-            // A store three entries wide evicts constantly mid-run;
-            // correctness must not care.
-            let evicting = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&tiny));
-            for (name, r) in [("first", &first), ("warm", &warm), ("evicting", &evicting)] {
-                assert_eq!(cold.bufmem, r.bufmem, "trial {trial} {name}");
-                assert_eq!(cold.tree, r.tree, "trial {trial} {name}");
-            }
-        }
-        let stats = shared.stats();
-        assert!(stats.hits > 0, "warm runs never hit: {stats:?}");
-        assert!(tiny.stats().evictions > 0, "tiny store never evicted");
-    }
-
-    #[test]
-    fn warm_rerun_resolves_from_the_store_alone() {
-        // A fully warm rerun must answer every tree-visited cell from the
-        // store: zero crossing-cost probes beyond the initial candidate
-        // scoring of cells it never reaches. We assert the sharper form:
-        // the second run misses nothing.
-        let mut g = SdfGraph::new("cd-dat");
-        let ids: Vec<_> = ["A", "B", "C", "D", "E", "F"]
-            .iter()
-            .map(|n| g.add_actor(*n))
-            .collect();
-        for (i, &(p, c)) in [(1, 1), (2, 3), (2, 7), (8, 7), (5, 1)].iter().enumerate() {
-            g.add_edge(ids[i], ids[i + 1], p, c).unwrap();
-        }
-        let q = RepetitionsVector::compute(&g).unwrap();
-        let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
-        let store = crate::memo::MemoStore::new();
-        let first = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
-        let before = store.stats();
-        let warm = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
-        let after = store.stats();
-        assert_eq!(first.tree, warm.tree);
-        assert_eq!(after.misses, before.misses, "warm run missed the store");
-        assert!(after.hits > before.hits);
-        assert_eq!(after.inserts, before.inserts, "warm run re-inserted");
     }
 
     #[test]

@@ -84,9 +84,9 @@
 //! cost is skipped (counted as a pruned split).  `k` ascends and only
 //! a strictly smaller cost replaces the incumbent, so the recorded split
 //! is the smallest argmin — the exact scan's tie-break.  A cell's work
-//! depends only on its own children, not on the fill order, so without a
-//! memo probes plus pruned splits equal the dense scan's `(n³ − n) / 6`
-//! on every run.
+//! depends only on its own children, not on the fill order, so probes
+//! plus pruned splits equal the dense scan's `(n³ − n) / 6` on every
+//! run.
 //!
 //! The order is chosen so that each probe reads six contiguous rows and
 //! no table at a stride:
@@ -105,7 +105,6 @@
 //! `Never`.  A split wins only when its cost beats the incumbent, and
 //! `children + ⌊t / g⌋ + d < best` is `t < (best − children − d) · g`, so
 //! the kernel tests that product in u128 and divides only for a winner.
-//! A cell the memo answers skips the scan and only joins its column.
 //! On `scale`, SDPPO's traced self time per probe went from about 15 ns
 //! to about 5 ns (2-CPU VM).  The tables themselves are upper triangles,
 //! one contiguous row per `i` (`ChainTables::cell`).
@@ -173,11 +172,9 @@
 //! takes the smallest argmin `k*` (ascending `k`, strict improvement):
 //!
 //! * if `opt(k*) > LB[i, j]` the bound is loose here: stop;
-//! * otherwise descend into both children, then price the split with
-//!   their values; if that exceeds `opt(k*)` — only a child replayed from
-//!   the memo can be above its bound, since a descended one settles at
-//!   it — stop;
-//! * otherwise settle `(opt(k*), k*)`.
+//! * otherwise descend into both children and settle `(opt(k*), k*)`:
+//!   a descended child settles at its bound, so pricing the split with
+//!   the children's values gives `opt(k*)` again.
 //!
 //! A settled cost equals `LB[i, j] ≤ v[i, j]`, so it is optimal.  Every
 //! `k < k*` has `cost(k) ≥ opt(k) > LB[i, j]`, so `k*` is the smallest
@@ -191,7 +188,6 @@
 //! the SDPPO solver's code is unchanged.
 
 use crate::chain::ChainTables;
-use crate::memo::{MemoEntry, MemoKey, MemoStore};
 
 /// How the chain DPs scan split positions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -271,11 +267,6 @@ pub(crate) struct Solver<'a> {
     combine: Combine,
     /// Whether the crossing TNSE is divided by the subchain gcd.
     factored: bool,
-    /// Cross-run memo: the store and this DP's domain tag.  Only active
-    /// in windowed mode on tables built with a content hasher; a hit
-    /// replays exactly the (value, smallest-argmin split) the scans below
-    /// would recompute, so results are bit-identical either way.
-    memo: Option<(&'a MemoStore, u8)>,
     /// Admissible lower bounds `LB[i, j]`; only the DPPO descent builds
     /// them.  This table and the two below are upper triangles indexed by
     /// [`ChainTables::cell`].
@@ -292,25 +283,9 @@ pub(crate) struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    #[cfg(test)]
+    /// A solver over `ct` that has already filled its table, except under
+    /// the DPPO descent, which resolves cells on demand.
     pub(crate) fn new(ct: &'a ChainTables, mode: DpMode, combine: Combine, factored: bool) -> Self {
-        Self::new_memo(ct, mode, combine, factored, None)
-    }
-
-    /// [`Solver::new`] with an optional cross-run memo.  The memo is
-    /// ignored in exact mode (which stays the verification reference)
-    /// and on tables built without a hasher.
-    pub(crate) fn new_memo(
-        ct: &'a ChainTables,
-        mode: DpMode,
-        combine: Combine,
-        factored: bool,
-        memo: Option<(&'a MemoStore, u8)>,
-    ) -> Self {
-        let memo = match mode {
-            DpMode::Windowed if ct.hasher().is_some() => memo,
-            _ => None,
-        };
         debug_assert!(
             factored || matches!(combine, Combine::Max),
             "the descent prices factored splits only"
@@ -319,7 +294,6 @@ impl<'a> Solver<'a> {
             ct,
             combine,
             factored,
-            memo,
             lb: Vec::new(),
             value: vec![UNSET; ct.cells()],
             split: vec![0; ct.cells()],
@@ -360,11 +334,8 @@ impl<'a> Solver<'a> {
             for i in (0..j).rev() {
                 let idx = self.ct.cell(i, j);
                 if !(RESUME && self.value[idx] != UNSET) {
-                    let key = self.memo_key(i, j);
-                    if !self.replay(key, i, j) {
-                        let (best, k) = self.best_split(&col, i, j, prune, &merge);
-                        self.settle(key, i, j, best, k);
-                    }
+                    let (best, k) = self.best_split(&col, i, j, prune, &merge);
+                    self.settle(i, j, best, k);
                 }
                 col.below[i] = self.value[idx];
             }
@@ -457,42 +428,11 @@ impl<'a> Solver<'a> {
         self.lb = lb;
     }
 
-    /// The cross-run memo key of subchain `[i..=j]`: a content hash of
-    /// exactly the inputs the scans read.  `None` without a memo.
-    fn memo_key(&self, i: usize, j: usize) -> Option<MemoKey> {
-        let (_, tag) = self.memo?;
-        let hasher = self.ct.hasher().expect("memo implies hasher");
-        Some(hasher.subchain_key(i, j, tag))
-    }
-
-    /// Fills cell `[i..=j]` from the memo; `false` on a miss.
-    fn replay(&mut self, key: Option<MemoKey>, i: usize, j: usize) -> bool {
-        let (Some((store, _)), Some(key)) = (self.memo, key) else {
-            return false;
-        };
-        let Some(entry) = store.lookup(&key) else {
-            return false;
-        };
-        let idx = self.ct.cell(i, j);
-        self.value[idx] = entry.value;
-        self.split[idx] = i as u32 + entry.split_rel;
-        true
-    }
-
-    /// Records the resolved cell `[i..=j]` in the table and the memo.
-    fn settle(&mut self, key: Option<MemoKey>, i: usize, j: usize, value: u64, k: usize) {
+    /// Records the resolved cell `[i..=j]`.
+    fn settle(&mut self, i: usize, j: usize, value: u64, k: usize) {
         let idx = self.ct.cell(i, j);
         self.value[idx] = value;
         self.split[idx] = k as u32;
-        if let (Some((store, _)), Some(key)) = (self.memo, key) {
-            store.insert(
-                key,
-                MemoEntry {
-                    value,
-                    split_rel: (k - i) as u32,
-                },
-            );
-        }
     }
 
     /// The exact DP value of the whole chain, for DPPO, and whether the
@@ -536,12 +476,6 @@ impl<'a> Solver<'a> {
         if self.value[idx] != UNSET {
             return Some(self.value[idx]);
         }
-        // A memo hit short-circuits the cell and, transitively, every
-        // child it would have resolved.
-        let key = self.memo_key(i, j);
-        if self.replay(key, i, j) {
-            return Some(self.value[idx]);
-        }
         let (ct, lb) = (self.ct, &self.lb);
         let opt = |k: usize| lb[ct.cell(i, k)] + lb[ct.cell(k + 1, j)] + ct.split_cost(i, k, j);
         // The smallest `(opt, k)` pair: the smallest argmin.
@@ -554,11 +488,8 @@ impl<'a> Solver<'a> {
         let r = self.descend(k + 1, j)?;
         self.probes += 1;
         let cost = l + r + ct.split_cost(i, k, j);
-        // Above the bound only when a child replayed from the memo is.
-        if cost > bound {
-            return None;
-        }
-        self.settle(key, i, j, cost, k);
+        debug_assert_eq!(cost, bound, "a descended child settles at its bound");
+        self.settle(i, j, cost, k);
         Some(cost)
     }
 

@@ -50,7 +50,6 @@ pub mod dpwin;
 pub mod exhaustive;
 pub mod local_search;
 pub mod loopify;
-pub mod memo;
 pub mod rpmc;
 pub mod sdppo;
 pub mod topsort;
@@ -63,11 +62,7 @@ pub use chain_precise::{chain_precise, ChainPreciseResult, CostTriple};
 pub use demand::demand_driven_schedule;
 pub use dppo::{dppo, dppo_from_tables, dppo_from_tables_memo, DppoResult};
 pub use dpwin::DpMode;
-pub use memo::{MemoEntry, MemoKey, MemoStats, MemoStore};
 pub use rpmc::rpmc;
-pub use sdppo::{
-    sdppo, sdppo_from_tables, sdppo_from_tables_memo, sdppo_with_policy, FactoringPolicy,
-    SdppoResult,
-};
+pub use sdppo::{sdppo, sdppo_from_tables, sdppo_with_policy, FactoringPolicy, SdppoResult};
 pub use topsort::random_topological_sort;
 pub use variant::{schedule_variant_from_tables_memo, LoopVariant, ScheduledVariant};

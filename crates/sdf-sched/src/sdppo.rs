@@ -28,7 +28,6 @@ use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::dpwin::{self, DpMode};
-use crate::memo::{MemoStore, DOMAIN_SDPPO_ALWAYS, DOMAIN_SDPPO_HEURISTIC, DOMAIN_SDPPO_NEVER};
 use crate::treebuild::{build_tree, SplitDecision};
 
 /// When a merged loop should be factored by the subchain gcd (§5.1).
@@ -50,16 +49,6 @@ impl FactoringPolicy {
             FactoringPolicy::Heuristic => crosses,
             FactoringPolicy::Always => true,
             FactoringPolicy::Never => false,
-        }
-    }
-
-    /// The cross-run memo domain tag: each policy prices crossings
-    /// differently, so their DP cells must never share entries.
-    pub fn memo_tag(self) -> u8 {
-        match self {
-            FactoringPolicy::Heuristic => DOMAIN_SDPPO_HEURISTIC,
-            FactoringPolicy::Always => DOMAIN_SDPPO_ALWAYS,
-            FactoringPolicy::Never => DOMAIN_SDPPO_NEVER,
         }
     }
 }
@@ -139,35 +128,16 @@ pub fn sdppo_from_tables(
     policy: FactoringPolicy,
     mode: DpMode,
 ) -> SdppoResult {
-    sdppo_from_tables_memo(ct, q, policy, mode, None)
-}
-
-/// [`sdppo_from_tables`] with an optional cross-run [`MemoStore`], keyed
-/// under the policy's [`FactoringPolicy::memo_tag`].  Requires tables
-/// built via [`ChainTables::build_hashed`] and [`DpMode::Windowed`] for
-/// the memo to engage; results are bit-identical with or without it.
-///
-/// # Panics
-///
-/// Panics if `ct` is empty (callers validate via [`ChainTables::build`]).
-pub fn sdppo_from_tables_memo(
-    ct: &ChainTables,
-    q: &RepetitionsVector,
-    policy: FactoringPolicy,
-    mode: DpMode,
-    memo: Option<&MemoStore>,
-) -> SdppoResult {
     assert!(!ct.is_empty(), "SDPPO needs at least one actor");
     let _span = sdf_trace::span!("sched.sdppo", actors = ct.len());
     let n = ct.len();
     // `Heuristic` prices every split as `Always` does (module docs); only
     // the tree's `factored` flags below tell them apart.
-    let mut solver = dpwin::Solver::new_memo(
+    let mut solver = dpwin::Solver::new(
         ct,
         mode,
         dpwin::Combine::Max,
         policy != FactoringPolicy::Never,
-        memo.map(|s| (s, policy.memo_tag())),
     );
     let shared_cost = solver.value(0, n - 1);
     // As in DPPO, tree decisions read argmin splits straight from the
@@ -185,8 +155,7 @@ pub fn sdppo_from_tables_memo(
     if sdf_trace::enabled() {
         // Actual probes, not the closed form — the windowed scan does far
         // fewer and the regression sentinel gates on this counter.  Probes
-        // plus pruned splits make up the dense scan's `(n³ − n) / 6`,
-        // less whatever the memo answered.
+        // plus pruned splits make up the dense scan's `(n³ − n) / 6`.
         let nn = n as u64;
         sdf_trace::counter_inc("sched.sdppo.runs");
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
@@ -347,8 +316,7 @@ mod tests {
 
     #[test]
     fn probes_and_pruned_splits_cover_the_dense_scan() {
-        // Without a memo every split of every cell is either probed or
-        // pruned, so the two counters sum to the dense `(n³ − n) / 6`;
+        // Every split of every cell is either probed or pruned, so the two counters sum to the dense `(n³ − n) / 6`;
         // the exact scan prunes nothing.  Coprime spans are probed in
         // full, so pruning needs spans of gcd > 1: q is (2, 3, 5, 2, 2, 8,
         // 4, 4, 4, 4), even from position 3 on.
@@ -394,70 +362,6 @@ mod tests {
                 DpMode::Windowed => assert!(pruned > 0, "nothing pruned"),
             }
         }
-    }
-
-    #[test]
-    fn memo_never_leaks_across_policies() {
-        // All three policies share one store but carry distinct domain
-        // tags; each must reproduce its own cold result even after the
-        // others have populated the store with the same subchains.
-        let mut g = SdfGraph::new("fig4ish");
-        let a = g.add_actor("A");
-        let b = g.add_actor("B");
-        let c = g.add_actor("C");
-        let d = g.add_actor("D");
-        g.add_edge(a, b, 3, 2).unwrap();
-        g.add_edge(b, c, 5, 3).unwrap();
-        g.add_edge(c, d, 2, 5).unwrap();
-        let q = RepetitionsVector::compute(&g).unwrap();
-        let order = [a, b, c, d];
-        let ct = ChainTables::build_hashed(&g, &q, &order).unwrap();
-        let store = crate::memo::MemoStore::new();
-        for policy in [
-            FactoringPolicy::Heuristic,
-            FactoringPolicy::Always,
-            FactoringPolicy::Never,
-        ] {
-            let cold = sdppo_from_tables(&ct, &q, policy, DpMode::Windowed);
-            let memoed = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Windowed, Some(&store));
-            let warm = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Windowed, Some(&store));
-            assert_eq!(cold.shared_cost, memoed.shared_cost, "{policy:?}");
-            assert_eq!(cold.tree, memoed.tree, "{policy:?}");
-            assert_eq!(cold.tree, warm.tree, "{policy:?} warm");
-        }
-        // DPPO shares the store too, under its own tag.
-        let dp_cold = crate::dppo::dppo_from_tables(&ct, &q, DpMode::Windowed);
-        let dp_memo = crate::dppo::dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
-        assert_eq!(dp_cold.bufmem, dp_memo.bufmem);
-        assert_eq!(dp_cold.tree, dp_memo.tree);
-    }
-
-    #[test]
-    fn memo_ignored_in_exact_mode_and_without_hasher() {
-        let (g, order, q) = fig2();
-        let store = crate::memo::MemoStore::new();
-        // Plain tables: no hasher, memo must disengage silently.
-        let ct = ChainTables::build(&g, &q, &order).unwrap();
-        let r = sdppo_from_tables_memo(
-            &ct,
-            &q,
-            FactoringPolicy::Heuristic,
-            DpMode::Windowed,
-            Some(&store),
-        );
-        assert_eq!(r.shared_cost, 40);
-        assert!(store.is_empty(), "memo engaged without a hasher");
-        // Hashed tables but exact mode: exact stays the reference path.
-        let cth = ChainTables::build_hashed(&g, &q, &order).unwrap();
-        let r = sdppo_from_tables_memo(
-            &cth,
-            &q,
-            FactoringPolicy::Heuristic,
-            DpMode::Exact,
-            Some(&store),
-        );
-        assert_eq!(r.shared_cost, 40);
-        assert!(store.is_empty(), "memo engaged in exact mode");
     }
 
     #[test]

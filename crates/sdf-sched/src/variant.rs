@@ -16,10 +16,9 @@ use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::chain_precise::{chain_precise, DEFAULT_FRONTIER_CAP};
-use crate::dppo::dppo_from_tables_memo;
+use crate::dppo::dppo_from_tables;
 use crate::dpwin::DpMode;
-use crate::memo::MemoStore;
-use crate::sdppo::{sdppo_from_tables_memo, FactoringPolicy};
+use crate::sdppo::{sdppo_from_tables, FactoringPolicy};
 
 /// Which loop-hierarchy dynamic program to run over a lexical order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -84,11 +83,12 @@ pub struct ScheduledVariant {
 
 /// Runs `variant` against prebuilt [`ChainTables`] with an explicit
 /// [`DpMode`], so candidates sharing a lexical order share one table
-/// build, plus an optional cross-run [`MemoStore`] the chain DPs probe
-/// for content-addressed subchain results.  Chain-precise ignores the
-/// tables and the store (it derives the chain order itself and has no
-/// windowed formulation) and always runs exactly.  Results are
-/// bit-identical with and without a store.
+/// build.  Chain-precise ignores the tables (it derives the chain order
+/// itself and has no windowed formulation) and always runs exactly.
+///
+/// The last argument can only be `None`: `pipeline_bench` still passes
+/// it, and the next benchmark change drops it and the `_memo` suffix
+/// together with those calls.
 ///
 /// # Errors
 ///
@@ -124,13 +124,11 @@ pub fn schedule_variant_from_tables_memo(
     ct: &ChainTables,
     variant: LoopVariant,
     mode: DpMode,
-    memo: Option<&MemoStore>,
+    _memo: Option<std::convert::Infallible>,
 ) -> Result<ScheduledVariant, SdfError> {
     let tree = match variant {
-        LoopVariant::Sdppo => {
-            sdppo_from_tables_memo(ct, q, FactoringPolicy::Heuristic, mode, memo).tree
-        }
-        LoopVariant::Dppo => dppo_from_tables_memo(ct, q, mode, memo).tree,
+        LoopVariant::Sdppo => sdppo_from_tables(ct, q, FactoringPolicy::Heuristic, mode).tree,
+        LoopVariant::Dppo => dppo_from_tables(ct, q, mode).tree,
         LoopVariant::ChainPrecise => chain_precise(graph, q, DEFAULT_FRONTIER_CAP)?.tree,
     };
     Ok(ScheduledVariant { tree })

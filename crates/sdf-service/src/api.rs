@@ -161,12 +161,9 @@ pub enum ServiceRequest {
         graph: String,
     },
     /// Re-synthesise an edited graph: a base graph plus a textual edit
-    /// script ([`EditScript`] lines). The daemon routes this through a
-    /// per-graph [`sdfmem::IncrementalSession`] (delta path, warm
-    /// chain-DP memo), falling back to a cold run when no session
-    /// matches the base; the in-process backend always runs cold. The
-    /// payload is deterministic either way — the delta path is
-    /// bit-identical to cold synthesis — so `edit` is cacheable.
+    /// script ([`EditScript`] lines). The script is applied to the base
+    /// and the engine runs on the edited graph, so the payload is a
+    /// deterministic function of the request and `edit` is cacheable.
     Edit {
         /// Base graph text.
         graph: String,
@@ -450,8 +447,7 @@ impl ServiceRequest {
     }
 
     /// Whether results of this request may be served from the cache:
-    /// true for the deterministic ops (`edit`'s delta path is
-    /// bit-identical to a cold run). `baseline` embeds timing
+    /// true for the deterministic ops. `baseline` embeds timing
     /// statistics and `compare` is cheap post-processing.
     pub fn cacheable(&self) -> bool {
         self.spec().cached
@@ -602,10 +598,7 @@ pub enum ResponsePayload {
     /// `edit`: the edited graph's synthesis plus the edit delta.
     ///
     /// Every member is a deterministic function of (base graph, edit
-    /// script): the session path is bit-identical to a cold run, so this
-    /// payload is cacheable. Session statistics (memo hits, elapsed
-    /// time) are *not* here — they depend on daemon history and travel
-    /// in the per-request telemetry instead.
+    /// script), so this payload is cacheable.
     Edit {
         /// The edited graph.
         graph: SdfGraph,
@@ -616,7 +609,7 @@ pub enum ResponsePayload {
         /// Operations the edit script applied.
         edits_applied: usize,
         /// Edited-graph edges whose record or endpoints changed from
-        /// the base (positional diff, as the session sees it).
+        /// the base (positional diff, [`sdfmem::incremental::dirty_edges`]).
         dirty_edges: usize,
     },
     /// `modes`: the multi-mode synthesis (merged pool, per-mode plans,
@@ -933,33 +926,6 @@ pub fn parse_mode_graph_input(text: &str) -> Result<sdf_core::mode::ModeGraph, S
     sdf_core::mode::parse_mode_graph(text).map_err(|e| ServiceError::parse("graph", e.to_string()))
 }
 
-/// Assembles the deterministic `edit` payload from an edited graph and
-/// its analysis. Shared between the in-process cold path and the
-/// daemon's session-backed delta path so both produce identical bytes
-/// (the cache contract).
-///
-/// # Errors
-///
-/// [`ErrorCode::EngineError`] when the shared-model lowering fails.
-pub(crate) fn edit_payload(
-    base: &SdfGraph,
-    edited: SdfGraph,
-    analysis: Analysis,
-    edits_applied: usize,
-) -> Result<ResponsePayload, ServiceError> {
-    let plan = analysis
-        .plan(&edited)
-        .map_err(|e| ServiceError::engine(e.to_string()))?;
-    let dirty = dirty_edges(base, &edited).iter().filter(|d| **d).count();
-    Ok(ResponsePayload::Edit {
-        graph: edited,
-        analysis: Box::new(analysis),
-        plan: Box::new(plan),
-        edits_applied,
-        dirty_edges: dirty,
-    })
-}
-
 /// Lowers `graph` to the [`ExecutablePlan`] shared by the `plan`,
 /// `simulate` and CLI `codegen` paths: the chosen heuristic order, then
 /// DPPO (non-shared) or SDPPO + first-fit allocation (shared).
@@ -1241,7 +1207,17 @@ fn execute_request_inner(
                     .run(&edited)
                     .map_err(|e| ServiceError::engine(e.to_string()))
             })?;
-            edit_payload(&base, edited, analysis, script.ops.len())
+            let plan = analysis
+                .plan(&edited)
+                .map_err(|e| ServiceError::engine(e.to_string()))?;
+            let dirty = dirty_edges(&base, &edited).iter().filter(|d| **d).count();
+            Ok(ResponsePayload::Edit {
+                graph: edited,
+                analysis: Box::new(analysis),
+                plan: Box::new(plan),
+                edits_applied: script.ops.len(),
+                dirty_edges: dirty,
+            })
         }
         ServiceRequest::Modes { graph } => {
             let mg = clock.time("parse", || parse_mode_graph_input(graph))?;
@@ -1437,6 +1413,22 @@ mod tests {
             panic!("edit addressing a nonexistent edge must fail");
         };
         assert_eq!(err.code, ErrorCode::EngineError);
+        // Scripts that drive a repetitions count past u64 are engine
+        // errors too, never a panic.
+        for edits in [
+            "set-rate A B 18446744073709551615 1\n",
+            "add-edge C D 4294967296 1\nadd-edge D E 4294967296 1\nadd-edge E F 4294967296 1\n",
+        ] {
+            let overflowing = ServiceRequest::Edit {
+                graph: FIG2.into(),
+                edits: edits.into(),
+            };
+            let ServiceResponse::Err(err) = execute_request(&overflowing) else {
+                panic!("{edits}: expected an error");
+            };
+            assert_eq!(err.code, ErrorCode::EngineError, "{edits}");
+            assert!(err.message.contains("overflow"), "{}", err.message);
+        }
     }
 
     #[test]

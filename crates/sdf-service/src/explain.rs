@@ -12,7 +12,7 @@
 //! Two invariants hold by construction and are asserted in tests:
 //!
 //! * the per-buffer fragmentation attributions sum exactly to the run's
-//!   `alloc.fragmentation_words`;
+//!   fragmentation total (its share of `alloc.first_fit.fragmentation`);
 //! * the occupancy timeline's occupied-words peak equals the shared
 //!   pool size (`Allocation::total`) bit for bit.
 //!
@@ -111,8 +111,8 @@ pub struct ExplainReport {
     /// `pool_total - lower_bound`: words the layout wastes versus that
     /// lower bound.
     pub waste: u64,
-    /// Sum of the per-buffer fragmentation attributions (the run's
-    /// `alloc.fragmentation_words`).
+    /// Sum of the per-buffer fragmentation attributions (the ledger sum,
+    /// [`sdf_alloc::provenance::ProvenanceLog::fragmentation_words`]).
     pub fragmentation_words: u64,
     /// One decision per buffer, in placement order.
     pub ledger: Vec<ExplainLedgerEntry>,

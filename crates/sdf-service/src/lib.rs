@@ -39,7 +39,6 @@
 //! | [`hash`] | dependency-free 128-bit FNV-1a content fingerprints |
 //! | [`cache`] | bounded LRU result cache with collision verification |
 //! | [`job`] | job state machine and the bounded work queue |
-//! | [`session`] | incremental edit sessions sharing a cross-request memo store |
 //! | [`server`] | the `sdfmemd` TCP daemon |
 //! | [`client`] | blocking wire client with verbatim payload extraction |
 
@@ -52,7 +51,6 @@ pub mod explain;
 pub mod hash;
 pub mod job;
 pub mod server;
-pub mod session;
 
 pub use api::{
     execute_request, execute_request_cached, execute_request_cached_timed, execute_request_timed,
@@ -65,4 +63,3 @@ pub use explain::{ExplainLedgerEntry, ExplainRejectedGap, ExplainReport, Explain
 pub use hash::fingerprint;
 pub use job::{Job, JobOutcome, JobQueue, JobState};
 pub use server::{Server, ServerConfig, MAX_REQUEST_BYTES};
-pub use session::SessionRegistry;

@@ -41,9 +41,7 @@ use crate::api::{
 };
 use crate::cache::{CacheLookup, ResultCache};
 use crate::job::{Job, JobOutcome, JobQueue, JobState};
-use crate::session::SessionRegistry;
 use sdf_trace::CounterSnapshot;
-use sdfmem::incremental::DeltaStats;
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -82,7 +80,6 @@ struct Shared {
     flight: FlightRecorder,
     cache: Mutex<ResultCache>,
     queue: JobQueue,
-    sessions: SessionRegistry,
     stopping: AtomicBool,
     addr: SocketAddr,
     trace_dir: Option<PathBuf>,
@@ -117,33 +114,6 @@ impl Shared {
             },
         }
     }
-
-    /// Folds one edit's [`DeltaStats`] (absent when the request failed
-    /// before the engine ran) into the `engine.incremental.*` counters
-    /// and refreshes the memo/session gauges. These live on the private
-    /// recorder like every other instrument, so they surface through
-    /// `stats` and `metrics` — and, being counters, their per-request
-    /// deltas ride the telemetry envelope too.
-    fn record_incremental(&self, stats: Option<&DeltaStats>) {
-        let r = &self.recorder;
-        if let Some(s) = stats {
-            if s.cold {
-                r.counter_add("engine.incremental.cold_runs", 1);
-            } else {
-                r.counter_add("engine.incremental.delta_runs", 1);
-            }
-            r.counter_add("engine.incremental.dirty_edges", s.dirty_edges);
-            r.counter_add("engine.incremental.memo.hits", s.memo_hits);
-            r.counter_add("engine.incremental.memo.misses", s.memo_misses);
-        }
-        let memo = self.sessions.memo_stats();
-        r.gauge_set("engine.incremental.memo.occupancy", memo.occupancy);
-        r.gauge_set("engine.incremental.memo.capacity", memo.capacity);
-        r.gauge_set(
-            "engine.incremental.sessions",
-            self.sessions.session_count() as u64,
-        );
-    }
 }
 
 /// A running daemon. Dropping the handle does not stop it; call
@@ -172,7 +142,6 @@ impl Server {
             flight: FlightRecorder::new(config.flight_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             queue: JobQueue::new(config.queue_capacity),
-            sessions: SessionRegistry::new(),
             stopping: AtomicBool::new(false),
             addr: local,
             trace_dir: config.trace_dir.clone(),
@@ -265,18 +234,8 @@ fn worker_loop(shared: &Shared) {
         // Job state: pending → running. No global recorder here — see
         // the module docs for why that would break byte identity;
         // stages are measured directly by the timed executor instead.
-        let (response, mut stages, panicked) = run_guarded(|| match &job.request {
-            // Edits route through the stateful session registry: a live
-            // session's warm memo store, or a cold seed otherwise.
-            // Payload bytes are identical either way (a session run is
-            // an engine run), so the result cache stays sound.
-            ServiceRequest::Edit { graph, edits } => {
-                let (response, stages, stats) = shared.sessions.execute_edit_timed(graph, edits);
-                shared.record_incremental(stats.as_ref());
-                (response, stages)
-            }
-            other => execute_request_cached_timed(other),
-        });
+        let (response, mut stages, panicked) =
+            run_guarded(|| execute_request_cached_timed(&job.request));
         if panicked {
             shared.count("service.jobs.panicked");
         }

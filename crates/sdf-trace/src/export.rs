@@ -365,7 +365,7 @@ mod tests {
                 },
             ],
             counters: vec![("sched.dppo.cells".to_string(), 21)],
-            gauges: vec![("alloc.fragmentation_words".to_string(), 4)],
+            gauges: vec![("service.queue.depth".to_string(), 4)],
             histograms: vec![("alloc.buffer_words".to_string(), h)],
         }
     }
@@ -509,7 +509,7 @@ mod tests {
         assert!(table.contains("sched.dppo.cells"));
         assert!(table.contains("21"));
         assert!(table.contains("gauges:"));
-        assert!(table.contains("alloc.fragmentation_words"));
+        assert!(table.contains("service.queue.depth"));
         assert!(table.contains("histogram alloc.buffer_words: count=2 sum=103"));
         assert!(table.contains("[2, 4)  1"));
         assert!(table.contains("[64, 128)  1"));

@@ -88,14 +88,14 @@ use std::time::Instant;
 /// (another deliberate baseline refresh); `8` added the allocation
 /// provenance layer: the `allocation_explain` document (`sdfmem
 /// explain`, the daemon's `explain` op), the per-run
-/// `alloc.first_fit.fragmentation` counter next to the last-writer-wins
-/// gauge, and Perfetto counter-track (`"ph":"C"`) events in the chrome
+/// `alloc.first_fit.fragmentation` counter next to a last-writer-wins
+/// gauge (since removed), and Perfetto counter-track (`"ph":"C"`) events in the chrome
 /// trace export (another deliberate baseline refresh); `9` added the
 /// incremental re-synthesis layer: the `edit` op and its `edit_report`
-/// document, the `engine.incremental.*` counter/gauge namespace
-/// (session and memo-store accounting in stats, metrics and per-request
-/// telemetry), and the `edit_bench` trajectory in `BENCH_9.json`
-/// (another deliberate baseline refresh); `10` added the multi-mode
+/// document, a counter/gauge namespace for the daemon's edit sessions
+/// and their chain-DP memo store (removed with them, which changed no
+/// document member), and the `edit_bench` trajectory in `BENCH_9.json`
+/// (frozen since; another deliberate baseline refresh); `10` added the multi-mode
 /// layer: the `modes` op and its `mode_report` document (per-mode
 /// plans, merged cross-mode pool, persistent-buffer table, transition
 /// oracle verdict), the `switch` op in `executable_plan` ops arrays,

@@ -63,7 +63,7 @@ use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
 use sdf_sched::variant::{schedule_variant_from_tables_memo, LoopVariant};
-use sdf_sched::{apgan, dppo_from_tables_memo, rpmc, ChainTables, DpMode, MemoStore};
+use sdf_sched::{apgan, dppo_from_tables, rpmc, ChainTables, DpMode};
 
 use crate::pipeline::Analysis;
 
@@ -127,24 +127,15 @@ pub struct SynthesisOptions {
     pub full: bool,
     /// Evaluate lattice cells on parallel threads.
     pub parallel: bool,
-    /// Cross-run memo store for the windowed chain DPs. When set, chain
-    /// tables are built with subchain hashers and every DP cell is
-    /// content-addressed in the store, so repeated synthesis of similar
-    /// graphs resolves shared subchains without recomputation. Results
-    /// are bit-identical with and without a store; `None` (the default)
-    /// keeps the classic single-shot behaviour and is required by the
-    /// regression sentinel's deterministic-counter capture.
-    pub memo: Option<Arc<MemoStore>>,
 }
 
 impl Default for SynthesisOptions {
     /// The configuration of the classic [`Analysis::run`]: SDPPO loop
-    /// hierarchies, parallel evaluation, no memo.
+    /// hierarchies, parallel evaluation.
     fn default() -> Self {
         SynthesisOptions {
             full: false,
             parallel: true,
-            memo: None,
         }
     }
 }
@@ -532,13 +523,8 @@ pub(crate) fn run_engine(
             sdf_trace::counter_inc("engine.dppo_memo_misses");
             let t = Instant::now();
             let _span = sdf_trace::span!("engine.baseline", heuristic = heuristic);
-            // A cross-run memo wants content-hashed tables; without one
-            // the hasher build would be dead weight.
-            let tables = Arc::new(match options.memo {
-                Some(_) => ChainTables::build_hashed(graph, &q, &order)?,
-                None => ChainTables::build(graph, &q, &order)?,
-            });
-            let b = dppo_from_tables_memo(&tables, &q, DpMode::Windowed, options.memo.as_deref());
+            let tables = Arc::new(ChainTables::build(graph, &q, &order)?);
+            let b = dppo_from_tables(&tables, &q, DpMode::Windowed);
             work.push(OrderWork {
                 tables,
                 baseline_tree: Some(b.tree),
@@ -603,7 +589,6 @@ pub(crate) fn run_engine(
     // shared recorder: serial runs difference a snapshot around each
     // candidate; parallel cells interleave, so they skip attribution.
     let attribute_counters = !options.parallel && sdf_trace::enabled();
-    let memo = options.memo.clone();
     let evaluate = |cell: Cell| -> Result<Vec<Candidate>, SdfError> {
         let _cell_span = sdf_trace::span!(
             "engine.candidate",
@@ -631,7 +616,7 @@ pub(crate) fn run_engine(
                             &cell.tables,
                             cell.loop_opt,
                             DpMode::Windowed,
-                            memo.as_deref(),
+                            None,
                         )?
                         .tree,
                         false,

@@ -1,57 +1,36 @@
-//! Edit sessions for edit-heavy traffic.
+//! Edit scripts: small changes against an SDF graph.
 //!
-//! Interactive callers — a designer nudging one rate, a daemon serving a
-//! stream of small graph edits — re-synthesise a graph that differs from
-//! the previous one by a few edges. An [`IncrementalSession`] holds the
-//! current graph and a cross-run [`MemoStore`], an [`EditScript`]
-//! describes a small change against that graph, and
-//! [`IncrementalSession::apply_edits`] applies it and runs the engine on
-//! the edited graph with the session's store installed
-//! ([`SynthesisOptions::memo`]).
-//!
-//! The store is what makes an edit cheap: chain-DP cells are
-//! content-addressed ([`sdf_sched::memo`]), so every subchain the edit
-//! left untouched resolves to its stored `(value, split)` pair without
-//! re-running the DP. Orders, lifetimes, the WIG and first-fit are
-//! recomputed on every edit.
-//!
-//! Because a session *is* the engine plus a store, every result is
-//! bit-for-bit identical to a cold [`crate::engine::AnalysisBuilder`]
-//! run on the edited graph; the test suite (plus the CI smoke job)
-//! compares schedules, offsets and the full `ExecutablePlan` JSON
-//! byte-wise against cold reference runs at every step.
+//! Interactive callers — a designer nudging one rate, a client streaming
+//! small graph edits to the daemon — describe a change as an
+//! [`EditScript`] against the graph they hold. [`apply_edits`] rebuilds
+//! the edited graph deterministically, and [`dirty_edges`] says which
+//! edge records the edit touched. The `edit` command and the daemon's
+//! `edit` op then run the engine on the edited graph like any other
+//! graph, so an edit's result is, by construction, that of a cold
+//! [`crate::engine::AnalysisBuilder`] run on the edited graph.
 //!
 //! # Examples
 //!
 //! ```
-//! use sdfmem::engine::SynthesisOptions;
-//! use sdfmem::incremental::{EditScript, IncrementalSession};
+//! use sdfmem::AnalysisBuilder;
+//! use sdfmem::incremental::{apply_edits, dirty_edges, EditScript};
 //! use sdfmem::apps::satrec::satellite_receiver;
 //!
 //! # fn main() -> Result<(), sdfmem::core::SdfError> {
-//! let mut session = IncrementalSession::new(SynthesisOptions::default());
-//! let cold = session.synthesize(&satellite_receiver())?;
+//! let base = satellite_receiver();
 //! let script = EditScript::parse("set-delay A B 3").unwrap();
-//! let warm = session.apply_edits(&script)?;
-//! assert!(!warm.stats.cold);
-//! assert!(warm.stats.memo_hits > 0); // shared subchains resolved from the store
-//! assert_eq!(warm.stats.dirty_edges, 1);
-//! # let _ = cold;
+//! let edited = apply_edits(&base, &script)?;
+//! assert_eq!(dirty_edges(&base, &edited).iter().filter(|&&d| d).count(), 1);
+//! let analysis = AnalysisBuilder::default().run(&edited)?;
+//! assert!(analysis.allocation.total() > 0);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
-use sdf_codegen::ExecutablePlan;
 use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
-use sdf_sched::{MemoStats, MemoStore};
-
-use crate::engine::{run_engine, SynthesisOptions};
-use crate::pipeline::Analysis;
 
 /// One edit against the current graph. Edges are addressed by endpoint
 /// actor names plus an `ordinal` — the index among parallel edges with
@@ -275,10 +254,9 @@ impl fmt::Display for EditScript {
 /// The edited graph is rebuilt deterministically: base actors keep their
 /// ids and order, actors introduced by `add-edge` are appended in first
 /// use order, and edges keep base relative order with removed edges
-/// dropped and added edges appended. Two sessions applying the same
-/// script to the same base therefore produce identical graphs (and
-/// identical edge ids), which is what makes delta results comparable
-/// byte for byte against a cold run on the same text.
+/// dropped and added edges appended. Applying the same script to the
+/// same base therefore always produces identical graphs (and identical
+/// edge ids), so two callers that apply it get byte-identical results.
 ///
 /// # Errors
 ///
@@ -402,162 +380,4 @@ pub fn dirty_edges(prev: &SdfGraph, next: &SdfGraph) -> Vec<bool> {
                 || prev.actor_name(p.snk) != next.actor_name(e.snk)
         })
         .collect()
-}
-
-/// Accounting of one session run.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaStats {
-    /// True when no previous graph existed (a seeding run).
-    pub cold: bool,
-    /// Edges invalidated by the edit, out of `total_edges`.
-    pub dirty_edges: u64,
-    /// Edge count of the (edited) graph.
-    pub total_edges: u64,
-    /// Memo-store hits during this run.
-    pub memo_hits: u64,
-    /// Memo-store misses during this run.
-    pub memo_misses: u64,
-    /// Store-wide occupancy and lifetime counters after the run.
-    pub memo: MemoStats,
-    /// Wall time of the run.
-    pub elapsed_ns: u64,
-}
-
-/// The outcome of one incremental (or seeding) synthesis.
-#[derive(Clone, Debug)]
-pub struct IncrementalResult {
-    /// The winning analysis — bit-identical to a cold
-    /// [`crate::engine::AnalysisBuilder::run`] with the same options on
-    /// the same graph.
-    pub analysis: Analysis,
-    /// Memo and dirty-edge accounting for this run.
-    pub stats: DeltaStats,
-}
-
-impl IncrementalResult {
-    /// Lowers the winning candidate to the [`ExecutablePlan`] IR for
-    /// `graph` (the session's current graph).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering errors (cannot occur for a result produced on
-    /// the same graph).
-    pub fn plan(&self, graph: &SdfGraph) -> Result<ExecutablePlan, SdfError> {
-        self.analysis.plan(graph)
-    }
-}
-
-/// A stateful synthesis session over an evolving graph.
-///
-/// The session owns (or shares) a [`MemoStore`] and the current graph;
-/// [`IncrementalSession::synthesize`] seeds it from a full graph and
-/// [`IncrementalSession::apply_edits`] advances it by an [`EditScript`].
-/// Runs are always serial, whatever the options say: with a warm store
-/// most of an edit's DP work is lookups, and the parallel engine measured
-/// 2.3–2.6× slower than serial per edit on a 64-actor chain and
-/// 1.1–1.3× slower on a 512-actor one (2-CPU VM).
-pub struct IncrementalSession {
-    options: SynthesisOptions,
-    memo: Arc<MemoStore>,
-    graph: Option<SdfGraph>,
-}
-
-impl IncrementalSession {
-    /// A fresh session with its own [`MemoStore`] (default capacity).
-    pub fn new(options: SynthesisOptions) -> Self {
-        Self::with_store(options, Arc::new(MemoStore::new()))
-    }
-
-    /// A session sharing `store` with other sessions — the daemon keeps
-    /// one process-wide store so concurrent edit streams cross-seed each
-    /// other's subchains. Any store or `parallel` flag on `options` is
-    /// replaced by `store` and serial evaluation.
-    pub fn with_store(mut options: SynthesisOptions, store: Arc<MemoStore>) -> Self {
-        options.memo = Some(Arc::clone(&store));
-        options.parallel = false;
-        IncrementalSession {
-            options,
-            memo: store,
-            graph: None,
-        }
-    }
-
-    /// The session's memo store.
-    pub fn store(&self) -> &Arc<MemoStore> {
-        &self.memo
-    }
-
-    /// The current graph, if the session has been seeded.
-    pub fn graph(&self) -> Option<&SdfGraph> {
-        self.graph.as_ref()
-    }
-
-    /// Full synthesis of `graph`, seeding (or re-seeding) the session.
-    /// The memo store persists across seeds, so re-synthesising a
-    /// related graph is already warm. On error the session keeps its
-    /// previous graph.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`crate::engine::AnalysisBuilder::run`].
-    pub fn synthesize(&mut self, graph: &SdfGraph) -> Result<IncrementalResult, SdfError> {
-        self.run(graph.clone(), None)
-    }
-
-    /// Applies `script` to the current graph and re-synthesises the
-    /// edited graph against the warm store. On error the session keeps
-    /// its previous graph, so a bad edit does not wedge the stream.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the session has no current graph, when the script
-    /// addresses nonexistent edges, or with any engine error on the
-    /// edited graph.
-    pub fn apply_edits(&mut self, script: &EditScript) -> Result<IncrementalResult, SdfError> {
-        let base = self.graph.as_ref().ok_or_else(|| {
-            SdfError::InvalidSchedule(
-                "incremental session has no base graph; synthesize one first".to_string(),
-            )
-        })?;
-        let next = apply_edits(base, script)?;
-        let dirty = dirty_edges(base, &next).iter().filter(|&&d| d).count() as u64;
-        self.run(next, Some(dirty))
-    }
-
-    /// One engine run on `graph` with the session's store; `dirty` is
-    /// the edit's dirty-edge count, `None` for a seeding run.
-    fn run(&mut self, graph: SdfGraph, dirty: Option<u64>) -> Result<IncrementalResult, SdfError> {
-        let t_run = Instant::now();
-        let memo_before = self.memo.stats();
-        let analysis = run_engine(&graph, &self.options)?.analysis;
-        let memo = self.memo.stats();
-        let total_edges = graph.edge_count() as u64;
-        let stats = DeltaStats {
-            cold: dirty.is_none(),
-            dirty_edges: dirty.unwrap_or(total_edges),
-            total_edges,
-            memo_hits: memo.hits - memo_before.hits,
-            memo_misses: memo.misses - memo_before.misses,
-            memo,
-            elapsed_ns: u64::try_from(t_run.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        };
-        emit_counters(&stats);
-        self.graph = Some(graph);
-        Ok(IncrementalResult { analysis, stats })
-    }
-}
-
-/// Mirrors the run accounting onto the installed trace recorder (a
-/// no-op without one; daemon workers surface the same numbers through
-/// the store's own atomics instead, outside the cached payload bytes).
-fn emit_counters(stats: &DeltaStats) {
-    if !sdf_trace::enabled() {
-        return;
-    }
-    sdf_trace::counter_inc(if stats.cold {
-        "engine.incremental.cold_runs"
-    } else {
-        "engine.incremental.delta_runs"
-    });
-    sdf_trace::counter_add("engine.incremental.dirty_edges", stats.dirty_edges);
 }

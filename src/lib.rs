@@ -23,10 +23,9 @@
 //! [`engine`] sweeps the paper's candidate lattice (heuristic × loop
 //! optimizer × allocation order, optionally in parallel) behind the
 //! [`AnalysisBuilder`] seam, [`pipeline`] keeps the classic one-call
-//! [`Analysis`] wrapper over it, [`incremental`]
-//! re-synthesises edited graphs by running the engine with a session's
-//! cross-run chain-DP memo store (bit-identical to cold runs), and
-//! [`sentinel`] captures regression-sentinel baseline profiles from
+//! [`Analysis`] wrapper over it, [`incremental`] parses and applies
+//! edit scripts against a graph (the `edit` command runs the engine on
+//! the result), and [`sentinel`] captures regression-sentinel baseline profiles from
 //! engine runs.
 //!
 //! # Examples
@@ -78,7 +77,7 @@ pub mod sentinel;
 pub use engine::{
     AnalysisBuilder, Candidate, EngineReport, Heuristic, StageTimings, Synthesis, SynthesisOptions,
 };
-pub use incremental::{DeltaStats, EditOp, EditScript, IncrementalResult, IncrementalSession};
+pub use incremental::{EditOp, EditScript};
 pub use modes::{synthesize_modes, ModeSummary, ModeSynthesis};
 pub use pipeline::Analysis;
 

@@ -3,7 +3,7 @@
 //! The `allocation_explain` ledger and occupancy timeline are not
 //! best-effort diagnostics: on every application graph the workspace
 //! ships, the per-buffer fragmentation attributions must sum exactly
-//! to the run's `alloc.fragmentation_words`, and the occupancy
+//! to the run's fragmentation total, and the occupancy
 //! timeline's occupied-words peak must equal the shared pool size bit
 //! for bit.
 

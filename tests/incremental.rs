@@ -1,58 +1,22 @@
-//! Bit-identity guarantees of the incremental re-synthesis path.
+//! Edit scripts: parsing, application and dirty-edge tracking.
 //!
-//! Every test here compares a warm [`IncrementalSession`] result against
-//! a cold `AnalysisBuilder` run (same options, no memo store, no previous
-//! state) on the same edited graph — schedules, allocation offsets,
-//! clique estimates and the full `ExecutablePlan` JSON must match byte
-//! for byte at every step of every edit stream, including under a
-//! constantly-evicting memo store.
-
-use std::sync::Arc;
+//! An `edit` request applies an [`EditScript`] to its base graph and runs
+//! the engine on the result, so everything an edit adds to a cold run is
+//! [`apply_edits`] and [`dirty_edges`]. These tests pin both: the edited
+//! graph is byte-identical (in its text form) to the graph the edits
+//! describe, whether the script is applied whole or op by op.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
 use sdfmem::apps::random::{random_sdf_graph, RandomGraphConfig};
 use sdfmem::apps::satrec::satellite_receiver;
+use sdfmem::core::io::{parse_graph, to_text};
 use sdfmem::core::math::gcd;
 use sdfmem::core::{RepetitionsVector, SdfGraph};
 use sdfmem::engine::AnalysisBuilder;
-use sdfmem::incremental::{
-    apply_edits, dirty_edges, EditOp, EditScript, IncrementalResult, IncrementalSession,
-};
+use sdfmem::incremental::{apply_edits, dirty_edges, EditOp, EditScript};
 use sdfmem::sched::apgan::apgan;
-use sdfmem::sched::MemoStore;
-
-/// Asserts the incremental result is bit-identical to a cold engine run
-/// (default options, no memo) on the same graph, down to the plan JSON.
-fn assert_matches_cold(graph: &SdfGraph, warm: &IncrementalResult, context: &str) {
-    assert_matches(&AnalysisBuilder::default(), graph, warm, context);
-}
-
-/// Asserts the incremental result is bit-identical to a cold run of
-/// `reference` (which must carry no memo store) on the same graph.
-fn assert_matches(
-    reference: &AnalysisBuilder,
-    graph: &SdfGraph,
-    warm: &IncrementalResult,
-    context: &str,
-) {
-    let cold = reference.run(graph).unwrap();
-    let w = &warm.analysis;
-    assert_eq!(w.repetitions, cold.repetitions, "{context}: repetitions");
-    assert_eq!(w.winner, cold.winner, "{context}: winner");
-    assert_eq!(
-        w.nonshared_bufmem, cold.nonshared_bufmem,
-        "{context}: nonshared bufmem"
-    );
-    assert_eq!(w.schedule, cold.schedule, "{context}: schedule tree");
-    assert_eq!(w.allocation, cold.allocation, "{context}: allocation");
-    assert_eq!(w.mco, cold.mco, "{context}: mco");
-    assert_eq!(w.mcp, cold.mcp, "{context}: mcp");
-    let warm_json = warm.plan(graph).unwrap().to_json();
-    let cold_json = cold.plan(graph).unwrap().to_json();
-    assert_eq!(warm_json, cold_json, "{context}: plan JSON bytes");
-}
 
 /// Generates one consistency-preserving random edit against `current`.
 /// Rate edits scale both rates of an edge by a common factor (preserving
@@ -138,19 +102,14 @@ fn random_op<R: Rng>(current: &SdfGraph, rng: &mut R) -> Option<EditOp> {
     None
 }
 
-/// Replays `steps` random edit scripts through `session`, asserting
-/// bit-identity against a cold run of `reference` after every step.
-/// Returns cumulative memo hits observed.
-fn replay_random_stream(
-    reference: &AnalysisBuilder,
-    session: &mut IncrementalSession,
-    seed: u64,
-    steps: usize,
-) -> u64 {
+/// Applies `steps` random edit scripts of one or two ops, each to the
+/// previous step's result, and checks every step: the whole script and
+/// its ops applied one at a time give the same graph text, that text
+/// parses back to itself, and the edited graph stays consistent.
+fn replay_random_stream(base: &SdfGraph, seed: u64, steps: usize) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut hits = 0;
+    let mut current = base.clone();
     for step in 0..steps {
-        let current = session.graph().expect("seeded").clone();
         let mut ops = Vec::new();
         for _ in 0..rng.gen_range(1..=2) {
             // Later ops in one script address the intermediate graph, so
@@ -164,23 +123,27 @@ fn replay_random_stream(
             continue;
         }
         let script = EditScript { ops };
+        let context = format!("seed {seed} step {step} [{script}]");
         let edited = apply_edits(&current, &script).unwrap();
-        let warm = session.apply_edits(&script).unwrap();
-        assert!(!warm.stats.cold, "step {step} took the cold path");
-        hits += warm.stats.memo_hits;
-        assert_matches(
-            reference,
-            &edited,
-            &warm,
-            &format!("seed {seed} step {step} [{script}]"),
-        );
+        let stepwise = script.ops.iter().fold(current.clone(), |g, op| {
+            apply_edits(
+                &g,
+                &EditScript {
+                    ops: vec![op.clone()],
+                },
+            )
+            .unwrap()
+        });
+        let text = to_text(&edited);
+        assert_eq!(text, to_text(&stepwise), "{context}: op by op");
         assert_eq!(
-            sdfmem::core::io::to_text(session.graph().unwrap()),
-            sdfmem::core::io::to_text(&edited),
-            "session graph diverged from reference application"
+            to_text(&parse_graph(&text).unwrap()),
+            text,
+            "{context}: text round trip"
         );
+        RepetitionsVector::compute(&edited).unwrap_or_else(|e| panic!("{context}: {e}"));
+        current = edited;
     }
-    hits
 }
 
 fn chain_graph(delays: &[u64]) -> SdfGraph {
@@ -195,34 +158,25 @@ fn chain_graph(delays: &[u64]) -> SdfGraph {
     g
 }
 
-#[test]
-fn seeding_run_matches_cold_engine() {
-    for graph in [satellite_receiver(), chain_graph(&[0, 0, 0])] {
-        let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-        let r = session.synthesize(&graph).unwrap();
-        assert!(r.stats.cold);
-        assert_matches_cold(&graph, &r, graph.name());
-    }
-}
+/// One edge: `(src, snk, prod, cons, delay)`.
+type EdgeSpec = (&'static str, &'static str, u64, u64, u64);
 
-#[test]
-fn noop_edit_reuses_everything() {
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    session.synthesize(&satellite_receiver()).unwrap();
-    // Rewriting an existing delay with its current value leaves every
-    // edge record identical: nothing is dirty, every DP cell hits.
-    let script = EditScript::parse("set-delay A B 0").unwrap();
-    let r = session.apply_edits(&script).unwrap();
-    assert_eq!(r.stats.dirty_edges, 0);
-    assert!(r.stats.memo_hits > 0, "chain DP cells should all hit");
-    assert_eq!(r.stats.memo_misses, 0, "no new subchain content appeared");
-    assert_matches_cold(&satellite_receiver(), &r, "noop edit");
+/// A graph named `edit_chain` from `edges`, actors created in first-use
+/// order.
+fn graph_of(edges: &[EdgeSpec]) -> SdfGraph {
+    let mut g = SdfGraph::new("edit_chain");
+    for &(src, snk, prod, cons, delay) in edges {
+        let s = g.actor_by_name(src).unwrap_or_else(|| g.add_actor(src));
+        let t = g.actor_by_name(snk).unwrap_or_else(|| g.add_actor(snk));
+        g.add_edge_with_delay(s, t, prod, cons, delay).unwrap();
+    }
+    g
 }
 
 #[test]
 fn delay_edit_on_chain_is_bit_identical() {
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    session.synthesize(&chain_graph(&[0, 0, 0])).unwrap();
+    let mut current = chain_graph(&[0, 0, 0]);
+    let mut previous = [0, 0, 0];
     for (step, delays) in [[0, 3, 0], [1, 3, 0], [1, 3, 7], [0, 0, 0]]
         .iter()
         .enumerate()
@@ -232,83 +186,74 @@ fn delay_edit_on_chain_is_bit_identical() {
             delays[0], delays[1], delays[2]
         ))
         .unwrap();
-        let warm = session.apply_edits(&script).unwrap();
-        assert_matches_cold(
-            &chain_graph(delays),
-            &warm,
-            &format!("delays {delays:?} step {step}"),
-        );
+        let edited = apply_edits(&current, &script).unwrap();
+        let context = format!("delays {delays:?} step {step}");
+        assert_eq!(to_text(&edited), to_text(&chain_graph(delays)), "{context}");
+        let changed: Vec<bool> = previous.iter().zip(delays).map(|(p, d)| p != d).collect();
+        assert_eq!(dirty_edges(&current, &edited), changed, "{context}");
+        current = edited;
+        previous = *delays;
     }
 }
 
 #[test]
 fn structural_edits_are_bit_identical() {
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    let base = chain_graph(&[0, 1, 0]);
-    session.synthesize(&base).unwrap();
+    let mut current = chain_graph(&[0, 1, 0]);
     // Grow a new actor, re-rate an edge, then remove an added edge again
     // (the A->D shortcut, so the graph stays connected).
-    for text in [
-        "add-edge B E 1 2",
-        "set-rate A B 4 2",
-        "add-edge A D 1 1 delay 2",
-        "remove-edge A D",
-    ] {
+    let steps: [(&str, &[EdgeSpec]); 4] = [
+        (
+            "add-edge B E 1 2",
+            &[
+                ("A", "B", 2, 1, 0),
+                ("B", "C", 1, 1, 1),
+                ("C", "D", 1, 2, 0),
+                ("B", "E", 1, 2, 0),
+            ],
+        ),
+        (
+            "set-rate A B 4 2",
+            &[
+                ("A", "B", 4, 2, 0),
+                ("B", "C", 1, 1, 1),
+                ("C", "D", 1, 2, 0),
+                ("B", "E", 1, 2, 0),
+            ],
+        ),
+        (
+            "add-edge A D 1 1 delay 2",
+            &[
+                ("A", "B", 4, 2, 0),
+                ("B", "C", 1, 1, 1),
+                ("C", "D", 1, 2, 0),
+                ("B", "E", 1, 2, 0),
+                ("A", "D", 1, 1, 2),
+            ],
+        ),
+        (
+            "remove-edge A D",
+            &[
+                ("A", "B", 4, 2, 0),
+                ("B", "C", 1, 1, 1),
+                ("C", "D", 1, 2, 0),
+                ("B", "E", 1, 2, 0),
+            ],
+        ),
+    ];
+    for (text, expected) in steps {
         let script = EditScript::parse(text).unwrap();
-        let expect = apply_edits(session.graph().unwrap(), &script).unwrap();
-        let warm = session.apply_edits(&script).unwrap();
-        assert_matches_cold(&expect, &warm, text);
+        let edited = apply_edits(&current, &script).unwrap();
+        assert_eq!(to_text(&edited), to_text(&graph_of(expected)), "{text}");
+        AnalysisBuilder::default()
+            .run(&edited)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        current = edited;
     }
 }
 
 #[test]
 fn random_streams_on_app_graphs_are_bit_identical() {
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    session.synthesize(&satellite_receiver()).unwrap();
-    let hits = replay_random_stream(&AnalysisBuilder::default(), &mut session, 0xed17, 6);
-    assert!(hits > 0, "warm steps should hit the memo store");
-}
-
-#[test]
-fn eviction_pressure_does_not_change_results() {
-    // A 3-entry store evicts on almost every insert; correctness must
-    // not depend on what happens to be resident.
-    let tiny = Arc::new(MemoStore::with_capacity(3));
-    let mut session = IncrementalSession::with_store(
-        AnalysisBuilder::default().options().clone(),
-        Arc::clone(&tiny),
-    );
-    session.synthesize(&satellite_receiver()).unwrap();
-    replay_random_stream(&AnalysisBuilder::default(), &mut session, 0x5EED, 4);
-    let stats = tiny.stats();
-    assert!(stats.evictions > 0, "capacity 3 must evict: {stats:?}");
-    assert!(stats.occupancy <= 3);
-}
-
-#[test]
-fn non_default_options_match_a_cold_run_with_the_same_options() {
-    // Every loop variant (chain-precise joins on the chain) and a parallel
-    // flag the session overrides: the session must still reproduce a cold
-    // run of exactly these options at every step.
-    let reference = AnalysisBuilder::new().full(true).parallel(true);
-    let mut session = IncrementalSession::new(reference.options().clone());
-    let base = chain_graph(&[0, 0, 0]);
-    let seeded = session.synthesize(&base).unwrap();
-    assert_matches(&reference, &base, &seeded, "seed");
-    for text in [
-        "set-delay B C 3",
-        "set-rate A B 4 2",
-        "add-edge B E 1 2",
-        "remove-edge B E",
-    ] {
-        let script = EditScript::parse(text).unwrap();
-        let expect = apply_edits(session.graph().unwrap(), &script).unwrap();
-        let warm = session.apply_edits(&script).unwrap();
-        assert!(!warm.stats.cold, "{text}");
-        assert_matches(&reference, &expect, &warm, text);
-    }
-    session.synthesize(&satellite_receiver()).unwrap();
-    replay_random_stream(&reference, &mut session, 0xa11, 4);
+    replay_random_stream(&satellite_receiver(), 0xed17, 6);
 }
 
 #[test]
@@ -372,27 +317,6 @@ fn edit_script_round_trips_and_rejects_garbage() {
 }
 
 #[test]
-fn bad_edits_leave_the_session_usable() {
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    assert!(
-        session
-            .apply_edits(&EditScript::parse("set-delay A B 1").unwrap())
-            .is_err(),
-        "unseeded session must refuse edits"
-    );
-    session.synthesize(&chain_graph(&[0, 0, 0])).unwrap();
-    let err = session
-        .apply_edits(&EditScript::parse("set-delay A Z 1").unwrap())
-        .unwrap_err();
-    assert!(err.to_string().contains("nonexistent"), "{err}");
-    // The failed edit must not have advanced or wedged the session.
-    let ok = session
-        .apply_edits(&EditScript::parse("set-delay A B 2").unwrap())
-        .unwrap();
-    assert_matches_cold(&chain_graph(&[2, 0, 0]), &ok, "after failed edit");
-}
-
-#[test]
 fn dirty_edges_flags_exactly_the_changed_records() {
     let base = chain_graph(&[0, 1, 0]);
     let edited = apply_edits(&base, &EditScript::parse("set-delay B C 9").unwrap()).unwrap();
@@ -402,6 +326,9 @@ fn dirty_edges_flags_exactly_the_changed_records() {
     let shrunk = apply_edits(&base, &EditScript::parse("remove-edge A B").unwrap()).unwrap();
     // Removal shifts every id: all positions diverge.
     assert_eq!(dirty_edges(&base, &shrunk), vec![true, true]);
+    // An edge that does not exist is a typed error, not a panic.
+    let err = apply_edits(&base, &EditScript::parse("set-delay A Z 1").unwrap()).unwrap_err();
+    assert!(err.to_string().contains("nonexistent"), "{err}");
 }
 
 proptest! {
@@ -416,87 +343,6 @@ proptest! {
             ..RandomGraphConfig::paper_style(rng.gen_range(5..14))
         };
         let graph = random_sdf_graph(&cfg, &mut rng);
-        let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-        let seeded = session.synthesize(&graph).unwrap();
-        assert_matches_cold(&graph, &seeded, &format!("seed {seed} cold"));
-        replay_random_stream(
-            &AnalysisBuilder::default(),
-            &mut session,
-            seed.wrapping_mul(0x9e3779b9),
-            4,
-        );
+        replay_random_stream(&graph, seed.wrapping_mul(0x9e3779b9), 4);
     }
-}
-
-/// Per-step `(memo_hits, memo_misses)` of [`pinned_edit_stream`] on
-/// `scale_chain_64`, seed run first, as they read when both heuristics'
-/// SDPPO cells ran.  With a store that never evicts, each distinct
-/// subchain misses exactly once whatever order the DPs visit cells in,
-/// so the fill order may not move these.
-const SESSION_MEMO_COUNTS: &[(u64, u64)] = &[
-    (2751, 1344),
-    (3466, 629),
-    (3348, 747),
-    (3136, 959),
-    (3848, 247),
-    (3063, 1032),
-    (3638, 457),
-    (3244, 851),
-    (3228, 867),
-    (3635, 460),
-    (3072, 1023),
-    (3866, 229),
-    (3149, 946),
-    (3364, 731),
-    (3468, 627),
-    (3103, 992),
-    (4025, 70),
-    (3093, 1002),
-    (3510, 585),
-    (3322, 773),
-    (3159, 936),
-];
-
-/// Twenty single-edge edits on a chain, alternating delay and rate
-/// changes over edges spread along it.
-fn pinned_edit_stream(graph: &SdfGraph) -> Vec<EditScript> {
-    let edges: Vec<_> = graph.edges().map(|(_, e)| *e).collect();
-    (0..20)
-        .map(|k| {
-            let e = &edges[(k * 37 + 11) % edges.len()];
-            let (src, snk) = (graph.actor_name(e.src), graph.actor_name(e.snk));
-            let line = if k % 2 == 0 {
-                let delay = e.delay + e.cons * (k as u64 % 3 + 1);
-                format!("set-delay {src} {snk} {delay}")
-            } else {
-                let (g, f) = (gcd(e.prod, e.cons), k as u64 / 2 % 2 + 2);
-                format!("set-rate {src} {snk} {} {}", e.prod / g * f, e.cons / g * f)
-            };
-            EditScript::parse(&line).expect("edit line")
-        })
-        .collect()
-}
-
-#[test]
-fn edit_session_memo_counts_are_pinned() {
-    let base = sdfmem::apps::scale::scale_chain(64);
-    let mut session = IncrementalSession::new(AnalysisBuilder::default().options().clone());
-    let mut counts = Vec::new();
-    let seed = session.synthesize(&base).unwrap();
-    counts.push((seed.stats.memo_hits, seed.stats.memo_misses));
-    for script in pinned_edit_stream(&base) {
-        let r = session.apply_edits(&script).unwrap();
-        counts.push((r.stats.memo_hits, r.stats.memo_misses));
-    }
-    assert_eq!(session.store().stats().evictions, 0);
-    // RPMC and APGAN order the chain alike at every step, so APGAN's
-    // SDPPO cell is a copy of RPMC's: the misses stay, and the hits lose
-    // exactly that second cell's replays, one per subchain of two or
-    // more actors.
-    let second_cell_replays = 64 * 63 / 2;
-    let pinned: Vec<(u64, u64)> = SESSION_MEMO_COUNTS
-        .iter()
-        .map(|&(hits, misses)| (hits - second_cell_replays, misses))
-        .collect();
-    assert_eq!(counts, pinned);
 }

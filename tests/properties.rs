@@ -168,25 +168,18 @@ proptest! {
             prop_assert_eq!(plain.offsets(), alloc.offsets());
 
             // Ledger invariant: the per-decision fragmentation
-            // attributions sum exactly to the run's traced total.
+            // attributions sum exactly to the run's traced total, the
+            // per-run counter the regression sentinel gates.
             let snap = recorder.snapshot();
             let run_total = snap
-                .gauges
-                .iter()
-                .find(|(n, _)| n == "alloc.fragmentation_words")
-                .map(|&(_, v)| v)
-                .expect("traced run records the fragmentation gauge");
-            let ledger_sum: u64 = log.decisions.iter().map(|d| d.fragmentation).sum();
-            prop_assert_eq!(ledger_sum, run_total);
-            prop_assert_eq!(log.fragmentation_words(), run_total);
-            // The per-run counter (regression-sentinel gate) agrees.
-            let counter = snap
                 .counters
                 .iter()
                 .find(|(n, _)| n == "alloc.first_fit.fragmentation")
                 .map(|&(_, v)| v)
                 .expect("per-run fragmentation counter");
-            prop_assert_eq!(counter, run_total);
+            let ledger_sum: u64 = log.decisions.iter().map(|d| d.fragmentation).sum();
+            prop_assert_eq!(ledger_sum, run_total);
+            prop_assert_eq!(log.fragmentation_words(), run_total);
 
             // Occupancy invariant: the timeline's occupied peak equals
             // the allocator's pool size bit for bit, and the live peak
@@ -470,36 +463,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Windowed SDPPO (the pruned bottom-up fill) against the dense exact
-    /// scan under every factoring policy: same cost and same tree, cold,
-    /// with a memo store partially warmed by an edited sibling chain, and
-    /// with the store fully warm.
+    /// scan under every factoring policy: same cost and same tree, cold
+    /// (fresh tables per run) and warm (one table build shared by a DPPO
+    /// run and every policy, as the engine shares an order's tables).
     #[test]
-    fn windowed_sdppo_matches_exact_cold_and_warm(seed in 0u64..1_000_000, edit in 0usize..64) {
-        use sdfmem::sched::{
-            sdppo_from_tables, sdppo_from_tables_memo, ChainTables, DpMode, FactoringPolicy,
-            MemoStore,
-        };
+    fn windowed_sdppo_matches_exact_cold_and_warm(seed in 0u64..1_000_000) {
+        use sdfmem::sched::{dppo_from_tables, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy};
         let spec = random_chain_spec(seed);
-        // The sibling differs in one edge's delay: every subchain avoiding
-        // that edge keeps its memo key, the rest miss.
-        let mut sibling = spec.clone();
-        let e = edit % sibling.len();
-        sibling[e].0 .2 += sibling[e].0 .1;
         let (g, order) = chain_from_spec(&spec);
-        let (gs, order_s) = chain_from_spec(&sibling);
         let q = RepetitionsVector::compute(&g).expect("consistent by construction");
-        let qs = RepetitionsVector::compute(&gs).expect("consistent by construction");
-        let plain = ChainTables::build(&g, &q, &order).expect("topological");
-        let hashed = ChainTables::build_hashed(&g, &q, &order).expect("topological");
-        let hashed_s = ChainTables::build_hashed(&gs, &qs, &order_s).expect("topological");
-        let store = MemoStore::new();
+        let shared = ChainTables::build(&g, &q, &order).expect("topological");
+        dppo_from_tables(&shared, &q, DpMode::Windowed);
         for policy in [FactoringPolicy::Heuristic, FactoringPolicy::Always, FactoringPolicy::Never] {
-            let exact = sdppo_from_tables(&plain, &q, policy, DpMode::Exact);
-            let cold = sdppo_from_tables(&plain, &q, policy, DpMode::Windowed);
-            sdppo_from_tables_memo(&hashed_s, &qs, policy, DpMode::Windowed, Some(&store));
-            let partial = sdppo_from_tables_memo(&hashed, &q, policy, DpMode::Windowed, Some(&store));
-            let warm = sdppo_from_tables_memo(&hashed, &q, policy, DpMode::Windowed, Some(&store));
-            for (label, r) in [("cold", &cold), ("partial", &partial), ("warm", &warm)] {
+            let fresh = || ChainTables::build(&g, &q, &order).expect("topological");
+            let exact = sdppo_from_tables(&fresh(), &q, policy, DpMode::Exact);
+            let cold = sdppo_from_tables(&fresh(), &q, policy, DpMode::Windowed);
+            let warm = sdppo_from_tables(&shared, &q, policy, DpMode::Windowed);
+            for (label, r) in [("cold", &cold), ("warm", &warm)] {
                 prop_assert_eq!(exact.shared_cost, r.shared_cost, "{:?} {}", policy, label);
                 prop_assert_eq!(&exact.tree, &r.tree, "{:?} {}", policy, label);
             }
@@ -545,33 +525,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Windowed DPPO against the dense exact scan on chains that make the
-    /// descent stop: same bufmem and same tree, cold, with a
-    /// memo store partially warmed by an edited sibling chain, and with
-    /// the store fully warm.
+    /// descent stop: same bufmem and same tree.
     #[test]
-    fn windowed_dppo_matches_exact_when_the_scan_gives_up(seed in 0u64..1_000_000, edit in 0usize..64) {
-        use sdfmem::sched::{dppo_from_tables, dppo_from_tables_memo, ChainTables, DpMode, MemoStore};
+    fn windowed_dppo_matches_exact_when_the_scan_gives_up(seed in 0u64..1_000_000) {
+        use sdfmem::sched::{dppo_from_tables, ChainTables, DpMode};
         let spec = mixed_factor_chain_spec(seed);
-        let mut sibling = spec.clone();
-        let e = edit % sibling.len();
-        sibling[e].0 .2 += sibling[e].0 .1;
         let (g, order) = chain_from_spec(&spec);
-        let (gs, order_s) = chain_from_spec(&sibling);
         let q = RepetitionsVector::compute(&g).expect("consistent by construction");
-        let qs = RepetitionsVector::compute(&gs).expect("consistent by construction");
-        let plain = ChainTables::build(&g, &q, &order).expect("topological");
-        let hashed = ChainTables::build_hashed(&g, &q, &order).expect("topological");
-        let hashed_s = ChainTables::build_hashed(&gs, &qs, &order_s).expect("topological");
-        let store = MemoStore::new();
-        let exact = dppo_from_tables(&plain, &q, DpMode::Exact);
-        let cold = dppo_from_tables(&plain, &q, DpMode::Windowed);
-        dppo_from_tables_memo(&hashed_s, &qs, DpMode::Windowed, Some(&store));
-        let partial = dppo_from_tables_memo(&hashed, &q, DpMode::Windowed, Some(&store));
-        let warm = dppo_from_tables_memo(&hashed, &q, DpMode::Windowed, Some(&store));
-        for (label, r) in [("cold", &cold), ("partial", &partial), ("warm", &warm)] {
-            prop_assert_eq!(exact.bufmem, r.bufmem, "{}", label);
-            prop_assert_eq!(&exact.tree, &r.tree, "{}", label);
-        }
+        let tables = ChainTables::build(&g, &q, &order).expect("topological");
+        let exact = dppo_from_tables(&tables, &q, DpMode::Exact);
+        let windowed = dppo_from_tables(&tables, &q, DpMode::Windowed);
+        prop_assert_eq!(exact.bufmem, windowed.bufmem);
+        prop_assert_eq!(&exact.tree, &windowed.tree);
     }
 }
 

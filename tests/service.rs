@@ -15,6 +15,7 @@ use sdf_service::{
     ServiceResponse, WireResponse, MAX_REQUEST_BYTES,
 };
 use sdf_trace::json::{self, Json};
+use sdfmem::incremental::{apply_edits, EditScript};
 
 const FIG2: &str = "graph fig2\nedge A B 20 10\nedge B C 20 10\n";
 
@@ -28,15 +29,6 @@ fn counter(server: &Server, name: &str) -> u64 {
     server
         .recorder()
         .counters()
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| v)
-}
-
-fn gauge(server: &Server, name: &str) -> u64 {
-    server
-        .recorder()
-        .gauges()
         .into_iter()
         .find(|(n, _)| n == name)
         .map_or(0, |(_, v)| v)
@@ -539,72 +531,55 @@ fn flight_recorder_caps_at_capacity_and_drains_oldest_first() {
     server.wait();
 }
 
+/// One client's edit session: three chained edits, each on the graph
+/// the previous one produced, against the daemon.
 #[test]
 fn edit_flow_chains_sessions_and_keeps_byte_identity() {
     let edit = |graph: &str, edits: &str| ServiceRequest::Edit {
         graph: graph.to_string(),
         edits: edits.to_string(),
     };
+    let direct = |request: &ServiceRequest| match execute_request(request) {
+        ServiceResponse::Ok(payload) => payload.to_json(),
+        other => panic!("direct edit failed with status {}", other.status()),
+    };
     let (server, addr) = start(ServerConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
-    // Cold edit: no session knows FIG2 yet. The payload must equal the
-    // stateless in-process run byte for byte — the delta machinery may
-    // never leak into result bytes.
-    let first = client
-        .call("e1", &edit(FIG2, "set-delay A B 5\n"))
-        .expect("call");
-    assert!(first.is_ok(), "{first:?}");
-    assert!(!first.cached);
-    let direct = match execute_request(&edit(FIG2, "set-delay A B 5\n")) {
-        ServiceResponse::Ok(payload) => payload.to_json(),
-        other => panic!("direct edit failed with status {}", other.status()),
-    };
-    assert_eq!(first.payload.as_deref(), Some(direct.as_str()));
-    let doc = json::parse(first.payload.as_deref().expect("payload")).expect("payload JSON");
-    assert_eq!(doc.get("kind").and_then(Json::as_str), Some("edit_report"));
-    assert_eq!(counter(&server, "engine.incremental.cold_runs"), 1);
-    assert_eq!(gauge(&server, "engine.incremental.sessions"), 1);
-    assert!(
-        gauge(&server, "engine.incremental.memo.occupancy") > 0,
-        "cold run must seed the memo store"
-    );
-    // Chained edit: the base is the previous edit's result, so the
-    // daemon finds the live session and rides the delta path.
-    let edited = "graph fig2\nedge A B 20 10 delay 5\nedge B C 20 10\n";
-    let second = client
-        .call("e2", &edit(edited, "set-delay A B 7\n"))
-        .expect("call");
-    assert!(second.is_ok(), "{second:?}");
-    assert!(!second.cached);
-    assert_eq!(counter(&server, "engine.incremental.delta_runs"), 1);
-    let direct2 = match execute_request(&edit(edited, "set-delay A B 7\n")) {
-        ServiceResponse::Ok(payload) => payload.to_json(),
-        other => panic!("direct edit failed with status {}", other.status()),
-    };
-    assert_eq!(
-        second.payload.as_deref(),
-        Some(direct2.as_str()),
-        "delta-path payload must be byte-identical to a cold run"
-    );
-    // The identical request repeats from the result cache, verbatim.
+    // Every payload must equal the in-process run byte for byte, and
+    // each edited graph is the base of the next edit.
+    let mut base = FIG2.to_string();
+    let mut payloads = Vec::new();
+    for (i, script) in [
+        "set-delay A B 5\n",
+        "set-rate B C 40 20\n",
+        "add-edge C D 1 2\n",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let request = edit(&base, script);
+        let response = client.call(&format!("e{i}"), &request).expect("call");
+        assert!(response.is_ok(), "{script}: {response:?}");
+        assert!(!response.cached, "{script}");
+        let payload = response.payload.expect("payload");
+        assert_eq!(payload, direct(&request), "{script}");
+        let doc = json::parse(&payload).expect("payload JSON");
+        assert_eq!(doc.get("kind").and_then(Json::as_str), Some("edit_report"));
+        let base_graph = sdfmem::core::io::parse_graph(&base).expect("base graph");
+        let edited = apply_edits(&base_graph, &EditScript::parse(script).expect("script"))
+            .expect("edit applies");
+        base = sdfmem::core::io::to_text(&edited);
+        payloads.push(payload);
+    }
+    // The identical first request repeats from the result cache,
+    // verbatim.
     let repeat = client
-        .call("e3", &edit(FIG2, "set-delay A B 5\n"))
+        .call("again", &edit(FIG2, "set-delay A B 5\n"))
         .expect("call");
     assert!(repeat.cached, "{repeat:?}");
-    assert_eq!(repeat.payload, first.payload);
-    // Edit counters surface through the stats op like any service.*
-    // instrument.
-    let stats = client.call("stats", &ServiceRequest::Stats).expect("call");
-    let doc = json::parse(stats.payload.as_deref().expect("payload")).expect("stats JSON");
-    let counters = doc.get("counters").expect("counters");
-    assert_eq!(
-        counters
-            .get("engine.incremental.delta_runs")
-            .and_then(Json::as_num),
-        Some(1.0)
-    );
+    assert_eq!(repeat.payload.as_deref(), Some(payloads[0].as_str()));
     // A bad script is a typed parse error attributed to the edits
-    // input, and it neither wedges the session nor counts as a run.
+    // input, and the next edit is served as usual.
     let bad = client
         .call("bad", &edit(FIG2, "frobnicate A B\n"))
         .expect("call");
@@ -612,8 +587,23 @@ fn edit_flow_chains_sessions_and_keeps_byte_identity() {
     let error = bad.error.expect("error");
     assert_eq!(error.code, "parse_error");
     assert_eq!(error.input.as_deref(), Some("edits"));
-    assert_eq!(counter(&server, "engine.incremental.cold_runs"), 1);
-    assert_eq!(counter(&server, "engine.incremental.delta_runs"), 1);
+    let after = client
+        .call("after", &edit(FIG2, "set-delay B C 3\n"))
+        .expect("call");
+    assert!(after.is_ok(), "{after:?}");
+    // Edits are ordinary jobs: the daemon keeps no edit state of its own.
+    assert_eq!(counter(&server, "service.jobs.complete"), 4);
+    let stats = client.call("stats", &ServiceRequest::Stats).expect("call");
+    let doc = json::parse(stats.payload.as_deref().expect("payload")).expect("stats JSON");
+    for table in ["counters", "gauges"] {
+        let Some(Json::Obj(members)) = doc.get(table) else {
+            panic!("stats has no {table} object");
+        };
+        assert!(
+            members.iter().all(|(name, _)| !name.starts_with("engine.")),
+            "{table}: {members:?}"
+        );
+    }
     server.shutdown();
     server.wait();
 }
