@@ -82,7 +82,11 @@ pub(crate) struct Interp<'p> {
     /// word holds a live token.
     pub(crate) cells: Vec<Option<(usize, u64)>>,
     pub(crate) fifos: Vec<Fifo>,
-    pub(crate) live: Vec<bool>,
+    /// The bindings holding tokens, in no particular order: a newly live
+    /// region is checked against these only.
+    live: Vec<usize>,
+    /// Each binding's index in `live`, while it is live.
+    slot: Vec<Option<usize>>,
     pub(crate) live_words: u64,
     pub(crate) peak_live_words: u64,
     pub(crate) firings: u64,
@@ -120,7 +124,8 @@ impl<'p> Interp<'p> {
                     tokens: b.delay,
                 })
                 .collect(),
-            live: vec![false; plan.bindings.len()],
+            live: Vec::new(),
+            slot: vec![None; plan.bindings.len()],
             live_words: 0,
             peak_live_words: 0,
             firings: 0,
@@ -143,38 +148,55 @@ impl<'p> Interp<'p> {
 
     /// Marks binding `i` live, first checking its region against every
     /// currently-live region — the paper's allocation invariant, at
-    /// runtime.
+    /// runtime. A clash names the lowest-indexed overlapping binding.
     fn mark_live(&mut self, i: usize) -> Result<(), ExecError> {
-        if self.live[i] {
+        if self.slot[i].is_some() {
             return Ok(());
         }
-        let b = &self.plan.bindings[i];
-        for (j, other) in self.plan.bindings.iter().enumerate() {
-            if !self.live[j] {
-                continue;
-            }
-            let overlap = b.offset < other.offset + other.size && other.offset < b.offset + b.size;
-            if overlap {
-                return Err(err(format!(
-                    "live-buffer overlap at firing {}: edge {} ({} -> {}, words {}..{}) and \
-                     edge {} ({} -> {}, words {}..{}) are live at once",
-                    self.firings,
-                    b.edge,
-                    b.src,
-                    b.snk,
-                    b.offset,
-                    b.offset + b.size,
-                    other.edge,
-                    other.src,
-                    other.snk,
-                    other.offset,
-                    other.offset + other.size
-                )));
-            }
+        let bindings = &self.plan.bindings;
+        let b = &bindings[i];
+        let clash = self
+            .live
+            .iter()
+            .copied()
+            .filter(|&j| {
+                let other = &bindings[j];
+                b.offset < other.offset + other.size && other.offset < b.offset + b.size
+            })
+            .min();
+        if let Some(j) = clash {
+            let other = &bindings[j];
+            return Err(err(format!(
+                "live-buffer overlap at firing {}: edge {} ({} -> {}, words {}..{}) and \
+                 edge {} ({} -> {}, words {}..{}) are live at once",
+                self.firings,
+                b.edge,
+                b.src,
+                b.snk,
+                b.offset,
+                b.offset + b.size,
+                other.edge,
+                other.src,
+                other.snk,
+                other.offset,
+                other.offset + other.size
+            )));
         }
-        self.live[i] = true;
+        self.slot[i] = Some(self.live.len());
+        self.live.push(i);
         self.live_words += b.size;
         Ok(())
+    }
+
+    /// Drops binding `i` from the live set, if it is there.
+    fn retire(&mut self, i: usize) {
+        if let Some(k) = self.slot[i].take() {
+            self.live.swap_remove(k);
+            if let Some(&moved) = self.live.get(k) {
+                self.slot[moved] = Some(k);
+            }
+            self.live_words -= self.plan.bindings[i].size;
+        }
     }
 
     fn fire(&mut self, actor: usize) -> Result<(), ExecError> {
@@ -199,8 +221,13 @@ impl<'p> Interp<'p> {
                     a.name, b.cons, b.edge, b.src, b.snk, self.fifos[ib].tokens
                 )));
             }
-            for k in 0..b.cons {
-                let pos = (b.offset + (self.fifos[ib].front + k) % b.size) as usize;
+            let mut ring = self.fifos[ib].front;
+            for _ in 0..b.cons {
+                let pos = (b.offset + ring) as usize;
+                ring += 1;
+                if ring == b.size {
+                    ring = 0;
+                }
                 match self.cells[pos] {
                     Some((owner, _)) if owner == ib => self.cells[pos] = None,
                     Some((owner, written)) => {
@@ -222,7 +249,7 @@ impl<'p> Interp<'p> {
                     }
                 }
             }
-            self.fifos[ib].front = (self.fifos[ib].front + b.cons) % b.size;
+            self.fifos[ib].front = ring;
             self.fifos[ib].tokens -= b.cons;
         }
         // Produce: push `prod` stamped tokens onto each output FIFO.
@@ -235,9 +262,17 @@ impl<'p> Interp<'p> {
                     a.name, b.prod, b.edge, b.src, b.snk, b.size, self.fifos[ob].tokens
                 )));
             }
-            for k in 0..b.prod {
-                let pos = (b.offset + (self.fifos[ob].front + self.fifos[ob].tokens + k) % b.size)
-                    as usize;
+            // `front < size` and `tokens ≤ size`: one subtraction wraps.
+            let mut ring = self.fifos[ob].front + self.fifos[ob].tokens;
+            if ring >= b.size {
+                ring -= b.size;
+            }
+            for _ in 0..b.prod {
+                let pos = (b.offset + ring) as usize;
+                ring += 1;
+                if ring == b.size {
+                    ring = 0;
+                }
                 if let Some((owner, _)) = self.cells[pos] {
                     let o = &self.plan.bindings[owner];
                     return Err(err(format!(
@@ -252,9 +287,8 @@ impl<'p> Interp<'p> {
         }
         // Retire buffers this firing drained.
         for &ib in &a.inputs {
-            if self.fifos[ib].tokens == 0 && self.live[ib] {
-                self.live[ib] = false;
-                self.live_words -= self.plan.bindings[ib].size;
+            if self.fifos[ib].tokens == 0 {
+                self.retire(ib);
             }
         }
         Ok(())
@@ -434,6 +468,35 @@ mod tests {
         assert!(
             e.message.contains("live-buffer overlap") || e.message.contains("poisoned"),
             "{e}"
+        );
+    }
+
+    #[test]
+    fn overlap_names_the_lowest_indexed_live_buffer() {
+        // A B C D, one firing each: A makes edge 1 live, then B edge 0,
+        // then C's 2-word edge 2 lands on both. The live set lists edge 1
+        // first; the message must name edge 0, as a scan of the bindings
+        // in index order would.
+        let mut g = SdfGraph::new("two_clashes");
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|n| g.add_actor(n));
+        g.add_edge(b, d, 1, 1).unwrap();
+        g.add_edge(a, d, 1, 1).unwrap();
+        g.add_edge(c, d, 2, 2).unwrap();
+        let q = RepetitionsVector::compute(&g).unwrap();
+        let sas = SasTree::new(SasNode::branch(
+            1,
+            SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)),
+            SasNode::branch(1, SasNode::leaf(c, 1), SasNode::leaf(d, 1)),
+        ));
+        let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
+        let wig = IntersectionGraph::build(&g, &q, &tree);
+        let bad = Allocation::from_parts(vec![0, 1, 0], 2);
+        let plan = ExecutablePlan::lower_shared(&g, &q, &sas, &wig, &bad).unwrap();
+        let e = execute_plan(&plan).unwrap_err();
+        assert_eq!(
+            e.message,
+            "live-buffer overlap at firing 3: edge 2 (C -> D, words 0..2) and \
+             edge 0 (B -> D, words 0..1) are live at once"
         );
     }
 

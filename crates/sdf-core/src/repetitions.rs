@@ -58,6 +58,9 @@ impl RepetitionsVector {
     ///   `u64::MAX`.  That sum bounds every buffer, crossing cost,
     ///   loop-DP cell and pool the later stages compute, so none of them
     ///   can wrap or reach a `u64::MAX` sentinel.
+    /// * [`SdfError::Overflow`] if the firing counts sum to `u64::MAX` or
+    ///   more.  That sum is a period's length in schedule steps, so it
+    ///   bounds every lifetime start, stop, stride·count and envelope.
     pub fn compute(graph: &SdfGraph) -> Result<Self, SdfError> {
         let n = graph.actor_count();
         if n == 0 {
@@ -89,6 +92,12 @@ impl RepetitionsVector {
         if total >= u128::from(u64::MAX) {
             return Err(SdfError::Overflow(format!(
                 "the edges' TNSE plus delay sum to {total}, not below 2^64 - 1"
+            )));
+        }
+        let firings: u128 = result.q.iter().map(|&x| u128::from(x)).sum();
+        if firings >= u128::from(u64::MAX) {
+            return Err(SdfError::Overflow(format!(
+                "the actors' firing counts sum to {firings}, not below 2^64 - 1"
             )));
         }
         Ok(result)
@@ -451,5 +460,23 @@ mod tests {
         g.add_edge_with_delay(a, b, u64::MAX - 1, u64::MAX - 1, 1)
             .unwrap();
         assert!(is_overflow(&g));
+    }
+
+    #[test]
+    fn periods_that_cannot_fit_in_u64_are_a_typed_error() {
+        // A fans out to B at rate r, so q = (1, r) and Σ q = r + 1, while
+        // the one edge's TNSE, r, stays under the buffer bound.
+        let fan_out = |r: u64| {
+            let mut g = SdfGraph::new("fan_out");
+            let (a, b) = (g.add_actor("A"), g.add_actor("B"));
+            g.add_edge(a, b, r, 1).unwrap();
+            g
+        };
+        let q = RepetitionsVector::compute(&fan_out(u64::MAX - 2)).unwrap();
+        assert_eq!(q.as_slice(), &[1, u64::MAX - 2]);
+        assert!(matches!(
+            RepetitionsVector::compute(&fan_out(u64::MAX - 1)),
+            Err(SdfError::Overflow(m)) if m.contains("firing counts")
+        ));
     }
 }

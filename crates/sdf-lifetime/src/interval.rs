@@ -15,6 +15,12 @@
 //! automatically satisfy the carry-free property
 //! `a_i·(loop(v_i) − 1) ≤ a_{i+1}` the paper's Fig. 18 query relies on.
 //!
+//! Two buffers of one schedule share the outer loops of their common
+//! ancestors. The intersection test strips those loops first, while
+//! both residual lifetimes fit in one iteration's slot (the slot
+//! argument is on `shared_loop_residuals`), and enumerates occurrences
+//! only inside that one iteration.
+//!
 //! Buffers with initial tokens (and any buffer whose source does not
 //! strictly precede its sink in the schedule) are represented as *solid*
 //! intervals spanning the whole period — §5's conservative treatment.
@@ -176,30 +182,10 @@ impl PeriodicLifetime {
         if t <= self.start {
             return Some(self.start);
         }
-        match self.locate(t) {
+        match locate(self.start, &self.periods, t) {
             (floor, _) if floor == t => Some(t),
             (_, next) => next,
         }
-    }
-
-    /// For `t ≥ start`: the start of the last occurrence at or before `t`,
-    /// and the start of the occurrence after it, if any.
-    ///
-    /// One pass, outermost digit first, holds no index vector: the greedy
-    /// digit `k` of each level is taken from the remainder, and the
-    /// increment of the counter is the innermost level with `k + 1 <
-    /// count` — its outer digits as decomposed, itself plus one, every
-    /// inner digit 0 — so the candidate is overwritten at each such level.
-    fn locate(&self, t: u64) -> (u64, Option<u64>) {
-        let (mut floor, mut next) = (self.start, None);
-        for p in self.periods.iter().rev() {
-            let k = ((t - floor) / p.stride).min(p.count - 1);
-            if k + 1 < p.count {
-                next = Some(floor + (k + 1) * p.stride);
-            }
-            floor += k * p.stride;
-        }
-        (floor, next)
     }
 
     /// Iterates over all occurrence start times in increasing order.
@@ -228,18 +214,7 @@ impl PeriodicLifetime {
 
     /// True if any occurrence of the buffer intersects `[from, to)`.
     pub fn intersects_window(&self, from: u64, to: u64) -> bool {
-        // A zero-length occurrence `[s, s)` is empty: a dur-0 lifetime is
-        // never live, whatever its occurrence starts.
-        if from >= to || self.dur == 0 {
-            return false;
-        }
-        if from < self.start {
-            return self.start < to;
-        }
-        // Live at `from` (the last occurrence started at most `dur` ago),
-        // or the next occurrence starts inside the window.
-        let (floor, next) = self.locate(from);
-        from - floor < self.dur || next.is_some_and(|s| s < to)
+        window_hit(self.start, self.dur, &self.periods, from, to)
     }
 
     /// True if the two lifetimes overlap at some schedule step.
@@ -254,6 +229,23 @@ impl PeriodicLifetime {
 
     /// [`PeriodicLifetime::intersects`] with an explicit enumeration cap.
     pub fn intersects_with_cap(&self, other: &PeriodicLifetime, cap: u64) -> bool {
+        self.intersects_counting(other, cap, &mut 0)
+    }
+
+    /// The intersection test, adding to `probes` one per window query it
+    /// makes (the `lifetime.wig.window_probes` counter).
+    ///
+    /// The zero-duration, envelope, solid and cap checks run on the whole
+    /// lifetimes, so every verdict is that of enumerating the sparser
+    /// nest. What is enumerated is less: the outer loops both nests share
+    /// are stripped first (see `shared_loop_residuals`), which can only
+    /// leave fewer occurrences to walk.
+    pub(crate) fn intersects_counting(
+        &self,
+        other: &PeriodicLifetime,
+        cap: u64,
+        probes: &mut u64,
+    ) -> bool {
         // Zero-duration lifetimes are never live and intersect nothing —
         // checked up front so the test is symmetric (the enumeration below
         // would otherwise see empty windows in one direction only).
@@ -261,24 +253,131 @@ impl PeriodicLifetime {
             return false;
         }
         // Fast envelope rejection.
-        if self.start >= other.envelope_end() || other.start >= self.envelope_end() {
+        let (end_a, end_b) = (self.envelope_end(), other.envelope_end());
+        if self.start >= end_b || other.start >= end_a {
             return false;
         }
         if self.solid && other.solid {
             return true; // envelopes overlap and both are gapless
         }
-        let (few, many) = if self.occurrence_count() <= other.occurrence_count() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        if few.occurrence_count() > cap {
+        if self.occurrence_count().min(other.occurrence_count()) > cap {
             return true; // conservative
         }
-        any_occurrence(&few.periods, few.start, &mut |s| {
-            many.intersects_window(s, s + few.dur)
+        let (a, b) = shared_loop_residuals(self, end_a, other, end_b);
+        if a.start >= b.end || b.start >= a.end {
+            return false;
+        }
+        let count = |p: &[Period]| p.iter().map(|p| p.count).product::<u64>();
+        let (few, many) = if count(a.periods) <= count(b.periods) {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        any_occurrence(few.periods, few.start, &mut |s| {
+            *probes += 1;
+            window_hit(many.start, many.dur, many.periods, s, s + few.dur)
         })
     }
+}
+
+/// A lifetime with some of its outer loops stripped: occurrences start
+/// at `start + Σ k_i·stride_i` over `periods`, last `dur`, and the last
+/// one ends at `end`.
+struct Residual<'a> {
+    start: u64,
+    dur: u64,
+    periods: &'a [Period],
+    end: u64,
+}
+
+/// Strips the outermost loop `(stride, count)` two lifetimes share, one
+/// level at a time, while both residual envelopes end within one stride
+/// of `b = min(start)`; `end_a`/`end_b` are the whole envelopes' ends.
+///
+/// Why the residuals intersect exactly when the lifetimes do: every
+/// residual occurrence lies in the slot `[b, b + stride)`, so iteration
+/// `k` of the stripped loop puts both lifetimes' occurrences in the slot
+/// `[b + k·stride, b + (k+1)·stride)`. Distinct slots are disjoint, so
+/// only pairs from one iteration can meet, and all iterations are the
+/// same picture translated by `k·stride`: iteration 0 decides. Lifetimes
+/// of one schedule tree meet the slot condition on every common
+/// ancestor loop (their occurrences in one iteration of a loop lie
+/// inside that iteration); without the condition a residual can spill
+/// into the next slot and meet the other's next iteration, which the
+/// stripped test would miss. Comparing `end − b ≤ stride` keeps every
+/// sum within the envelopes, so nothing can wrap.
+fn shared_loop_residuals<'a>(
+    a: &'a PeriodicLifetime,
+    end_a: u64,
+    b: &'a PeriodicLifetime,
+    end_b: u64,
+) -> (Residual<'a>, Residual<'a>) {
+    let mut ra = Residual {
+        start: a.start,
+        dur: a.dur,
+        periods: &a.periods,
+        end: end_a,
+    };
+    let mut rb = Residual {
+        start: b.start,
+        dur: b.dur,
+        periods: &b.periods,
+        end: end_b,
+    };
+    let base = a.start.min(b.start);
+    while let (Some((&outer, inner_a)), Some((&outer_b, inner_b))) =
+        (ra.periods.split_last(), rb.periods.split_last())
+    {
+        if outer != outer_b {
+            break;
+        }
+        let span = outer.stride * (outer.count - 1);
+        let (end_a, end_b) = (ra.end - span, rb.end - span);
+        if end_a - base > outer.stride || end_b - base > outer.stride {
+            break;
+        }
+        (ra.periods, ra.end) = (inner_a, end_a);
+        (rb.periods, rb.end) = (inner_b, end_b);
+    }
+    (ra, rb)
+}
+
+/// For `t ≥ start`: the start of the last occurrence at or before `t` of
+/// the nest `periods` (innermost first) starting at `start`, and the
+/// start of the occurrence after it, if any.
+///
+/// One pass, outermost digit first, holds no index vector: the greedy
+/// digit `k` of each level is taken from the remainder, and the
+/// increment of the counter is the innermost level with `k + 1 <
+/// count` — its outer digits as decomposed, itself plus one, every
+/// inner digit 0 — so the candidate is overwritten at each such level.
+fn locate(start: u64, periods: &[Period], t: u64) -> (u64, Option<u64>) {
+    let (mut floor, mut next) = (start, None);
+    for p in periods.iter().rev() {
+        let k = ((t - floor) / p.stride).min(p.count - 1);
+        if k + 1 < p.count {
+            next = Some(floor + (k + 1) * p.stride);
+        }
+        floor += k * p.stride;
+    }
+    (floor, next)
+}
+
+/// True if some occurrence `[s, s + dur)` of the nest `periods` starting
+/// at `start` meets the window `[from, to)`.
+fn window_hit(start: u64, dur: u64, periods: &[Period], from: u64, to: u64) -> bool {
+    // A zero-length occurrence `[s, s)` is empty: a dur-0 lifetime is
+    // never live, whatever its occurrence starts.
+    if from >= to || dur == 0 {
+        return false;
+    }
+    if from < start {
+        return start < to;
+    }
+    // Live at `from` (the last occurrence started at most `dur` ago),
+    // or the next occurrence starts inside the window.
+    let (floor, next) = locate(start, periods, from);
+    from - floor < dur || next.is_some_and(|s| s < to)
 }
 
 /// True if `hit` holds for some occurrence start of the nest `periods`
@@ -293,6 +392,37 @@ fn any_occurrence(periods: &[Period], base: u64, hit: &mut impl FnMut(u64) -> bo
             (0..outer.count).any(|k| any_occurrence(inner, base + k * outer.stride, hit))
         }
     }
+}
+
+/// The intersection test before shared loops were stripped: enumerate
+/// every occurrence of the sparser whole nest. Kept as the reference the
+/// tests hold [`PeriodicLifetime::intersects_with_cap`] to.
+#[cfg(test)]
+pub(crate) fn intersects_by_enumeration(
+    a: &PeriodicLifetime,
+    b: &PeriodicLifetime,
+    cap: u64,
+) -> bool {
+    if a.dur == 0 || b.dur == 0 {
+        return false;
+    }
+    if a.start >= b.envelope_end() || b.start >= a.envelope_end() {
+        return false;
+    }
+    if a.solid && b.solid {
+        return true;
+    }
+    let (few, many) = if a.occurrence_count() <= b.occurrence_count() {
+        (a, b)
+    } else {
+        (b, a)
+    };
+    if few.occurrence_count() > cap {
+        return true;
+    }
+    any_occurrence(&few.periods, few.start, &mut |s| {
+        many.intersects_window(s, s + few.dur)
+    })
 }
 
 /// Default cap on occurrence enumeration in intersection tests.
@@ -671,26 +801,88 @@ mod tests {
         assert_eq!(lt.size(), 2);
     }
 
-    mod cap_conservative {
+    mod exactness {
         use super::*;
         use proptest::prelude::*;
+        use rand::SeedableRng;
+        use sdf_apps::random::{random_sdf_graph, RandomGraphConfig};
 
         fn lifetime_strategy() -> impl Strategy<Value = PeriodicLifetime> {
+            (0u64..40, inner_nest()).prop_map(|(start, (dur, periods, _))| {
+                PeriodicLifetime::periodic(start, dur, 1, periods)
+            })
+        }
+
+        /// Every pair of occurrences, compared directly.
+        fn brute_force(a: &PeriodicLifetime, b: &PeriodicLifetime) -> bool {
+            a.dur() > 0
+                && b.dur() > 0
+                && a.occurrences()
+                    .any(|s| b.occurrences().any(|t| s < t + b.dur() && t < s + a.dur()))
+        }
+
+        /// A lifetime's own inner loops: `(dur, periods, reach)`, where
+        /// `reach` is the least stride an enclosing loop may have.
+        fn inner_nest() -> impl Strategy<Value = (u64, Vec<Period>, u64)> {
+            (0u64..6, prop::collection::vec((2u64..5, 2u64..4), 0..3)).prop_map(|(dur, levels)| {
+                let mut periods = Vec::new();
+                let mut stride = dur.max(1);
+                for (factor, count) in levels {
+                    stride *= factor;
+                    periods.push(Period { stride, count });
+                    stride *= count;
+                }
+                (dur, periods, stride)
+            })
+        }
+
+        /// Two lifetimes that share 0–3 outer loops on top of their own
+        /// inner nests. The innermost shared stride is the larger reach
+        /// plus a slack, and the starts differ by up to 23 steps, so
+        /// the residuals sometimes fit one stride from the earlier start
+        /// and sometimes spill past it.
+        fn shared_loop_pair() -> impl Strategy<Value = (PeriodicLifetime, PeriodicLifetime)> {
             (
-                0u64..40,                                        // start
-                0u64..6,                                         // dur
-                prop::collection::vec((2u64..5, 2u64..4), 0..3), // (gap factor, count)
+                inner_nest(),
+                inner_nest(),
+                0u64..24,
+                0u64..24,
+                prop::collection::vec((0u64..6, 2u64..4), 0..4), // (slack, count)
             )
-                .prop_map(|(start, dur, levels)| {
-                    let mut periods = Vec::new();
-                    let mut stride = dur.max(1);
-                    for (factor, count) in levels {
-                        stride *= factor;
-                        periods.push(Period { stride, count });
+                .prop_map(|((da, pa, reach_a), (db, pb, reach_b), sa, sb, shared)| {
+                    let mut stride = reach_a.max(reach_b);
+                    let mut outer = Vec::new();
+                    for (slack, count) in shared {
+                        stride += slack;
+                        outer.push(Period { stride, count });
                         stride *= count;
                     }
-                    PeriodicLifetime::periodic(start, dur, 1, periods)
+                    let with_outer = |start, dur, mut own: Vec<Period>| {
+                        own.extend_from_slice(&outer);
+                        PeriodicLifetime::periodic(start, dur, 1, own)
+                    };
+                    (with_outer(sa, da, pa), with_outer(sb, db, pb))
                 })
+        }
+
+        /// The buffer lifetimes of `graph` under the SDPPO trees of its
+        /// RPMC and APGAN orders.
+        fn tree_lifetimes(graph: &SdfGraph) -> Vec<Vec<PeriodicLifetime>> {
+            let q = RepetitionsVector::compute(graph).unwrap();
+            [
+                sdf_sched::rpmc(graph, &q).unwrap(),
+                sdf_sched::apgan(graph, &q).unwrap(),
+            ]
+            .iter()
+            .map(|order| {
+                let sas = sdf_sched::sdppo(graph, &q, order).unwrap().tree;
+                let tree = ScheduleTree::build(graph, &q, &sas).unwrap();
+                graph
+                    .edges()
+                    .map(|(id, _)| buffer_lifetime(graph, &q, &tree, id))
+                    .collect()
+            })
+            .collect()
         }
 
         proptest! {
@@ -711,7 +903,73 @@ mod tests {
                     capped || !exact,
                     "cap {} reported disjoint but exact test overlaps", cap
                 );
+                prop_assert_eq!(capped, intersects_by_enumeration(&a, &b, cap));
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// Stripping shared outer loops never changes a verdict: the
+            /// uncapped test is the brute-force occurrence-pair test, in
+            /// both directions, on either side of the slot condition.
+            #[test]
+            fn stripped_test_matches_brute_force(pair in shared_loop_pair()) {
+                let (a, b) = pair;
+                let truth = brute_force(&a, &b);
+                prop_assert_eq!(a.intersects_with_cap(&b, u64::MAX), truth, "{:?} {:?}", a, b);
+                prop_assert_eq!(b.intersects_with_cap(&a, u64::MAX), truth, "{:?} {:?}", b, a);
+                prop_assert_eq!(intersects_by_enumeration(&a, &b, u64::MAX), truth);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Lifetimes a schedule tree derives meet the slot condition
+            /// on their common loops; every pair of them, under both
+            /// lexical orders of random paper-style graphs, gets the
+            /// brute-force verdict.
+            #[test]
+            fn tree_lifetimes_match_brute_force(seed in 0u64..1 << 32, actors in 3usize..14) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let graph = random_sdf_graph(&RandomGraphConfig::paper_style(actors), &mut rng);
+                for lifetimes in tree_lifetimes(&graph) {
+                    for (i, a) in lifetimes.iter().enumerate() {
+                        for b in &lifetimes[i + 1..] {
+                            prop_assert_eq!(
+                                a.intersects_with_cap(b, u64::MAX),
+                                brute_force(a, b),
+                                "seed {} actors {}: {:?} {:?}", seed, actors, a, b
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn pair_generator_straddles_the_slot_condition() {
+            // The property above is only as strong as its inputs: count
+            // the pairs whose shared loops were all stripped, and those
+            // where the slot condition stopped the stripping early.
+            let strategy = shared_loop_pair();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            let (mut stripped, mut stopped) = (0, 0);
+            for _ in 0..2000 {
+                let (a, b) = strategy.generate(&mut rng);
+                let (ra, rb) = shared_loop_residuals(&a, a.envelope_end(), &b, b.envelope_end());
+                if ra.periods.len() < a.periods().len() {
+                    stripped += 1;
+                }
+                if ra.periods.last().is_some() && ra.periods.last() == rb.periods.last() {
+                    stopped += 1;
+                }
+            }
+            assert!(
+                stripped > 200 && stopped > 200,
+                "{stripped} stripped, {stopped} stopped"
+            );
         }
     }
 }

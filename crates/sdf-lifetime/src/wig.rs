@@ -13,7 +13,7 @@ use sdf_core::error::SdfError;
 use sdf_core::graph::{EdgeId, SdfGraph};
 use sdf_core::repetitions::RepetitionsVector;
 
-use crate::interval::{buffer_lifetime, PeriodicLifetime};
+use crate::interval::{buffer_lifetime, PeriodicLifetime, DEFAULT_ENUMERATION_CAP};
 use crate::tree::ScheduleTree;
 
 /// One event of the start-sorted envelope sweep.
@@ -213,7 +213,7 @@ impl IntersectionGraph {
     pub fn from_buffers(buffers: Vec<Buffer>) -> Self {
         let _span = sdf_trace::span!("lifetime.wig", buffers = buffers.len());
         let traced = sdf_trace::enabled();
-        let mut edge_tests = 0u64;
+        let (mut edge_tests, mut window_probes) = (0u64, 0u64);
         let n = buffers.len();
         // Sweep by earliest start (Fig. 19's buildIntersectionGraph), with
         // the active set retired by envelope end.
@@ -222,10 +222,13 @@ impl IntersectionGraph {
             |i| buffers[i].lifetime.start(),
             |i| buffers[i].lifetime.envelope_end(),
             |i, j| {
+                let (a, b) = (&buffers[i].lifetime, &buffers[j].lifetime);
                 if traced {
                     edge_tests += 1;
+                    a.intersects_counting(b, DEFAULT_ENUMERATION_CAP, &mut window_probes)
+                } else {
+                    a.intersects(b)
                 }
-                buffers[i].lifetime.intersects(&buffers[j].lifetime)
             },
         );
         if traced {
@@ -236,6 +239,7 @@ impl IntersectionGraph {
                 .sum();
             sdf_trace::counter_add("lifetime.triples", triples);
             sdf_trace::counter_add("lifetime.wig.edge_tests", edge_tests);
+            sdf_trace::counter_add("lifetime.wig.window_probes", window_probes);
             let conflicts = adjacency.iter().map(Vec::len).sum::<usize>() as u64 / 2;
             sdf_trace::counter_add("lifetime.wig.conflicts", conflicts);
         }
@@ -326,7 +330,7 @@ impl IntersectionGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interval::{Period, PeriodicLifetime};
+    use crate::interval::{intersects_by_enumeration, Period, PeriodicLifetime};
     use sdf_core::schedule::{SasNode, SasTree};
 
     fn lt(start: u64, dur: u64, size: u64) -> PeriodicLifetime {
@@ -430,6 +434,47 @@ mod tests {
         let w = wig_of(vec![]);
         assert!(w.is_empty());
         assert_eq!(w.total_size(), 0);
+    }
+
+    #[test]
+    fn adjacency_matches_the_enumeration_reference_on_app_and_scale_graphs() {
+        // The shared-loop stripping must leave every WIG edge where the
+        // whole-nest enumeration put it: every registry and `scale`
+        // graph (and the extended systems), under the SDPPO and DPPO trees
+        // of both lexical orders.
+        let mut graphs = sdf_apps::registry::table1_systems();
+        graphs.push(sdf_apps::registry::cd_dat());
+        graphs.extend(sdf_apps::extended::extended_systems());
+        for n in [64, 128, 160] {
+            graphs.extend(sdf_apps::scale::scale_systems(n));
+        }
+        for g in &graphs {
+            let q = RepetitionsVector::compute(g).unwrap();
+            for order in [
+                sdf_sched::rpmc(g, &q).unwrap(),
+                sdf_sched::apgan(g, &q).unwrap(),
+            ] {
+                for sas in [
+                    sdf_sched::sdppo(g, &q, &order).unwrap().tree,
+                    sdf_sched::dppo(g, &q, &order).unwrap().tree,
+                ] {
+                    let tree = ScheduleTree::build(g, &q, &sas).unwrap();
+                    let w = IntersectionGraph::build(g, &q, &tree);
+                    for i in 0..w.len() {
+                        let a = &w.buffer(i).lifetime;
+                        for j in i + 1..w.len() {
+                            let b = &w.buffer(j).lifetime;
+                            assert_eq!(
+                                w.overlaps(i, j),
+                                intersects_by_enumeration(a, b, DEFAULT_ENUMERATION_CAP),
+                                "{}: buffers {i} and {j}",
+                                g.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     mod sweep_equivalence {

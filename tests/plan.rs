@@ -6,9 +6,9 @@
 
 use sdfmem::apps::extended::extended_systems;
 use sdfmem::apps::homogeneous::homogeneous_grid;
-use sdfmem::apps::registry::table1_systems;
+use sdfmem::apps::registry::{cd_dat, table1_systems};
 use sdfmem::apps::scale::{scale_chain, scale_dag, scale_tree};
-use sdfmem::codegen::{execute_plan, ExecutablePlan, TOKEN_BYTES};
+use sdfmem::codegen::{execute_plan, ExecReport, ExecutablePlan, TOKEN_BYTES};
 use sdfmem::core::{RepetitionsVector, SdfGraph};
 use sdfmem::pipeline::Analysis;
 use sdfmem::sched::{apgan, dppo};
@@ -89,6 +89,67 @@ fn nonshared_plans_execute_clean_on_every_graph() {
             "{}",
             graph.name()
         );
+    }
+}
+
+/// The oracle's reports are pinned: firings and the peak live words of
+/// the shared plan and of the non-shared DPPO/APGAN plan on every
+/// registry graph. A change to how the interpreter tracks its live set
+/// must leave each `ExecReport` exactly as it was.
+#[test]
+fn exec_reports_are_pinned_on_the_registry() {
+    // (graph, firings, shared peak words, non-shared peak words)
+    const PINNED: [(&str, u64, u64, u64); 21] = [
+        ("nqmf23_4d", 322, 42, 42),
+        ("qmf23_2d", 42, 20, 26),
+        ("qmf23_3d", 162, 58, 61),
+        ("qmf12_2d", 24, 7, 7),
+        ("qmf12_3d", 64, 16, 16),
+        ("qmf12_5d", 384, 56, 88),
+        ("qmf235_2d", 90, 50, 55),
+        ("qmf235_3d", 550, 236, 360),
+        ("qmf235_5d", 18750, 5780, 7120),
+        ("satrec", 4515, 262, 262),
+        ("16qamModem", 86, 33, 34),
+        ("4pamxmitrec", 49, 18, 18),
+        ("blockVox", 524, 320, 384),
+        ("overAddFFT", 262, 768, 768),
+        ("phasedArray", 2499, 128, 128),
+        ("cd2dat", 612, 257, 257),
+        ("dat2cd", 612, 257, 259),
+        ("anatree_3d", 40, 22, 28),
+        ("spectrum", 325, 128, 128),
+        ("homog_4x4", 18, 5, 5),
+        ("homog_7x5", 37, 8, 8),
+    ];
+    let mut graphs = table1_systems();
+    graphs.push(cd_dat());
+    graphs.extend(extended_systems());
+    graphs.push(homogeneous_grid(4, 4));
+    graphs.push(homogeneous_grid(7, 5));
+    assert_eq!(graphs.len(), PINNED.len());
+    for (graph, (name, firings, shared_peak, nonshared_peak)) in graphs.iter().zip(PINNED) {
+        assert_eq!(graph.name(), name);
+        let q = RepetitionsVector::compute(graph).unwrap();
+        let delays: Vec<u64> = graph.edges().map(|(_, e)| e.delay).collect();
+        let shared = Analysis::run(graph).unwrap().plan(graph).unwrap();
+        let order = apgan(graph, &q).unwrap();
+        let tree = dppo(graph, &q, &order).unwrap().tree;
+        let nonshared =
+            ExecutablePlan::lower_nonshared(graph, &q, &tree.to_looped_schedule()).unwrap();
+        for (plan, peak) in [(shared, shared_peak), (nonshared, nonshared_peak)] {
+            assert_eq!(
+                execute_plan(&plan).unwrap(),
+                ExecReport {
+                    firings,
+                    peak_live_words: peak,
+                    peak_live_bytes: peak * TOKEN_BYTES,
+                    pool_words: plan.pool_words,
+                    final_tokens: delays.clone(),
+                },
+                "{name}"
+            );
+        }
     }
 }
 

@@ -21,7 +21,9 @@ fn counter(report: &Json, name: &str) -> u64 {
 fn engine_report_json_round_trips() {
     let graph = cd_to_dat();
     let recorder = Arc::new(Recorder::new());
-    let synthesis = sdfmem::trace::scoped(&recorder, || {
+    // Serial, so a thread-scoped recorder sees the whole run. A global
+    // one would also trace the untraced run of the test beside it.
+    let synthesis = sdfmem::trace::scoped_thread(&recorder, || {
         AnalysisBuilder::new().parallel(false).run_full(&graph)
     })
     .expect("engine");
@@ -95,7 +97,7 @@ fn untraced_report_has_empty_counters_object() {
 fn chrome_trace_round_trips_with_nested_candidate_spans() {
     let graph = cd_to_dat();
     let recorder = Arc::new(Recorder::new());
-    sdfmem::trace::scoped(&recorder, || {
+    sdfmem::trace::scoped_thread(&recorder, || {
         AnalysisBuilder::new().parallel(false).run_full(&graph)
     })
     .expect("engine");
