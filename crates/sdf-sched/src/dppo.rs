@@ -100,6 +100,7 @@ pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -
         // on this counter.
         sdf_trace::counter_add("sched.dppo.split_probes", solver.borrow().probes());
         sdf_trace::counter_add("sched.dppo.fallbacks", u64::from(fell_back));
+        sdf_trace::counter_add("sched.dppo.floor_stops", solver.borrow().floor_stops());
     }
     DppoResult { tree, bufmem }
 }

@@ -161,6 +161,7 @@ pub fn sdppo_from_tables(
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
         sdf_trace::counter_add("sched.sdppo.split_probes", solver.borrow().probes());
         sdf_trace::counter_add("sched.sdppo.splits_pruned", solver.borrow().pruned());
+        sdf_trace::counter_add("sched.sdppo.floor_stops", solver.borrow().floor_stops());
         // Factored decisions the schedule actually takes (one candidate
         // per tree split), not a census of the whole table.
         sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits.get());

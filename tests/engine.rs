@@ -608,32 +608,36 @@ fn dppo_fallbacks_count_abandoned_scans() {
     }
 }
 
-/// `(graph, order, sdppo split_probes, sdppo splits_pruned, dppo
-/// split_probes, dppo fallbacks)` of the default windowed DPs.  A cell's
-/// work depends only on its children, so neither the fill order nor the
-/// cost of a probe may move these; only a change to what is probed or
-/// pruned may, and it must say so.
-const WORK_COUNTS: &[(&str, &str, u64, u64, u64, u64)] = &[
-    ("scale_chain_64", "rpmc", 43185, 495, 657, 0),
-    ("scale_chain_64", "apgan", 43185, 495, 657, 0),
-    ("scale_tree_64", "rpmc", 29069, 191, 841, 0),
-    ("scale_tree_64", "apgan", 28613, 647, 777, 0),
-    ("scale_dag_64", "rpmc", 43185, 495, 657, 0),
-    ("scale_dag_64", "apgan", 43185, 495, 657, 0),
-    ("scale_chain_128", "rpmc", 348389, 1115, 1641, 0),
-    ("scale_chain_128", "apgan", 348389, 1115, 1641, 0),
-    ("scale_tree_128", "rpmc", 287226, 754, 3622, 0),
-    ("scale_tree_128", "apgan", 280392, 7588, 2976, 0),
-    ("scale_dag_128", "rpmc", 348389, 1115, 1641, 0),
-    ("scale_dag_128", "apgan", 348389, 1115, 1641, 0),
-    ("scale_chain_160", "rpmc", 681215, 1425, 2229, 0),
-    ("scale_chain_160", "apgan", 681215, 1425, 2229, 0),
-    ("scale_tree_160", "rpmc", 287226, 754, 3622, 0),
-    ("scale_tree_160", "apgan", 280392, 7588, 2976, 0),
-    ("scale_dag_160", "rpmc", 681215, 1425, 2229, 0),
-    ("scale_dag_160", "apgan", 681215, 1425, 2229, 0),
-    ("qmf235_5d", "rpmc", 1081321, 26093, 1106335, 1),
-    ("qmf235_5d", "apgan", 972523, 134891, 1099089, 1),
+type WorkRow = (&'static str, &'static str, u64, u64, u64, u64, u64, u64);
+
+/// `(graph, order, sdppo split_probes, sdppo splits_pruned, sdppo
+/// floor_stops, dppo split_probes, dppo fallbacks, dppo floor_stops)` of
+/// the default windowed DPs.  A cell's work depends only on the values of
+/// the cells it contains, so neither the fill order nor the cost of a probe
+/// may move these; only a change to what is probed, pruned or floored may,
+/// and it must say so.
+#[rustfmt::skip]
+const WORK_COUNTS: &[WorkRow] = &[
+    ("scale_chain_64", "rpmc", 24904, 18776, 1425, 657, 0, 0),
+    ("scale_chain_64", "apgan", 24904, 18776, 1425, 657, 0, 0),
+    ("scale_tree_64", "rpmc", 15439, 13821, 1099, 841, 0, 0),
+    ("scale_tree_64", "apgan", 13533, 15727, 1079, 777, 0, 0),
+    ("scale_dag_64", "rpmc", 25105, 18575, 1415, 657, 0, 0),
+    ("scale_dag_64", "apgan", 25105, 18575, 1415, 657, 0, 0),
+    ("scale_chain_128", "rpmc", 169166, 180338, 6855, 1641, 0, 0),
+    ("scale_chain_128", "apgan", 169166, 180338, 6855, 1641, 0, 0),
+    ("scale_tree_128", "rpmc", 114797, 173183, 6146, 3622, 0, 0),
+    ("scale_tree_128", "apgan", 107828, 180152, 6048, 2976, 0, 0),
+    ("scale_dag_128", "rpmc", 171043, 178461, 6840, 1641, 0, 0),
+    ("scale_dag_128", "apgan", 171043, 178461, 6840, 1641, 0, 0),
+    ("scale_chain_160", "rpmc", 317065, 365575, 11102, 2229, 0, 0),
+    ("scale_chain_160", "apgan", 317065, 365575, 11102, 2229, 0, 0),
+    ("scale_tree_160", "rpmc", 114797, 173183, 6146, 3622, 0, 0),
+    ("scale_tree_160", "apgan", 107828, 180152, 6048, 2976, 0, 0),
+    ("scale_dag_160", "rpmc", 282681, 399959, 11097, 2229, 0, 0),
+    ("scale_dag_160", "apgan", 282681, 399959, 11097, 2229, 0, 0),
+    ("qmf235_5d", "rpmc", 587714, 519700, 15225, 585452, 1, 14941),
+    ("qmf235_5d", "apgan", 296646, 810768, 15648, 281297, 1, 15634),
 ];
 
 #[test]
@@ -657,14 +661,16 @@ fn dp_work_counts_are_pinned() {
                 name,
                 sdppo("sched.sdppo.split_probes"),
                 sdppo("sched.sdppo.splits_pruned"),
+                sdppo("sched.sdppo.floor_stops"),
                 dppo("sched.dppo.split_probes"),
                 dppo("sched.dppo.fallbacks"),
+                dppo("sched.dppo.floor_stops"),
             ));
         }
     }
     let pinned: Vec<_> = WORK_COUNTS
         .iter()
-        .map(|&(g, o, a, b, c, d)| (g.to_string(), o, a, b, c, d))
+        .map(|&(g, o, a, b, c, d, e, f)| (g.to_string(), o, a, b, c, d, e, f))
         .collect();
     assert_eq!(rows, pinned);
 }
