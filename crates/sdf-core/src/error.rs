@@ -53,6 +53,13 @@ pub enum SdfError {
     /// An exact integer quantity the analysis needs (such as a
     /// repetitions count) does not fit in a `u64`.
     Overflow(String),
+    /// A text input is malformed; [`crate::lex`] has the grammar.
+    Parse {
+        /// The 1-based line of the fault.
+        line: usize,
+        /// What is wrong, then (usually) the line as written.
+        message: String,
+    },
 }
 
 impl fmt::Display for SdfError {
@@ -89,6 +96,7 @@ impl fmt::Display for SdfError {
                 write!(f, "schedule is not single-appearance for actor {a}")
             }
             SdfError::Overflow(what) => write!(f, "arithmetic overflow: {what}"),
+            SdfError::Parse { line, message } => write!(f, "line {line}: {message}"),
         }
     }
 }

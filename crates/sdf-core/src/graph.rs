@@ -123,6 +123,11 @@ impl SdfGraph {
         &self.name
     }
 
+    /// Renames the graph (a `graph` line may follow its first edges).
+    pub(crate) fn set_name(&mut self, name: &str) {
+        self.name = name.to_string();
+    }
+
     /// Adds an actor and returns its id.
     pub fn add_actor(&mut self, name: impl Into<String>) -> ActorId {
         let id = ActorId::from_index(self.actor_names.len());

@@ -13,12 +13,14 @@
 //! ```
 //!
 //! `edge SRC SNK PROD CONS [delay D]` — actors may also be declared
-//! implicitly by their first use in an `edge` line.
+//! implicitly by their first use in an `edge` line. Comments, words and
+//! numbers follow the line grammar of [`crate::lex`].
 
 use std::fmt::Write as _;
 
 use crate::error::SdfError;
 use crate::graph::SdfGraph;
+use crate::lex::{self, Line};
 
 /// Serialises a graph to the text format.
 ///
@@ -70,75 +72,62 @@ pub fn to_text(graph: &SdfGraph) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`SdfError::InvalidSchedule`] (reused as the generic parse-error
-/// carrier) with a line-numbered message for malformed input, and
-/// [`SdfError::ZeroRate`] via graph construction for zero rates.
+/// [`SdfError::Parse`] with the line number on the first malformed line
+/// (the grammar is in [`crate::lex`]), and [`SdfError::ZeroRate`] via
+/// graph construction for zero rates.
 pub fn parse_graph(text: &str) -> Result<SdfGraph, SdfError> {
-    let mut graph = SdfGraph::new("unnamed");
-    let mut named = false;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut words = line.split_whitespace();
-        let keyword = words.next().expect("nonempty line has a first word");
-        let parse_err =
-            |msg: &str| SdfError::InvalidSchedule(format!("line {}: {msg}: {raw:?}", lineno + 1));
+    let mut builder = GraphBuilder::new("unnamed", false);
+    for (keyword, mut line) in lex::lines(text) {
+        builder.line(keyword, &mut line)?;
+    }
+    Ok(builder.graph)
+}
+
+/// Builds a graph one `graph`/`actor`/`edge` line at a time: the body of
+/// [`parse_graph`], and of every mode section of a `.sdfm` file.
+pub(crate) struct GraphBuilder {
+    /// The graph built so far.
+    pub(crate) graph: SdfGraph,
+    named: bool,
+}
+
+impl GraphBuilder {
+    /// An empty graph called `name`; `named` when a `graph` line would
+    /// be a duplicate.
+    pub(crate) fn new(name: &str, named: bool) -> Self {
+        let graph = SdfGraph::new(name);
+        GraphBuilder { graph, named }
+    }
+
+    /// Adds the line that starts with `keyword`.
+    pub(crate) fn line(&mut self, keyword: &str, line: &mut Line<'_>) -> Result<(), SdfError> {
         match keyword {
             "graph" => {
-                let name = words
-                    .next()
-                    .ok_or_else(|| parse_err("missing graph name"))?;
-                if named {
-                    return Err(parse_err("duplicate graph declaration"));
+                let name = line.word("missing graph name")?;
+                if self.named {
+                    return Err(line.error("duplicate graph declaration"));
                 }
-                graph = rename(graph, name);
-                named = true;
+                self.graph.set_name(name);
+                self.named = true;
             }
             "actor" => {
-                let name = words
-                    .next()
-                    .ok_or_else(|| parse_err("missing actor name"))?;
-                if graph.actor_by_name(name).is_some() {
-                    return Err(parse_err("duplicate actor"));
+                let name = line.word("missing actor name")?;
+                if self.graph.actor_by_name(name).is_some() {
+                    return Err(line.error("duplicate actor"));
                 }
-                graph.add_actor(name);
+                self.graph.add_actor(name);
             }
             "edge" => {
-                let src = words.next().ok_or_else(|| parse_err("missing source"))?;
-                let snk = words.next().ok_or_else(|| parse_err("missing sink"))?;
-                let prod: u64 = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| parse_err("missing/bad production rate"))?;
-                let cons: u64 = words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| parse_err("missing/bad consumption rate"))?;
-                let delay = match words.next() {
-                    None => 0,
-                    Some("delay") => words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| parse_err("missing/bad delay value"))?,
-                    Some(_) => return Err(parse_err("expected `delay D` or end of line")),
-                };
-                if words.next().is_some() {
-                    return Err(parse_err("trailing tokens"));
-                }
-                let s = graph
-                    .actor_by_name(src)
-                    .unwrap_or_else(|| graph.add_actor(src));
-                let t = graph
-                    .actor_by_name(snk)
-                    .unwrap_or_else(|| graph.add_actor(snk));
-                graph.add_edge_with_delay(s, t, prod, cons, delay)?;
+                let (src, snk, prod, cons, delay) = line.edge()?;
+                let g = &mut self.graph;
+                let s = g.actor_by_name(src).unwrap_or_else(|| g.add_actor(src));
+                let t = g.actor_by_name(snk).unwrap_or_else(|| g.add_actor(snk));
+                g.add_edge_with_delay(s, t, prod, cons, delay)?;
             }
-            other => return Err(parse_err(&format!("unknown keyword `{other}`"))),
+            other => return Err(line.error(format_args!("unknown keyword `{other}`"))),
         }
+        Ok(())
     }
-    Ok(graph)
 }
 
 /// Serialises a graph to Graphviz DOT, with rates and delays as edge
@@ -183,19 +172,6 @@ pub fn to_dot(graph: &SdfGraph) -> String {
     }
     out.push_str("}\n");
     out
-}
-
-/// Rebuilds `graph` under a new name (names are immutable on [`SdfGraph`]).
-fn rename(graph: SdfGraph, name: &str) -> SdfGraph {
-    let mut g = SdfGraph::new(name);
-    for a in graph.actors() {
-        g.add_actor(graph.actor_name(a));
-    }
-    for (_, e) in graph.edges() {
-        g.add_edge_with_delay(e.src, e.snk, e.prod, e.cons, e.delay)
-            .expect("edges of a valid graph stay valid");
-    }
-    g
 }
 
 #[cfg(test)]
@@ -256,7 +232,7 @@ edge B C 1 3
     #[test]
     fn errors_are_line_numbered() {
         let err = parse_graph("graph t\nedge A\n").unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(matches!(err, SdfError::Parse { line: 2, .. }), "{err}");
         assert!(parse_graph("bogus X\n").is_err());
         assert!(parse_graph("edge A B 1\n").is_err());
         assert!(parse_graph("edge A B 1 2 delay\n").is_err());

@@ -50,6 +50,7 @@ pub mod error;
 pub mod graph;
 pub mod hof;
 pub mod io;
+pub mod lex;
 pub mod math;
 pub mod mode;
 pub mod rational;

@@ -36,13 +36,15 @@
 //! `modegraph NAME` opens the document, `mode NAME` opens a mode
 //! section, `persistent SRC SNK` (anywhere) declares a persistent edge,
 //! and `actor`/`edge` lines inside a mode section follow the
-//! single-graph grammar exactly.
+//! single-graph grammar exactly: each section is read by the same line
+//! builder as a `.sdf` file, under the shared grammar of [`crate::lex`].
 
 use std::fmt::Write as _;
 
 use crate::error::SdfError;
 use crate::graph::{EdgeId, SdfGraph};
-use crate::io::{parse_graph, to_text};
+use crate::io::{to_text, GraphBuilder};
+use crate::lex;
 
 /// One mode of a [`ModeGraph`]: a name plus a complete SDF subgraph.
 #[derive(Clone, Debug)]
@@ -243,8 +245,9 @@ pub fn to_mode_text(mg: &ModeGraph) -> String {
 ///
 /// # Errors
 ///
-/// [`SdfError::InvalidSchedule`] with the 1-based line number on the
-/// first malformed line, and any [`ModeGraph::validate`] violation.
+/// [`SdfError::Parse`] with the 1-based line number on the first
+/// malformed line, [`SdfError::ZeroRate`] for a zero rate, and any
+/// [`ModeGraph::validate`] violation.
 ///
 /// # Examples
 ///
@@ -266,119 +269,61 @@ pub fn to_mode_text(mg: &ModeGraph) -> String {
 /// assert_eq!(to_mode_text(&parse_mode_graph(&to_mode_text(&mg)).unwrap()), to_mode_text(&mg));
 /// ```
 pub fn parse_mode_graph(text: &str) -> Result<ModeGraph, SdfError> {
-    let parse_err = |lineno: usize, msg: &str, raw: &str| -> SdfError {
-        SdfError::InvalidSchedule(format!("line {}: {msg}: {raw:?}", lineno + 1))
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let mut name: Option<String> = None;
-    let mut persistent: Vec<PersistentEdge> = Vec::new();
-    // Each mode: (header line number, mode name, masked source lines).
-    let mut sections: Vec<(usize, String, Vec<String>)> = Vec::new();
-    for (lineno, raw) in lines.iter().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut tokens = line.split_whitespace();
-        let keyword = tokens.next().expect("non-empty line has a token");
+    // `mg` is named by its `modegraph` line; `section` is the open mode
+    // section, as its header's line number and its graph so far.
+    let mut mg = ModeGraph::new("");
+    let mut section: Option<(usize, GraphBuilder)> = None;
+    for (keyword, mut line) in lex::lines(text) {
         match keyword {
             "modegraph" => {
-                if name.is_some() {
-                    return Err(parse_err(lineno, "duplicate modegraph line", raw));
+                if !mg.name.is_empty() {
+                    return Err(line.error("duplicate modegraph line"));
                 }
-                if !sections.is_empty() {
-                    return Err(parse_err(
-                        lineno,
-                        "modegraph must precede mode sections",
-                        raw,
-                    ));
-                }
-                let n = tokens
-                    .next()
-                    .ok_or_else(|| parse_err(lineno, "modegraph needs a name", raw))?;
-                if tokens.next().is_some() {
-                    return Err(parse_err(
-                        lineno,
-                        "trailing tokens after modegraph name",
-                        raw,
-                    ));
-                }
-                name = Some(n.to_string());
+                mg.name = line.word("modegraph needs a name")?.to_string();
+                line.end("trailing tokens after modegraph name")?;
             }
             "persistent" => {
-                let src = tokens
-                    .next()
-                    .ok_or_else(|| parse_err(lineno, "persistent needs SRC SNK", raw))?;
-                let snk = tokens
-                    .next()
-                    .ok_or_else(|| parse_err(lineno, "persistent needs SRC SNK", raw))?;
-                if tokens.next().is_some() {
-                    return Err(parse_err(
-                        lineno,
-                        "trailing tokens after persistent edge",
-                        raw,
-                    ));
-                }
-                persistent.push(PersistentEdge {
-                    src: src.to_string(),
-                    snk: snk.to_string(),
-                });
+                let src = line.word("persistent needs SRC SNK")?;
+                let snk = line.word("persistent needs SRC SNK")?;
+                line.end("trailing tokens after persistent edge")?;
+                mg.add_persistent(src, snk);
             }
             "mode" => {
-                if name.is_none() {
-                    return Err(parse_err(lineno, "mode section before modegraph line", raw));
+                if mg.name.is_empty() {
+                    return Err(line.error("mode section before modegraph line"));
                 }
-                let n = tokens
-                    .next()
-                    .ok_or_else(|| parse_err(lineno, "mode needs a name", raw))?;
-                if tokens.next().is_some() {
-                    return Err(parse_err(lineno, "trailing tokens after mode name", raw));
-                }
-                // The section's masked source: blank up to the header so
-                // the delegated parser reports original line numbers.
-                let mut masked = vec![String::new(); lineno];
-                masked.push(format!("graph {n}"));
-                sections.push((lineno, n.to_string(), masked));
+                let name = line.word("mode needs a name")?;
+                line.end("trailing tokens after mode name")?;
+                let next = (line.number, GraphBuilder::new(name, true));
+                close(&mut mg, section.replace(next))?;
             }
-            _ => {
-                // Everything else (actor/edge/garbage) belongs to the
-                // current mode section and is judged by the single-graph
-                // parser — with original line numbers, thanks to the
-                // blank-line padding.
-                let Some((_, _, masked)) = sections.last_mut() else {
-                    return Err(parse_err(
-                        lineno,
-                        "graph line outside any mode section",
-                        raw,
-                    ));
-                };
-                while masked.len() < lineno {
-                    masked.push(String::new());
-                }
-                masked.push((*raw).to_string());
-            }
+            _ => match &mut section {
+                Some((_, builder)) => builder.line(keyword, &mut line)?,
+                None => return Err(line.error("graph line outside any mode section")),
+            },
         }
     }
-    let Some(name) = name else {
-        return Err(SdfError::InvalidSchedule(
-            "empty mode graph: expected a modegraph line".to_string(),
-        ));
-    };
-    let mut mg = ModeGraph::new(name);
-    mg.persistent = persistent;
-    for (lineno, mode_name, masked) in sections {
-        let graph = parse_graph(&masked.join("\n"))?;
-        if graph.edge_count() == 0 && graph.actor_count() == 0 {
-            return Err(SdfError::InvalidSchedule(format!(
-                "line {}: mode {:?} is empty",
-                lineno + 1,
-                mode_name
-            )));
+    if mg.name.is_empty() {
+        return Err(SdfError::Parse {
+            line: 1,
+            message: "empty mode graph: expected a modegraph line".to_string(),
+        });
+    }
+    close(&mut mg, section)?;
+    mg.validate()?;
+    Ok(mg)
+}
+
+/// Adds a finished mode section, refusing one without an actor.
+fn close(mg: &mut ModeGraph, section: Option<(usize, GraphBuilder)>) -> Result<(), SdfError> {
+    if let Some((line, GraphBuilder { graph, .. })) = section {
+        if graph.actor_count() == 0 {
+            let message = format!("mode {:?} is empty", graph.name());
+            return Err(SdfError::Parse { line, message });
         }
         mg.add_mode(graph);
     }
-    mg.validate()?;
-    Ok(mg)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -423,8 +368,8 @@ mod tests {
     #[test]
     fn errors_carry_original_line_numbers() {
         let text = "modegraph t\nmode one\nedge a b 1 1\nedge a b nope 1\n";
-        let e = parse_mode_graph(text).unwrap_err().to_string();
-        assert!(e.contains("line 4"), "{e}");
+        let e = parse_mode_graph(text).unwrap_err();
+        assert!(matches!(e, SdfError::Parse { line: 4, .. }), "{e}");
     }
 
     #[test]

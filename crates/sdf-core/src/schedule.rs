@@ -11,6 +11,7 @@ use std::fmt;
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, SdfGraph};
+use crate::lex::{self, Line};
 use crate::repetitions::RepetitionsVector;
 
 /// One element of a looped schedule body.
@@ -96,21 +97,19 @@ impl LoopedSchedule {
     ///
     /// # Errors
     ///
-    /// Returns [`SdfError::InvalidSchedule`] on malformed input or unknown
-    /// actor names.
+    /// Returns [`SdfError::Parse`] on malformed input, unknown actor names,
+    /// a zero loop count, or counts written together (`n(m …)`, or
+    /// `(m nX)` folded into one firing) whose product passes `u64::MAX`.
     pub fn parse(text: &str, graph: &SdfGraph) -> Result<Self, SdfError> {
         let mut parser = Parser {
-            chars: text.chars().collect(),
+            text,
             pos: 0,
             graph,
         };
         let body = parser.parse_sequence()?;
-        parser.skip_ws();
-        if parser.pos != parser.chars.len() {
-            return Err(SdfError::InvalidSchedule(format!(
-                "unexpected trailing input at offset {}",
-                parser.pos
-            )));
+        if parser.peek().is_some() {
+            let offset = text[..parser.pos].chars().count();
+            return Err(parser.error(format_args!("unexpected trailing input at offset {offset}")));
         }
         Ok(LoopedSchedule { body })
     }
@@ -319,29 +318,37 @@ impl LoopedSchedule {
 }
 
 struct Parser<'a> {
-    chars: Vec<char>,
+    text: &'a str,
+    /// Byte offset of the next unread character.
     pos: usize,
     graph: &'a SdfGraph,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
-            self.pos += 1;
-        }
+impl<'a> Parser<'a> {
+    fn peek(&mut self) -> Option<char> {
+        let rest = &self.text[self.pos..];
+        self.pos += rest.len() - rest.trim_start().len();
+        self.text[self.pos..].chars().next()
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.get(self.pos).copied()
+    /// Consumes and returns the longest run of characters that satisfy `f`.
+    fn take_while(&mut self, f: impl Fn(char) -> bool) -> &'a str {
+        let rest = &self.text[self.pos..];
+        let len = rest.find(|c| !f(c)).unwrap_or(rest.len());
+        self.pos += len;
+        &rest[..len]
+    }
+
+    /// A parse error at the current position, on the line it falls in.
+    fn error(&self, message: impl fmt::Display) -> SdfError {
+        let line = self.text[..self.pos].matches('\n').count();
+        let raw = self.text.lines().nth(line).unwrap_or_default();
+        Line::new(line + 1, raw).error(message)
     }
 
     fn parse_sequence(&mut self) -> Result<Vec<ScheduleNode>, SdfError> {
         let mut nodes = Vec::new();
-        while let Some(c) = self.peek() {
-            if c == ')' {
-                break;
-            }
+        while self.peek().is_some_and(|c| c != ')') {
             nodes.push(self.parse_term()?);
         }
         Ok(nodes)
@@ -358,63 +365,45 @@ impl Parser<'_> {
                 let inner = self.parse_count()?;
                 let body = self.parse_sequence()?;
                 if self.peek() != Some(')') {
-                    return Err(SdfError::InvalidSchedule(
-                        "missing closing parenthesis".into(),
-                    ));
+                    return Err(self.error("missing closing parenthesis"));
                 }
                 self.pos += 1;
                 if body.is_empty() {
-                    return Err(SdfError::InvalidSchedule("empty loop body".into()));
+                    return Err(self.error("empty loop body"));
                 }
-                let count = prefix * inner;
+                let overflow = || self.error("loop count overflows u64");
+                let count = prefix.checked_mul(inner).ok_or_else(overflow)?;
                 // Collapse `(n X)` into a counted firing.
-                if body.len() == 1 {
-                    if let ScheduleNode::Fire { actor, count: c } = body[0] {
-                        return Ok(ScheduleNode::fire_n(actor, count * c));
-                    }
+                if let [ScheduleNode::Fire { actor, count: c }] = body[..] {
+                    let fired = count.checked_mul(c).ok_or_else(overflow)?;
+                    return Ok(ScheduleNode::fire_n(actor, fired));
                 }
                 Ok(ScheduleNode::loop_of(count, body))
             }
             Some(c) if c.is_alphabetic() || c == '_' => {
-                let name = self.parse_name();
-                let actor = self.graph.actor_by_name(&name).ok_or_else(|| {
-                    SdfError::InvalidSchedule(format!("unknown actor \"{name}\""))
-                })?;
+                let name = self.take_while(|c| c.is_alphanumeric() || c == '_');
+                let actor = self
+                    .graph
+                    .actor_by_name(name)
+                    .ok_or_else(|| self.error(format_args!("unknown actor \"{name}\"")))?;
                 Ok(ScheduleNode::fire_n(actor, prefix))
             }
-            other => Err(SdfError::InvalidSchedule(format!(
-                "expected actor or loop, found {other:?}"
-            ))),
+            other => Err(self.error(format_args!("expected actor or loop, found {other:?}"))),
         }
     }
 
+    /// An optional loop count: 1 when absent, a checked nonzero `u64`.
     fn parse_count(&mut self) -> Result<u64, SdfError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.chars.len() && self.chars[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if start == self.pos {
+        self.peek(); // skips whitespace
+        let digits = self.take_while(|c| c.is_ascii_digit());
+        if digits.is_empty() {
             return Ok(1);
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        let value: u64 = text
-            .parse()
-            .map_err(|_| SdfError::InvalidSchedule(format!("bad loop count \"{text}\"")))?;
-        if value == 0 {
-            return Err(SdfError::InvalidSchedule("loop count of zero".into()));
+        match lex::parse_u64(digits, "loop count") {
+            Ok(0) => Err(self.error("loop count of zero")),
+            Ok(value) => Ok(value),
+            Err(message) => Err(self.error(message)),
         }
-        Ok(value)
-    }
-
-    fn parse_name(&mut self) -> String {
-        let start = self.pos;
-        while self.pos < self.chars.len()
-            && (self.chars[self.pos].is_alphanumeric() || self.chars[self.pos] == '_')
-        {
-            self.pos += 1;
-        }
-        self.chars[start..self.pos].iter().collect()
     }
 }
 
@@ -757,7 +746,7 @@ mod tests {
         let (g, _) = fig2();
         assert!(matches!(
             LoopedSchedule::parse("A Z", &g),
-            Err(SdfError::InvalidSchedule(_))
+            Err(SdfError::Parse { line: 1, .. })
         ));
     }
 

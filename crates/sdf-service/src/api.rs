@@ -912,7 +912,7 @@ pub fn parse_graph_input(text: &str) -> Result<SdfGraph, ServiceError> {
 ///
 /// [`ErrorCode::ParseError`] when any line fails to parse.
 pub fn parse_edits_input(text: &str) -> Result<EditScript, ServiceError> {
-    EditScript::parse(text).map_err(|e| ServiceError::parse("edits", e))
+    EditScript::parse(text).map_err(|e| ServiceError::parse("edits", e.to_string()))
 }
 
 /// Parses mode-graph text, mapping failures to the service's typed

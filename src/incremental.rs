@@ -31,6 +31,7 @@ use std::fmt;
 
 use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
+use sdf_core::lex::{self, Line};
 
 /// One edit against the current graph. Edges are addressed by endpoint
 /// actor names plus an `ordinal` — the index among parallel edges with
@@ -96,64 +97,53 @@ impl EditOp {
     /// remove-edge SRC SNK [@ORD]
     /// ```
     ///
+    /// Words, numbers and `delay D` follow [`sdf_core::lex`]; `add-edge`
+    /// reads its operands as a graph file's `edge` line does.
+    ///
     /// # Errors
     ///
-    /// A human-readable message naming the malformed token.
-    pub fn parse(line: &str) -> Result<EditOp, String> {
-        let words: Vec<&str> = line.split_whitespace().collect();
-        let err = |msg: String| format!("{msg}: {line:?}");
-        let int = |w: &str, what: &str| -> Result<u64, String> {
-            w.parse().map_err(|_| err(format!("bad {what} `{w}`")))
-        };
-        let ordinal = |w: Option<&&str>| -> Result<usize, String> {
-            match w {
-                None => Ok(0),
-                Some(w) => w
-                    .strip_prefix('@')
-                    .and_then(|o| o.parse().ok())
-                    .ok_or_else(|| err(format!("expected `@ORD`, got `{w}`"))),
+    /// [`SdfError::Parse`] on line 1, naming the malformed token.
+    pub fn parse(line: &str) -> Result<EditOp, SdfError> {
+        let mut line = Line::new(1, line);
+        let keyword = line.word("empty edit")?;
+        EditOp::from_line(keyword, &mut line)
+    }
+
+    /// Parses the rest of an edit line that starts with `keyword`.
+    fn from_line(keyword: &str, line: &mut Line<'_>) -> Result<EditOp, SdfError> {
+        const ARITY: &str = "expected set-rate/set-delay/add-edge/remove-edge with their operands";
+        Ok(match keyword {
+            "set-rate" => EditOp::SetRate {
+                src: line.word(ARITY)?.to_string(),
+                snk: line.word(ARITY)?.to_string(),
+                prod: line.u64("production rate")?,
+                cons: line.u64("consumption rate")?,
+                ordinal: line.ordinal(ARITY)?,
+            },
+            "set-delay" => EditOp::SetDelay {
+                src: line.word(ARITY)?.to_string(),
+                snk: line.word(ARITY)?.to_string(),
+                delay: line.u64("delay")?,
+                ordinal: line.ordinal(ARITY)?,
+            },
+            "add-edge" => {
+                let (src, snk, prod, cons, delay) = line.edge()?;
+                let (src, snk) = (src.to_string(), snk.to_string());
+                EditOp::AddEdge {
+                    src,
+                    snk,
+                    prod,
+                    cons,
+                    delay,
+                }
             }
-        };
-        match words.as_slice() {
-            ["set-rate", src, snk, prod, cons, rest @ ..] if rest.len() <= 1 => {
-                Ok(EditOp::SetRate {
-                    src: src.to_string(),
-                    snk: snk.to_string(),
-                    ordinal: ordinal(rest.first())?,
-                    prod: int(prod, "production rate")?,
-                    cons: int(cons, "consumption rate")?,
-                })
-            }
-            ["set-delay", src, snk, delay, rest @ ..] if rest.len() <= 1 => Ok(EditOp::SetDelay {
-                src: src.to_string(),
-                snk: snk.to_string(),
-                ordinal: ordinal(rest.first())?,
-                delay: int(delay, "delay")?,
-            }),
-            ["add-edge", src, snk, prod, cons] => Ok(EditOp::AddEdge {
-                src: src.to_string(),
-                snk: snk.to_string(),
-                prod: int(prod, "production rate")?,
-                cons: int(cons, "consumption rate")?,
-                delay: 0,
-            }),
-            ["add-edge", src, snk, prod, cons, "delay", delay] => Ok(EditOp::AddEdge {
-                src: src.to_string(),
-                snk: snk.to_string(),
-                prod: int(prod, "production rate")?,
-                cons: int(cons, "consumption rate")?,
-                delay: int(delay, "delay")?,
-            }),
-            ["remove-edge", src, snk, rest @ ..] if rest.len() <= 1 => Ok(EditOp::RemoveEdge {
-                src: src.to_string(),
-                snk: snk.to_string(),
-                ordinal: ordinal(rest.first())?,
-            }),
-            [] => Err(err("empty edit".to_string())),
-            _ => Err(err(
-                "expected set-rate/set-delay/add-edge/remove-edge with their operands".to_string(),
-            )),
-        }
+            "remove-edge" => EditOp::RemoveEdge {
+                src: line.word(ARITY)?.to_string(),
+                snk: line.word(ARITY)?.to_string(),
+                ordinal: line.ordinal(ARITY)?,
+            },
+            _ => return Err(line.error(ARITY)),
+        })
     }
 }
 
@@ -218,17 +208,12 @@ impl EditScript {
     ///
     /// # Errors
     ///
-    /// The first malformed line's [`EditOp::parse`] message, prefixed
-    /// with its 1-based line number.
-    pub fn parse(text: &str) -> Result<EditScript, String> {
-        let mut ops = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            ops.push(EditOp::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-        }
+    /// The first malformed line's [`EditOp::parse`] error, at its own
+    /// 1-based line number.
+    pub fn parse(text: &str) -> Result<EditScript, SdfError> {
+        let ops = lex::lines(text)
+            .map(|(keyword, mut line)| EditOp::from_line(keyword, &mut line))
+            .collect::<Result<_, _>>()?;
         Ok(EditScript { ops })
     }
 
@@ -260,8 +245,8 @@ impl fmt::Display for EditScript {
 ///
 /// # Errors
 ///
-/// [`SdfError::InvalidSchedule`] (the crate's generic carrier) when an
-/// edit names a nonexistent edge or an out-of-range ordinal;
+/// [`SdfError::InvalidSchedule`] when an edit names a nonexistent edge
+/// or an out-of-range ordinal;
 /// [`SdfError::ZeroRate`] when a rate edit writes a zero rate.
 pub fn apply_edits(base: &SdfGraph, script: &EditScript) -> Result<SdfGraph, SdfError> {
     #[derive(Clone)]
