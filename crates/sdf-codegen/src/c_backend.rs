@@ -11,10 +11,10 @@ use std::fmt::Write as _;
 
 use crate::plan::{ExecutablePlan, MemoryModel, PlanActor, PlanOp};
 
-/// Sanitises a name into a C identifier (alphanumerics and underscores,
-/// never starting with a digit).
-pub(crate) fn c_ident(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
+/// Appends `name` sanitised into a C identifier (alphanumerics and
+/// underscores, never starting with a digit).
+fn push_c_ident(out: &mut String, name: &str) {
+    let empty = out.len();
     for (i, ch) in name.chars().enumerate() {
         if ch.is_ascii_alphanumeric() || ch == '_' {
             if i == 0 && ch.is_ascii_digit() {
@@ -25,27 +25,36 @@ pub(crate) fn c_ident(name: &str) -> String {
             out.push('_');
         }
     }
-    if out.is_empty() {
+    if out.len() == empty {
         out.push('_');
     }
-    out
 }
 
-/// The parameter list of one actor's firing function, in declaration
-/// order: `const float *in0, …, float *out0, …` (or `void`).
-fn param_list(actor: &PlanActor) -> String {
-    let mut params: Vec<String> = Vec::with_capacity(actor.inputs.len() + actor.outputs.len());
-    for i in 0..actor.inputs.len() {
-        params.push(format!("const float *in{i}"));
+/// Appends the parameter list of one actor's firing function, in
+/// declaration order: `const float *in0, …, float *out0, …` (or `void`).
+fn push_params(actor: &PlanActor, out: &mut String) {
+    if actor.inputs.is_empty() && actor.outputs.is_empty() {
+        out.push_str("void");
+        return;
     }
-    for i in 0..actor.outputs.len() {
-        params.push(format!("float *out{i}"));
+    let inputs = (0..actor.inputs.len()).map(|i| ("const float *in", i));
+    let outputs = (0..actor.outputs.len()).map(|i| ("float *out", i));
+    for (k, (param, i)) in inputs.chain(outputs).enumerate() {
+        let sep = if k == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{param}{i}");
     }
-    if params.is_empty() {
-        "void".to_string()
-    } else {
-        params.join(", ")
-    }
+}
+
+/// Appends `<prefix>fire_<actor>(<params>)<suffix>`: a firing function's
+/// declaration or definition head.
+fn push_signature(actor: &PlanActor, prefix: &str, suffix: &str, out: &mut String) {
+    out.push_str(prefix);
+    out.push_str("fire_");
+    push_c_ident(out, &actor.name);
+    out.push('(');
+    push_params(actor, out);
+    out.push(')');
+    out.push_str(suffix);
 }
 
 /// Emits the buffer declarations: one array per edge (non-shared) or
@@ -79,12 +88,7 @@ fn emit_buffers(plan: &ExecutablePlan, out: &mut String) {
 
 fn emit_actor_decls(plan: &ExecutablePlan, out: &mut String) {
     for actor in &plan.actors {
-        let _ = writeln!(
-            out,
-            "extern void fire_{}({});",
-            c_ident(&actor.name),
-            param_list(actor)
-        );
+        push_signature(actor, "extern void ", ";\n", out);
     }
 }
 
@@ -92,20 +96,14 @@ fn emit_actor_decls(plan: &ExecutablePlan, out: &mut String) {
 /// first, then outputs).
 fn emit_fire(plan: &ExecutablePlan, actor: usize, indent: usize, out: &mut String) {
     let a = &plan.actors[actor];
-    let args: Vec<String> = a
-        .inputs
-        .iter()
-        .chain(&a.outputs)
-        .map(|&b| format!("buf_e{}", plan.bindings[b].edge))
-        .collect();
-    let _ = writeln!(
-        out,
-        "{:indent$}fire_{}({});",
-        "",
-        c_ident(&a.name),
-        args.join(", "),
-        indent = indent
-    );
+    let _ = write!(out, "{:indent$}fire_", "", indent = indent);
+    push_c_ident(out, &a.name);
+    out.push('(');
+    for (k, &b) in a.inputs.iter().chain(&a.outputs).enumerate() {
+        let sep = if k == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}buf_e{}", plan.bindings[b].edge);
+    }
+    out.push_str(");\n");
 }
 
 fn emit_loop_header(depth: usize, count: u64, indent: usize, out: &mut String) {
@@ -163,12 +161,7 @@ fn emit_schedule_function(plan: &ExecutablePlan, out: &mut String) {
 
 fn emit_actor_stubs(plan: &ExecutablePlan, out: &mut String) {
     for actor in &plan.actors {
-        let _ = writeln!(
-            out,
-            "static void fire_{}({}) {{",
-            c_ident(&actor.name),
-            param_list(actor)
-        );
+        push_signature(actor, "static void ", " {\n", out);
         for i in 0..actor.inputs.len() {
             let _ = writeln!(out, "    (void)in{i};");
         }
@@ -232,6 +225,12 @@ pub fn emit_standalone_c(plan: &ExecutablePlan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn c_ident(name: &str) -> String {
+        let mut out = String::from("x");
+        push_c_ident(&mut out, name);
+        out.split_off(1)
+    }
 
     #[test]
     fn identifiers_sanitised() {

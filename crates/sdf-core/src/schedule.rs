@@ -98,19 +98,23 @@ impl LoopedSchedule {
     /// # Errors
     ///
     /// Returns [`SdfError::Parse`] on malformed input, unknown actor names,
-    /// a zero loop count, or counts written together (`n(m …)`, or
-    /// `(m nX)` folded into one firing) whose product passes `u64::MAX`.
+    /// a zero loop count, counts written together (`n(m …)`, or `(m nX)`
+    /// folded into one firing) whose product passes `u64::MAX`, or an
+    /// actor whose firings per pass (nested counts multiplied, repeated
+    /// appearances added) pass `u64::MAX`.
     pub fn parse(text: &str, graph: &SdfGraph) -> Result<Self, SdfError> {
         let mut parser = Parser {
             text,
             pos: 0,
             graph,
+            fired: vec![0; graph.actor_count()],
         };
-        let body = parser.parse_sequence()?;
+        let body = parser.parse_sequence(1)?;
         if parser.peek().is_some() {
             let offset = text[..parser.pos].chars().count();
             return Err(parser.error(format_args!("unexpected trailing input at offset {offset}")));
         }
+        parser.count_firings(1, &body)?;
         Ok(LoopedSchedule { body })
     }
 
@@ -322,6 +326,10 @@ struct Parser<'a> {
     /// Byte offset of the next unread character.
     pos: usize,
     graph: &'a SdfGraph,
+    /// Firings per pass of each actor in the loops closed so far, so
+    /// [`LoopedSchedule::firing_counts`] never overflows on a parsed
+    /// schedule.
+    fired: Vec<u64>,
 }
 
 impl<'a> Parser<'a> {
@@ -346,15 +354,32 @@ impl<'a> Parser<'a> {
         Line::new(line + 1, raw).error(message)
     }
 
-    fn parse_sequence(&mut self) -> Result<Vec<ScheduleNode>, SdfError> {
+    /// Adds the firings of `body`'s own actors to the running totals;
+    /// `mult` is the product of the enclosing loop counts, the body's own
+    /// included. Nested loops counted theirs when they closed.
+    fn count_firings(&mut self, mult: u64, body: &[ScheduleNode]) -> Result<(), SdfError> {
+        for node in body {
+            if let ScheduleNode::Fire { actor, count } = *node {
+                let total = mult
+                    .checked_mul(count)
+                    .and_then(|n| n.checked_add(self.fired[actor.index()]))
+                    .ok_or_else(|| self.error("firing count overflows u64"))?;
+                self.fired[actor.index()] = total;
+            }
+        }
+        Ok(())
+    }
+
+    /// A sequence of terms inside loops whose counts multiply to `mult`.
+    fn parse_sequence(&mut self, mult: u64) -> Result<Vec<ScheduleNode>, SdfError> {
         let mut nodes = Vec::new();
         while self.peek().is_some_and(|c| c != ')') {
-            nodes.push(self.parse_term()?);
+            nodes.push(self.parse_term(mult)?);
         }
         Ok(nodes)
     }
 
-    fn parse_term(&mut self) -> Result<ScheduleNode, SdfError> {
+    fn parse_term(&mut self, mult: u64) -> Result<ScheduleNode, SdfError> {
         // A count may prefix a loop (`2(B(2C))`) or an actor (`3A`); inside
         // parentheses a leading count is the loop count of that group
         // (`(3A)`, `(24(11(4A)B)…)`).
@@ -363,7 +388,15 @@ impl<'a> Parser<'a> {
             Some('(') => {
                 self.pos += 1;
                 let inner = self.parse_count()?;
-                let body = self.parse_sequence()?;
+                let count = prefix
+                    .checked_mul(inner)
+                    .ok_or_else(|| self.error("loop count overflows u64"))?;
+                // Every loop body that parses fires some actor, so a
+                // product past u64 means that actor fires more often.
+                let inside = mult
+                    .checked_mul(count)
+                    .ok_or_else(|| self.error("firing count overflows u64"))?;
+                let body = self.parse_sequence(inside)?;
                 if self.peek() != Some(')') {
                     return Err(self.error("missing closing parenthesis"));
                 }
@@ -371,13 +404,15 @@ impl<'a> Parser<'a> {
                 if body.is_empty() {
                     return Err(self.error("empty loop body"));
                 }
-                let overflow = || self.error("loop count overflows u64");
-                let count = prefix.checked_mul(inner).ok_or_else(overflow)?;
-                // Collapse `(n X)` into a counted firing.
+                // Collapse `(n X)` into a counted firing, which the
+                // enclosing loop counts when it closes.
                 if let [ScheduleNode::Fire { actor, count: c }] = body[..] {
-                    let fired = count.checked_mul(c).ok_or_else(overflow)?;
+                    let fired = count
+                        .checked_mul(c)
+                        .ok_or_else(|| self.error("loop count overflows u64"))?;
                     return Ok(ScheduleNode::fire_n(actor, fired));
                 }
+                self.count_firings(inside, &body)?;
                 Ok(ScheduleNode::loop_of(count, body))
             }
             Some(c) if c.is_alphabetic() || c == '_' => {

@@ -16,7 +16,7 @@ use sdf_core::graph::{EdgeId, SdfGraph};
 use sdf_core::repetitions::RepetitionsVector;
 use sdf_core::schedule::{SasNode, SasTree};
 
-use crate::wig::ConflictGraph;
+use crate::wig::{all_pairs_adjacency, sweep_adjacency, Adjacency, ConflictGraph};
 
 /// A fine-grained lifetime: an explicit, sorted, disjoint set of half-open
 /// live intervals on the schedule clock.
@@ -114,7 +114,7 @@ pub struct FineBuffer {
 #[derive(Clone, Debug)]
 pub struct FineIntersectionGraph {
     buffers: Vec<FineBuffer>,
-    adjacency: Vec<Vec<usize>>,
+    adjacency: Adjacency,
 }
 
 impl FineIntersectionGraph {
@@ -188,7 +188,7 @@ impl FineIntersectionGraph {
         let traced = sdf_trace::enabled();
         let mut edge_tests = 0u64;
         let n = buffers.len();
-        let adjacency = crate::wig::sweep_adjacency(
+        let adjacency = sweep_adjacency(
             n,
             |i| buffers[i].lifetime.start(),
             |i| buffers[i].lifetime.end(),
@@ -201,8 +201,7 @@ impl FineIntersectionGraph {
         );
         if traced {
             sdf_trace::counter_add("lifetime.fine.edge_tests", edge_tests);
-            let conflicts = adjacency.iter().map(Vec::len).sum::<usize>() as u64 / 2;
-            sdf_trace::counter_add("lifetime.fine.conflicts", conflicts);
+            sdf_trace::counter_add("lifetime.fine.conflicts", adjacency.edge_count() as u64);
         }
         FineIntersectionGraph { buffers, adjacency }
     }
@@ -211,16 +210,9 @@ impl FineIntersectionGraph {
     /// [`FineIntersectionGraph::from_fine_buffers`], kept public as the
     /// sweep's executable specification for equivalence tests.
     pub fn from_fine_buffers_all_pairs(buffers: Vec<FineBuffer>) -> Self {
-        let n = buffers.len();
-        let mut adjacency = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if buffers[i].lifetime.intersects(&buffers[j].lifetime) {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                }
-            }
-        }
+        let adjacency = all_pairs_adjacency(buffers.len(), |i, j| {
+            buffers[i].lifetime.intersects(&buffers[j].lifetime)
+        });
         FineIntersectionGraph { buffers, adjacency }
     }
 
@@ -354,7 +346,7 @@ impl ConflictGraph for FineIntersectionGraph {
     }
 
     fn conflicts(&self, index: usize) -> &[usize] {
-        &self.adjacency[index]
+        self.adjacency.neighbours(index)
     }
 }
 

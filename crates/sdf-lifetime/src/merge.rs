@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use sdf_core::graph::{ActorId, EdgeId, SdfGraph};
 
-use crate::wig::{ConflictGraph, IntersectionGraph};
+use crate::wig::{all_pairs_adjacency, Adjacency, ConflictGraph, IntersectionGraph};
 
 /// Per-actor consume-before-produce parameters.
 ///
@@ -75,7 +75,7 @@ pub struct MergedGraph {
     /// Region lifetime hulls (earliest start, latest envelope end).
     hulls: Vec<(u64, u64)>,
     /// Region conflict adjacency.
-    adjacency: Vec<Vec<usize>>,
+    adjacency: Adjacency,
     /// Buffer index -> region index.
     region_of: Vec<usize>,
 }
@@ -148,22 +148,15 @@ impl MergedGraph {
         // Region adjacency: regions conflict if any members conflict, or —
         // because merged regions use hull lifetimes — if either region is
         // merged and the hulls overlap.
-        let m = regions.len();
-        let mut adjacency = vec![Vec::new(); m];
-        for r1 in 0..m {
-            for r2 in (r1 + 1)..m {
-                let member_conflict = regions[r1]
-                    .iter()
-                    .any(|&i| wig.conflicts(i).iter().any(|&j| region_of[j] == r2));
-                let hull_needed = regions[r1].len() > 1 || regions[r2].len() > 1;
-                let hull_conflict =
-                    hull_needed && hulls[r1].0 < hulls[r2].1 && hulls[r2].0 < hulls[r1].1;
-                if member_conflict || hull_conflict {
-                    adjacency[r1].push(r2);
-                    adjacency[r2].push(r1);
-                }
-            }
-        }
+        let adjacency = all_pairs_adjacency(regions.len(), |r1, r2| {
+            let member_conflict = regions[r1]
+                .iter()
+                .any(|&i| wig.conflicts(i).iter().any(|&j| region_of[j] == r2));
+            let hull_needed = regions[r1].len() > 1 || regions[r2].len() > 1;
+            let hull_conflict =
+                hull_needed && hulls[r1].0 < hulls[r2].1 && hulls[r2].0 < hulls[r1].1;
+            member_conflict || hull_conflict
+        });
 
         MergedGraph {
             regions,
@@ -221,7 +214,7 @@ impl ConflictGraph for MergedGraph {
     }
 
     fn conflicts(&self, index: usize) -> &[usize] {
-        &self.adjacency[index]
+        self.adjacency.neighbours(index)
     }
 }
 

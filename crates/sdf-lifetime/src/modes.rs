@@ -24,7 +24,7 @@
 //! buffers first — giving every persistent buffer a single offset that
 //! is, by construction, identical in every mode.
 
-use crate::wig::{ConflictGraph, IntersectionGraph};
+use crate::wig::{Adjacency, ConflictGraph, IntersectionGraph};
 
 /// What a merged node stands for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub struct ModeBuffer {
 #[derive(Clone, Debug)]
 pub struct ModeConflictGraph {
     buffers: Vec<ModeBuffer>,
-    adjacency: Vec<Vec<usize>>,
+    adjacency: Adjacency,
     /// `node_of[m][i]` — merged node of buffer `i` in mode `m`'s WIG.
     node_of: Vec<Vec<usize>>,
     persistent_count: usize,
@@ -139,37 +139,23 @@ impl ModeConflictGraph {
             }
         }
 
+        // Each conflicting pair once: persistent buffers conflict with
+        // everything, and local-local conflicts come straight from each
+        // mode's WIG.
         let n = buffers.len();
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-        // Persistent buffers conflict with everything (symmetrically;
-        // the final dedup collapses the doubly-added persistent pairs).
-        for p in 0..persistent_count {
-            for other in 0..n {
-                if other != p {
-                    adjacency[p].push(other);
-                    adjacency[other].push(p);
-                }
-            }
-        }
-        // Local-local conflicts come straight from each mode's WIG.
+        let mut pairs: Vec<(usize, usize)> = (0..persistent_count)
+            .flat_map(|p| (p + 1..n).map(move |other| (p, other)))
+            .collect();
         for (m, wig) in wigs.iter().enumerate() {
             for i in 0..wig.len() {
-                if is_persistent[m][i] {
-                    continue;
-                }
-                let node = node_of[m][i];
                 for &j in wig.neighbours(i) {
-                    if is_persistent[m][j] {
-                        continue; // already covered by persistent-vs-all
+                    if i < j && !is_persistent[m][i] && !is_persistent[m][j] {
+                        pairs.push((node_of[m][i], node_of[m][j]));
                     }
-                    adjacency[node].push(node_of[m][j]);
                 }
             }
         }
-        for adj in &mut adjacency {
-            adj.sort_unstable();
-            adj.dedup();
-        }
+        let adjacency = Adjacency::from_pairs(n, &pairs);
         ModeConflictGraph {
             buffers,
             adjacency,
@@ -238,7 +224,7 @@ impl ConflictGraph for ModeConflictGraph {
     }
 
     fn conflicts(&self, index: usize) -> &[usize] {
-        &self.adjacency[index]
+        self.adjacency.neighbours(index)
     }
 }
 

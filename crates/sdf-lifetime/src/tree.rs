@@ -39,6 +39,9 @@ enum TreeNodeKind {
 struct TreeNode {
     kind: TreeNodeKind,
     parent: Option<TreeNodeId>,
+    /// Lowest id in the node's subtree.  Nodes are numbered in postorder,
+    /// so the subtree of `v` is exactly the ids `first..=v`.
+    first: usize,
     /// `loop(v)`: iteration count (leaf residual factors count as loop
     /// factors of a single-leaf nest; see `ScheduleTree::build`).
     loop_count: u64,
@@ -105,7 +108,8 @@ impl ScheduleTree {
         sas.validate(graph, q)?;
         sdf_trace::counter_inc("lifetime.tree.builds");
         let mut tree = ScheduleTree {
-            nodes: Vec::new(),
+            // A SAS over n actors is a full binary tree of 2n - 1 nodes.
+            nodes: Vec::with_capacity(2 * graph.actor_count()),
             root: TreeNodeId(0),
             leaf_of: vec![None; graph.actor_count()],
         };
@@ -123,6 +127,7 @@ impl ScheduleTree {
                 self.nodes.push(TreeNode {
                     kind: TreeNodeKind::Leaf { actor: *actor },
                     parent: None,
+                    first: id.0,
                     loop_count: *reps,
                     dur: 1,
                     start: 0,
@@ -140,6 +145,7 @@ impl ScheduleTree {
                 self.nodes.push(TreeNode {
                     kind: TreeNodeKind::Internal { left: l, right: r },
                     parent: None,
+                    first: self.nodes[l.0].first,
                     loop_count: *count,
                     dur,
                     start: 0,
@@ -264,34 +270,23 @@ impl ScheduleTree {
     }
 
     /// The smallest (least) parent of two leaves: their lowest common
-    /// ancestor (§8.3, Definition 2).
+    /// ancestor (§8.3, Definition 2).  Walks up from `u` until the
+    /// subtree interval contains `v`.
     pub fn least_parent(&self, u: TreeNodeId, v: TreeNodeId) -> TreeNodeId {
-        let mut ancestors = std::collections::HashSet::new();
-        let mut cur = Some(u);
-        while let Some(c) = cur {
-            ancestors.insert(c);
-            cur = self.parent(c);
+        let mut cur = u;
+        while !self.is_ancestor(cur, v) {
+            cur = self
+                .parent(cur)
+                .expect("two nodes of the same tree share the root");
         }
-        let mut cur = Some(v);
-        while let Some(c) = cur {
-            if ancestors.contains(&c) {
-                return c;
-            }
-            cur = self.parent(c);
-        }
-        unreachable!("two nodes of the same tree always share the root")
+        cur
     }
 
-    /// True if `descendant` lies in the subtree rooted at `ancestor`.
+    /// True if `descendant` lies in the subtree rooted at `ancestor`
+    /// (every node is its own ancestor): an interval test on the
+    /// postorder numbering.
     pub fn is_ancestor(&self, ancestor: TreeNodeId, descendant: TreeNodeId) -> bool {
-        let mut cur = Some(descendant);
-        while let Some(c) = cur {
-            if c == ancestor {
-                return true;
-            }
-            cur = self.parent(c);
-        }
-        false
+        (self.nodes[ancestor.0].first..=ancestor.0).contains(&descendant.0)
     }
 
     /// Number of nodes in the tree.
@@ -473,6 +468,104 @@ mod tests {
         assert_eq!(lp_se, tree.root());
         assert!(tree.is_ancestor(tree.root(), name("C")));
         assert!(!tree.is_ancestor(lp_ab, name("C")));
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+        use sdf_apps::random::{random_sdf_graph, RandomGraphConfig};
+
+        /// The definition the interval test replaced: the first ancestor
+        /// of `v` that is also an ancestor of `u`, found through a set.
+        fn least_parent_by_ancestor_set(
+            tree: &ScheduleTree,
+            u: TreeNodeId,
+            v: TreeNodeId,
+        ) -> TreeNodeId {
+            let mut ancestors = std::collections::HashSet::new();
+            let mut cur = Some(u);
+            while let Some(c) = cur {
+                ancestors.insert(c);
+                cur = tree.parent(c);
+            }
+            let mut cur = Some(v);
+            while let Some(c) = cur {
+                if ancestors.contains(&c) {
+                    return c;
+                }
+                cur = tree.parent(c);
+            }
+            unreachable!("two nodes of the same tree always share the root")
+        }
+
+        fn is_ancestor_by_parent_walk(
+            tree: &ScheduleTree,
+            ancestor: TreeNodeId,
+            descendant: TreeNodeId,
+        ) -> bool {
+            let mut cur = Some(descendant);
+            while let Some(c) = cur {
+                if c == ancestor {
+                    return true;
+                }
+                cur = tree.parent(c);
+            }
+            false
+        }
+
+        /// A chain of `n` actors with rates drawn from 1..=4.
+        fn random_chain(n: usize, rng: &mut impl Rng) -> SdfGraph {
+            let mut g = SdfGraph::new("chain");
+            let actors: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
+            for w in actors.windows(2) {
+                g.add_edge(w[0], w[1], rng.gen_range(1..5), rng.gen_range(1..5))
+                    .unwrap();
+            }
+            g
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// On the SDPPO and DPPO trees of a random topological order
+            /// of random chains and paper-style graphs, `least_parent` and
+            /// `is_ancestor` agree with their definitions on every pair
+            /// of nodes.
+            #[test]
+            fn interval_queries_match_the_definitions(
+                seed in 0u64..10_000,
+                size in 2usize..24,
+                chain in 0u8..2,
+            ) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let g = if chain == 1 {
+                    random_chain(size, &mut rng)
+                } else {
+                    random_sdf_graph(&RandomGraphConfig::paper_style(size), &mut rng)
+                };
+                let q = RepetitionsVector::compute(&g).unwrap();
+                let order = sdf_sched::random_topological_sort(&g, &mut rng).unwrap();
+                for sas in [
+                    sdf_sched::sdppo(&g, &q, &order).unwrap().tree,
+                    sdf_sched::dppo(&g, &q, &order).unwrap().tree,
+                ] {
+                    let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
+                    for u in (0..tree.node_count()).map(TreeNodeId) {
+                        for v in (0..tree.node_count()).map(TreeNodeId) {
+                            prop_assert_eq!(
+                                tree.least_parent(u, v),
+                                least_parent_by_ancestor_set(&tree, u, v)
+                            );
+                            prop_assert_eq!(
+                                tree.is_ancestor(u, v),
+                                is_ancestor_by_parent_walk(&tree, u, v)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,58 @@ pub(crate) fn envelope_sweep(
     }
 }
 
+/// A symmetric conflict adjacency in compressed sparse row form: the
+/// sorted neighbours of node `i` are `targets[offsets[i]..offsets[i + 1]]`.
+///
+/// Two allocations hold the whole graph, so cloning or dropping it costs
+/// the same whatever the number of buffers.
+#[derive(Clone, Debug)]
+pub(crate) struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Builds the adjacency of `n` nodes joined by the undirected `pairs`
+    /// (each pair listed once, in either orientation).
+    pub(crate) fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> Self {
+        // Count degrees, prefix-sum them into each node's range end, then
+        // fill every range from the back so `offsets[i]` ends at its start.
+        let mut offsets = vec![0; n + 1];
+        for &(a, b) in pairs {
+            offsets[a] += 1;
+            offsets[b] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets[..n] {
+            end += *o;
+            *o = end;
+        }
+        offsets[n] = end;
+        let mut targets = vec![0; end];
+        for &(a, b) in pairs {
+            offsets[a] -= 1;
+            targets[offsets[a]] = b;
+            offsets[b] -= 1;
+            targets[offsets[b]] = a;
+        }
+        for i in 0..n {
+            targets[offsets[i]..offsets[i + 1]].sort_unstable();
+        }
+        Adjacency { offsets, targets }
+    }
+
+    /// The sorted neighbours of node `i`.
+    pub(crate) fn neighbours(&self, i: usize) -> &[usize] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Number of undirected edges.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.targets.len() / 2
+    }
+}
+
 /// Adjacency construction on top of [`envelope_sweep`]: each entering
 /// buffer runs the precise `test` against exactly the buffers whose
 /// envelopes contain its start.  The candidate set is the set of
@@ -81,22 +133,32 @@ pub(crate) fn sweep_adjacency(
     start: impl Fn(usize) -> u64,
     end: impl Fn(usize) -> u64,
     mut test: impl FnMut(usize, usize) -> bool,
-) -> Vec<Vec<usize>> {
-    let mut adjacency = vec![Vec::new(); n];
+) -> Adjacency {
+    let mut pairs = Vec::new();
     envelope_sweep(n, start, end, |event| {
         if let SweepEvent::Enter { index, active, .. } = event {
             for &Reverse((_, j)) in active.iter() {
                 if test(j, index) {
-                    adjacency[index].push(j);
-                    adjacency[j].push(index);
+                    pairs.push((j, index));
                 }
             }
         }
     });
-    for adj in &mut adjacency {
-        adj.sort_unstable();
+    Adjacency::from_pairs(n, &pairs)
+}
+
+/// Brute-force all-pairs twin of [`sweep_adjacency`]: `Θ(n²)` precise
+/// tests with no envelope pruning.
+pub(crate) fn all_pairs_adjacency(n: usize, test: impl Fn(usize, usize) -> bool) -> Adjacency {
+    let mut pairs = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if test(i, j) {
+                pairs.push((i, j));
+            }
+        }
     }
-    adjacency
+    Adjacency::from_pairs(n, &pairs)
 }
 
 /// A buffer (WIG node): the SDF edge it implements, its lifetime and size.
@@ -157,7 +219,7 @@ impl ConflictGraph for IntersectionGraph {
     }
 
     fn conflicts(&self, index: usize) -> &[usize] {
-        &self.adjacency[index]
+        self.adjacency.neighbours(index)
     }
 }
 
@@ -191,8 +253,8 @@ impl ConflictGraph for IntersectionGraph {
 #[derive(Clone, Debug)]
 pub struct IntersectionGraph {
     buffers: Vec<Buffer>,
-    /// Adjacency lists over buffer indices.
-    adjacency: Vec<Vec<usize>>,
+    /// Conflict adjacency over buffer indices.
+    adjacency: Adjacency,
 }
 
 impl IntersectionGraph {
@@ -240,8 +302,7 @@ impl IntersectionGraph {
             sdf_trace::counter_add("lifetime.triples", triples);
             sdf_trace::counter_add("lifetime.wig.edge_tests", edge_tests);
             sdf_trace::counter_add("lifetime.wig.window_probes", window_probes);
-            let conflicts = adjacency.iter().map(Vec::len).sum::<usize>() as u64 / 2;
-            sdf_trace::counter_add("lifetime.wig.conflicts", conflicts);
+            sdf_trace::counter_add("lifetime.wig.conflicts", adjacency.edge_count() as u64);
         }
         IntersectionGraph { buffers, adjacency }
     }
@@ -251,16 +312,9 @@ impl IntersectionGraph {
     /// kept public so tests (and external instances) can cross-check
     /// [`IntersectionGraph::from_buffers`] against it.
     pub fn from_buffers_all_pairs(buffers: Vec<Buffer>) -> Self {
-        let n = buffers.len();
-        let mut adjacency = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if buffers[i].lifetime.intersects(&buffers[j].lifetime) {
-                    adjacency[i].push(j);
-                    adjacency[j].push(i);
-                }
-            }
-        }
+        let adjacency = all_pairs_adjacency(buffers.len(), |i, j| {
+            buffers[i].lifetime.intersects(&buffers[j].lifetime)
+        });
         IntersectionGraph { buffers, adjacency }
     }
 
@@ -294,12 +348,12 @@ impl IntersectionGraph {
     ///
     /// Panics if `index` is out of range.
     pub fn neighbours(&self, index: usize) -> &[usize] {
-        &self.adjacency[index]
+        self.adjacency.neighbours(index)
     }
 
     /// True if buffers `i` and `j` overlap in time.
     pub fn overlaps(&self, i: usize, j: usize) -> bool {
-        self.adjacency[i].binary_search(&j).is_ok()
+        self.neighbours(i).binary_search(&j).is_ok()
     }
 
     /// Total size of all buffers — the non-shared memory requirement of
@@ -311,19 +365,24 @@ impl IntersectionGraph {
     /// Number of overlapping buffer pairs (edges of the intersection
     /// graph) — a density measure of how constrained allocation is.
     pub fn conflict_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        self.adjacency.edge_count()
     }
 
-    /// Finds the buffer implementing `edge`.
+    /// Finds the buffer implementing `edge`: `O(1)` when the buffers are
+    /// in SDF edge order, as [`IntersectionGraph::build`] leaves them.
     ///
     /// # Errors
     ///
     /// Returns [`SdfError::UnknownEdge`] if no buffer implements `edge`.
     pub fn buffer_of_edge(&self, edge: EdgeId) -> Result<usize, SdfError> {
-        self.buffers
-            .iter()
-            .position(|b| b.edge == edge)
-            .ok_or(SdfError::UnknownEdge(edge))
+        match self.buffers.get(edge.index()) {
+            Some(b) if b.edge == edge => Ok(edge.index()),
+            _ => self
+                .buffers
+                .iter()
+                .position(|b| b.edge == edge)
+                .ok_or(SdfError::UnknownEdge(edge)),
+        }
     }
 }
 

@@ -378,6 +378,16 @@ const ROWS: &[(Parser, &str, &str)] = &[
         "18446744073709551615(2A)",
         r#"line 1: loop count overflows u64: "18446744073709551615(2A)""#,
     ),
+    (
+        Schedule,
+        "4294967296((4294967296(A B)))",
+        r#"line 1: firing count overflows u64: "4294967296((4294967296(A B)))""#,
+    ),
+    (
+        Schedule,
+        "18446744073709551615A B A",
+        r#"line 1: firing count overflows u64: "18446744073709551615A B A""#,
+    ),
 ];
 
 #[test]

@@ -310,6 +310,8 @@ fn check_schedule(text: &str) -> Result<(), String> {
     let graph = abc();
     match LoopedSchedule::parse(text, graph) {
         Ok(schedule) => {
+            // Overflow checks make a firing count past u64 a panic here.
+            schedule.firing_counts(graph.actor_count());
             let printed = schedule.display(graph).to_string();
             match LoopedSchedule::parse(&printed, graph) {
                 Ok(again) if again == schedule => Ok(()),
@@ -404,6 +406,21 @@ fn folded_firing_count_past_u64_is_refused() {
     let err = LoopedSchedule::parse("18446744073709551615(2A)", abc()).unwrap_err();
     assert!(matches!(err, SdfError::Parse { line: 1, .. }), "{err}");
     let max = LoopedSchedule::parse("18446744073709551615(A)", abc()).unwrap();
+    assert_eq!(max.firing_counts(3)[0], u64::MAX);
+}
+
+#[test]
+fn nested_and_repeated_firings_past_u64_are_refused() {
+    // Each count fits, the firings per pass do not: 2^32 · 2^32 through
+    // nesting, u64::MAX + 1 through a second appearance.
+    for text in ["4294967296((4294967296(A B)))", "18446744073709551615A B A"] {
+        let err = LoopedSchedule::parse(text, abc()).unwrap_err();
+        assert!(
+            err.to_string().contains("firing count overflows u64"),
+            "{err}"
+        );
+    }
+    let max = LoopedSchedule::parse("18446744073709551614A B A", abc()).unwrap();
     assert_eq!(max.firing_counts(3)[0], u64::MAX);
 }
 
