@@ -9,7 +9,7 @@
 use sdf_alloc::{allocate, AllocationOrder, PlacementPolicy};
 use sdf_apps::registry::by_name;
 use sdf_bench::run_table1_row;
-use sdf_core::schedule::{SasNode, SasTree};
+use sdf_core::schedule::SasTree;
 use sdf_core::RepetitionsVector;
 use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
@@ -21,11 +21,11 @@ use sdf_sched::{apgan, rpmc};
 fn flat_sas_tree(order: &[sdf_core::ActorId], q: &RepetitionsVector) -> SasTree {
     let mut iter = order.iter().rev();
     let last = *iter.next().expect("nonempty order");
-    let mut node = SasNode::leaf(last, q.get(last));
+    let mut tree = SasTree::leaf(last, q.get(last));
     for &a in iter {
-        node = SasNode::branch(1, SasNode::leaf(a, q.get(a)), node);
+        tree = SasTree::branch(1, SasTree::leaf(a, q.get(a)), tree);
     }
-    SasTree::new(node)
+    tree
 }
 
 fn main() {

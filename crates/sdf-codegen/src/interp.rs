@@ -398,7 +398,7 @@ mod tests {
     use super::*;
     use crate::plan::ExecutablePlan;
     use sdf_alloc::{allocate, Allocation, AllocationOrder, PlacementPolicy};
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
     use sdf_core::{RepetitionsVector, SdfGraph};
     use sdf_lifetime::tree::ScheduleTree;
     use sdf_lifetime::wig::IntersectionGraph;
@@ -411,11 +411,11 @@ mod tests {
         g.add_edge(a, b, 20, 10).unwrap();
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         (g, q, sas)
     }
 
@@ -483,11 +483,11 @@ mod tests {
         g.add_edge(a, d, 1, 1).unwrap();
         g.add_edge(c, d, 2, 2).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)),
-            SasNode::branch(1, SasNode::leaf(c, 1), SasNode::leaf(d, 1)),
-        ));
+            SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1)),
+            SasTree::branch(1, SasTree::leaf(c, 1), SasTree::leaf(d, 1)),
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         let bad = Allocation::from_parts(vec![0, 1, 0], 2);
@@ -507,7 +507,7 @@ mod tests {
         let b = g.add_actor("B");
         g.add_edge_with_delay(a, b, 1, 1, 2).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)));
+        let sas = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1));
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         let alloc = allocate(

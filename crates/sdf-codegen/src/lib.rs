@@ -118,7 +118,7 @@ pub fn generate_shared_c(
 mod tests {
     use super::*;
     use sdf_alloc::{allocate, AllocationOrder, PlacementPolicy};
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
     use sdf_lifetime::tree::ScheduleTree;
 
     fn fig2() -> (SdfGraph, RepetitionsVector, SasTree) {
@@ -129,11 +129,11 @@ mod tests {
         g.add_edge(a, b, 20, 10).unwrap();
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         (g, q, sas)
     }
 

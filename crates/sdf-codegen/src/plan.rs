@@ -357,7 +357,6 @@ impl ExecutablePlan {
 mod tests {
     use super::*;
     use sdf_alloc::{allocate, AllocationOrder, PlacementPolicy};
-    use sdf_core::schedule::SasNode;
     use sdf_lifetime::tree::ScheduleTree;
 
     fn fig2() -> (SdfGraph, RepetitionsVector, SasTree) {
@@ -368,11 +367,11 @@ mod tests {
         g.add_edge(a, b, 20, 10).unwrap();
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         (g, q, sas)
     }
 
@@ -430,7 +429,7 @@ mod tests {
         assert!(ExecutablePlan::lower_nonshared(&g, &q, &flat).is_err());
         // A SAS missing two of the three actors fails validation.
         let a = g.actors().next().unwrap();
-        let bogus = SasTree::new(SasNode::leaf(a, 1));
+        let bogus = SasTree::leaf(a, 1);
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         let alloc = allocate(

@@ -104,6 +104,7 @@ impl GraphBuilder {
         match keyword {
             "graph" => {
                 let name = line.word("missing graph name")?;
+                line.end("trailing tokens after graph name")?;
                 if self.named {
                     return Err(line.error("duplicate graph declaration"));
                 }
@@ -112,6 +113,7 @@ impl GraphBuilder {
             }
             "actor" => {
                 let name = line.word("missing actor name")?;
+                line.end("trailing tokens after actor name")?;
                 if self.graph.actor_by_name(name).is_some() {
                     return Err(line.error("duplicate actor"));
                 }

@@ -30,9 +30,19 @@ pub fn lines(text: &str) -> impl Iterator<Item = (&str, Line<'_>)> {
     })
 }
 
-/// Reads `word` as the `u64` operand `what`, else says ``bad <what> `<word>` ``.
+/// Reads `word`, ASCII digits only, as the `u64` operand `what`, else
+/// says ``bad <what> `<word>` ``.
 pub fn parse_u64(word: &str, what: &str) -> Result<u64, String> {
-    word.parse().map_err(|_| format!("bad {what} `{word}`"))
+    digits(word).ok_or_else(|| format!("bad {what} `{word}`"))
+}
+
+/// `word` as a number if it is one or more ASCII digits, no sign, that fit.
+fn digits<T: std::str::FromStr>(word: &str) -> Option<T> {
+    if word.bytes().all(|b| b.is_ascii_digit()) {
+        word.parse().ok()
+    } else {
+        None
+    }
 }
 
 impl<'a> Line<'a> {
@@ -89,7 +99,7 @@ impl<'a> Line<'a> {
         let word = self.next();
         self.end(arity)?;
         let Some(w) = word else { return Ok(0) };
-        let ordinal = w.strip_prefix('@').and_then(|o| o.parse().ok());
+        let ordinal = w.strip_prefix('@').and_then(digits);
         ordinal.ok_or_else(|| self.error(format_args!("expected `@ORD`, got `{w}`")))
     }
 }

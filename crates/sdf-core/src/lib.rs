@@ -58,11 +58,10 @@ pub mod repetitions;
 pub mod schedule;
 pub mod simulate;
 pub mod timing;
-pub mod transform;
 
 pub use error::SdfError;
 pub use graph::{ActorId, Edge, EdgeId, SdfGraph};
 pub use mode::{Mode, ModeGraph, PersistentEdge};
 pub use rational::Rational;
 pub use repetitions::{is_consistent, RepetitionsVector};
-pub use schedule::{LoopedSchedule, SasNode, SasTree, ScheduleNode};
+pub use schedule::{LoopedSchedule, SasNode, SasTree, ScheduleNode, TreeNodeId};

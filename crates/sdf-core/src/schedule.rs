@@ -546,12 +546,31 @@ impl fmt::Display for DisplaySchedule<'_> {
     }
 }
 
-/// A single appearance schedule in binary R-schedule form (§8.1).
+/// Identifies a node of a [`SasTree`], and of the timed tree built from
+/// it: the node's index in postorder.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct TreeNodeId(usize);
+
+impl TreeNodeId {
+    /// Creates an id from a raw postorder index. Intended for tests and
+    /// for iteration code that has already checked the index against a
+    /// tree.
+    pub fn from_index(index: usize) -> Self {
+        TreeNodeId(index)
+    }
+
+    /// Returns the postorder index of the node.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// One node of a [`SasTree`] in binary R-schedule form (§8.1).
 ///
 /// Internal nodes carry a loop factor; leaves carry an actor with its
 /// residual repetition count.  The looped schedule it denotes is
 /// `(count (left right))` at each branch and `(reps actor)` at each leaf.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SasNode {
     /// `(reps actor)`.
     Leaf {
@@ -565,36 +584,24 @@ pub enum SasNode {
         /// Loop factor of this subschedule.
         count: u64,
         /// Left subschedule.
-        left: Box<SasNode>,
+        left: TreeNodeId,
         /// Right subschedule.
-        right: Box<SasNode>,
+        right: TreeNodeId,
     },
 }
 
-impl SasNode {
-    /// Creates a leaf node.
-    pub fn leaf(actor: ActorId, reps: u64) -> Self {
-        SasNode::Leaf { actor, reps }
-    }
-
-    /// Creates a branch node.
-    pub fn branch(count: u64, left: SasNode, right: SasNode) -> Self {
-        SasNode::Branch {
-            count,
-            left: Box::new(left),
-            right: Box::new(right),
-        }
-    }
-}
-
-/// A complete R-schedule: a binary schedule tree for a SAS.
+/// A complete R-schedule: a binary schedule tree for a SAS, stored as one
+/// arena of nodes in postorder with the root last.
+///
+/// The right child of node `v` is `v - 1`, and the subtree of `v` is a
+/// contiguous run of ids ending at `v`.
 ///
 /// # Examples
 ///
 /// The R-schedule `(1 (1A) ((2 (2B)(4C))))` for Fig. 2's graph:
 ///
 /// ```
-/// use sdf_core::{SdfGraph, SasTree, SasNode};
+/// use sdf_core::{SdfGraph, SasTree};
 ///
 /// # fn main() -> Result<(), sdf_core::SdfError> {
 /// let mut g = SdfGraph::new("fig2");
@@ -603,11 +610,11 @@ impl SasNode {
 /// let c = g.add_actor("C");
 /// g.add_edge(a, b, 20, 10)?;
 /// g.add_edge(b, c, 20, 10)?;
-/// let tree = SasTree::new(SasNode::branch(
+/// let tree = SasTree::branch(
 ///     1,
-///     SasNode::leaf(a, 1),
-///     SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-/// ));
+///     SasTree::leaf(a, 1),
+///     SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+/// );
 /// let s = tree.to_looped_schedule();
 /// assert_eq!(s.display(&g).to_string(), "A(2B(2C))");
 /// # Ok(())
@@ -615,109 +622,173 @@ impl SasNode {
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SasTree {
-    root: SasNode,
+    nodes: Vec<SasNode>,
 }
 
 impl SasTree {
-    /// Wraps a root node as a tree.
-    pub fn new(root: SasNode) -> Self {
-        SasTree { root }
+    /// The one-leaf tree `(reps actor)`.
+    pub fn leaf(actor: ActorId, reps: u64) -> Self {
+        SasTree {
+            nodes: vec![SasNode::Leaf { actor, reps }],
+        }
     }
 
-    /// Returns the root node.
-    pub fn root(&self) -> &SasNode {
-        &self.root
+    /// The tree `(count left right)`: `left`'s nodes, then `right`'s with
+    /// their ids shifted past them, then the new root.
+    pub fn branch(count: u64, mut left: SasTree, right: SasTree) -> Self {
+        let shift = left.nodes.len();
+        let moved = |id: TreeNodeId| TreeNodeId(id.0 + shift);
+        left.nodes
+            .extend(right.nodes.iter().map(|&node| match node {
+                SasNode::Leaf { .. } => node,
+                SasNode::Branch { count, left, right } => SasNode::Branch {
+                    count,
+                    left: moved(left),
+                    right: moved(right),
+                },
+            }));
+        let (l, r) = (TreeNodeId(shift - 1), left.root());
+        left.push(SasNode::Branch {
+            count,
+            left: l,
+            right: r,
+        });
+        left
+    }
+
+    /// An empty arena with room for `nodes` nodes, for builders that
+    /// [`push`](Self::push) a tree in postorder.
+    pub fn with_capacity(nodes: usize) -> Self {
+        SasTree {
+            nodes: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Appends `node` and returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is a branch whose `right` is not the last node
+    /// pushed or whose `left` does not precede it.
+    pub fn push(&mut self, node: SasNode) -> TreeNodeId {
+        if let SasNode::Branch { left, right, .. } = node {
+            assert!(
+                left < right && right.0 + 1 == self.nodes.len(),
+                "a branch follows its children in postorder"
+            );
+        }
+        self.nodes.push(node);
+        TreeNodeId(self.nodes.len() - 1)
+    }
+
+    /// The root node: the last in postorder.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree is empty.
+    pub fn root(&self) -> TreeNodeId {
+        assert!(!self.nodes.is_empty(), "an empty tree has no root");
+        TreeNodeId(self.nodes.len() - 1)
+    }
+
+    /// The node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn node(&self, id: TreeNodeId) -> SasNode {
+        self.nodes[id.0]
+    }
+
+    /// Every node, in postorder with the root last.
+    pub fn nodes(&self) -> &[SasNode] {
+        &self.nodes
     }
 
     /// Converts to the equivalent looped schedule, dropping unit loop
     /// factors.
     pub fn to_looped_schedule(&self) -> LoopedSchedule {
-        fn conv(node: &SasNode) -> Vec<ScheduleNode> {
-            match node {
-                SasNode::Leaf { actor, reps } => vec![ScheduleNode::fire_n(*actor, *reps)],
-                SasNode::Branch { count, left, right } => {
-                    let mut body = conv(left);
-                    body.extend(conv(right));
-                    if *count == 1 {
+        // Postorder leaves each subtree's body on a stack: a branch pops
+        // its right then its left child.
+        let mut stack: Vec<Vec<ScheduleNode>> = Vec::new();
+        for node in &self.nodes {
+            match *node {
+                SasNode::Leaf { actor, reps } => {
+                    stack.push(vec![ScheduleNode::fire_n(actor, reps)])
+                }
+                SasNode::Branch { count, .. } => {
+                    let right = stack.pop().expect("postorder tree");
+                    let mut body = stack.pop().expect("postorder tree");
+                    body.extend(right);
+                    stack.push(if count == 1 {
                         body
                     } else {
-                        vec![ScheduleNode::loop_of(*count, body)]
-                    }
+                        vec![ScheduleNode::loop_of(count, body)]
+                    });
                 }
             }
         }
-        LoopedSchedule::new(conv(&self.root))
+        LoopedSchedule::new(stack.pop().unwrap_or_default())
     }
 
     /// The actors in left-to-right (lexical) order.
     pub fn lexical_order(&self) -> Vec<ActorId> {
-        let mut order = Vec::new();
-        fn walk(node: &SasNode, order: &mut Vec<ActorId>) {
-            match node {
-                SasNode::Leaf { actor, .. } => order.push(*actor),
-                SasNode::Branch { left, right, .. } => {
-                    walk(left, order);
-                    walk(right, order);
-                }
-            }
-        }
-        walk(&self.root, &mut order);
-        order
-    }
-
-    /// Number of leaves (== number of distinct actors in a SAS).
-    pub fn leaf_count(&self) -> usize {
-        fn walk(node: &SasNode) -> usize {
-            match node {
-                SasNode::Leaf { .. } => 1,
-                SasNode::Branch { left, right, .. } => walk(left) + walk(right),
-            }
-        }
-        walk(&self.root)
+        self.nodes
+            .iter()
+            .filter_map(|node| match *node {
+                SasNode::Leaf { actor, .. } => Some(actor),
+                SasNode::Branch { .. } => None,
+            })
+            .collect()
     }
 
     /// Checks that for every leaf, the product of ancestor loop factors and
-    /// the leaf's residual count equals `q(actor)`, and that each actor
-    /// appears exactly once.
+    /// the leaf's residual count equals `q(actor)`, that each actor
+    /// appears exactly once, and that the arena is one tree in postorder.
     ///
     /// # Errors
     ///
     /// * [`SdfError::NotSingleAppearance`] if some actor repeats or is
     ///   missing.
     /// * [`SdfError::InvalidSchedule`] if a leaf's total count differs from
-    ///   the repetitions vector.
+    ///   the repetitions vector, or a node is out of postorder.
     pub fn validate(&self, graph: &SdfGraph, q: &RepetitionsVector) -> Result<(), SdfError> {
         let mut seen = vec![false; graph.actor_count()];
-        fn walk(
-            node: &SasNode,
-            mult: u64,
-            q: &RepetitionsVector,
-            seen: &mut [bool],
-        ) -> Result<(), SdfError> {
-            match node {
-                SasNode::Leaf { actor, reps } => {
-                    if seen[actor.index()] {
-                        return Err(SdfError::NotSingleAppearance(*actor));
+        // Per node, the first id of its subtree and the product of its
+        // ancestors' loop factors, both set by its parent; reverse
+        // postorder visits every parent before its children.
+        let mut scope = vec![(0usize, 1u64); self.nodes.len()];
+        for (v, node) in self.nodes.iter().enumerate().rev() {
+            let (first, mult) = scope[v];
+            match *node {
+                SasNode::Leaf { actor, reps } if first == v => {
+                    if std::mem::replace(&mut seen[actor.index()], true) {
+                        return Err(SdfError::NotSingleAppearance(actor));
                     }
-                    seen[actor.index()] = true;
-                    let total = mult * reps;
-                    if total != q.get(*actor) {
+                    let total = mult.saturating_mul(reps);
+                    if total != q.get(actor) {
                         return Err(SdfError::InvalidSchedule(format!(
                             "actor {} fires {} times, repetitions vector requires {}",
                             actor,
                             total,
-                            q.get(*actor)
+                            q.get(actor)
                         )));
                     }
-                    Ok(())
                 }
-                SasNode::Branch { count, left, right } => {
-                    walk(left, mult * count, q, seen)?;
-                    walk(right, mult * count, q, seen)
+                SasNode::Branch { count, left, right }
+                    if right.0 + 1 == v && (first..right.0).contains(&left.0) =>
+                {
+                    let mult = mult.saturating_mul(count);
+                    scope[right.0] = (left.0 + 1, mult);
+                    scope[left.0] = (first, mult);
+                }
+                _ => {
+                    return Err(SdfError::InvalidSchedule(format!(
+                        "schedule tree node {v} is out of postorder"
+                    )))
                 }
             }
         }
-        walk(&self.root, 1, q, &mut seen)?;
         if let Some(missing) = seen.iter().position(|&s| !s) {
             return Err(SdfError::NotSingleAppearance(ActorId::from_index(missing)));
         }
@@ -839,27 +910,76 @@ mod tests {
     fn sas_tree_roundtrip_and_validation() {
         let (g, [a, b, c]) = fig2();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let tree = SasTree::new(SasNode::branch(
+        let tree = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         tree.validate(&g, &q).unwrap();
         assert_eq!(tree.lexical_order(), vec![a, b, c]);
-        assert_eq!(tree.leaf_count(), 3);
         let s = tree.to_looped_schedule();
         assert_eq!(s.firing_counts(3), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn branch_appends_right_after_left_in_postorder() {
+        let (_, [a, b, c]) = fig2();
+        let tree = SasTree::branch(
+            1,
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
+        let id = TreeNodeId::from_index;
+        assert_eq!(
+            tree.nodes(),
+            [
+                SasNode::Leaf { actor: a, reps: 1 },
+                SasNode::Leaf { actor: b, reps: 1 },
+                SasNode::Leaf { actor: c, reps: 2 },
+                SasNode::Branch {
+                    count: 2,
+                    left: id(1),
+                    right: id(2)
+                },
+                SasNode::Branch {
+                    count: 1,
+                    left: id(0),
+                    right: id(3)
+                },
+            ]
+        );
+        assert_eq!(tree.root(), id(4));
+    }
+
+    #[test]
+    fn sas_tree_validation_catches_orphan_nodes() {
+        // (1 A C) over a pushed B that no branch covers.
+        let (g, [a, b, c]) = fig2();
+        let q = RepetitionsVector::compute(&g).unwrap();
+        let mut tree = SasTree::with_capacity(4);
+        let left = tree.push(SasNode::Leaf { actor: a, reps: 1 });
+        tree.push(SasNode::Leaf { actor: b, reps: 2 });
+        let right = tree.push(SasNode::Leaf { actor: c, reps: 4 });
+        tree.push(SasNode::Branch {
+            count: 1,
+            left,
+            right,
+        });
+        assert!(matches!(
+            tree.validate(&g, &q),
+            Err(SdfError::InvalidSchedule(_))
+        ));
     }
 
     #[test]
     fn sas_tree_validation_catches_bad_counts() {
         let (g, [a, b, c]) = fig2();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let tree = SasTree::new(SasNode::branch(
+        let tree = SasTree::branch(
             1,
-            SasNode::leaf(a, 2), // should be 1
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 2), // should be 1
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         assert!(matches!(
             tree.validate(&g, &q),
             Err(SdfError::InvalidSchedule(_))
@@ -870,11 +990,11 @@ mod tests {
     fn sas_tree_validation_catches_duplicates() {
         let (g, [a, b, _]) = fig2();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let tree = SasTree::new(SasNode::branch(
+        let tree = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 2)),
+        );
         assert!(matches!(
             tree.validate(&g, &q),
             Err(SdfError::NotSingleAppearance(_))
@@ -885,7 +1005,7 @@ mod tests {
     fn sas_tree_validation_catches_missing_actor() {
         let (g, [a, b, _]) = fig2();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let tree = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 2)));
+        let tree = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 2));
         assert!(matches!(
             tree.validate(&g, &q),
             Err(SdfError::NotSingleAppearance(_))

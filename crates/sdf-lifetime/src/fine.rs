@@ -14,7 +14,7 @@
 
 use sdf_core::graph::{EdgeId, SdfGraph};
 use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::schedule::{SasNode, SasTree};
+use sdf_core::schedule::{SasNode, SasTree, TreeNodeId};
 
 use crate::wig::{all_pairs_adjacency, sweep_adjacency, Adjacency, ConflictGraph};
 
@@ -241,8 +241,10 @@ impl FineIntersectionGraph {
         let mut step = 0u64;
 
         // Walk the leaf-invocation sequence of the SAS.
+        #[allow(clippy::too_many_arguments)]
         fn walk(
-            node: &SasNode,
+            sas: &SasTree,
+            node: TreeNodeId,
             graph: &SdfGraph,
             step: &mut u64,
             tokens: &mut [u64],
@@ -250,12 +252,12 @@ impl FineIntersectionGraph {
             open: &mut [Option<u64>],
             done: &mut [Vec<(u64, u64)>],
         ) {
-            match node {
+            match sas.node(node) {
                 SasNode::Leaf { actor, reps } => {
                     let t = *step;
                     // `reps` firings happen within this single step.
-                    for _ in 0..*reps {
-                        for &e in graph.in_edges(*actor) {
+                    for _ in 0..reps {
+                        for &e in graph.in_edges(actor) {
                             let idx = e.index();
                             debug_assert!(tokens[idx] >= graph.edge(e).cons, "deadlock");
                             tokens[idx] -= graph.edge(e).cons;
@@ -267,7 +269,7 @@ impl FineIntersectionGraph {
                                 }
                             }
                         }
-                        for &e in graph.out_edges(*actor) {
+                        for &e in graph.out_edges(actor) {
                             let idx = e.index();
                             tokens[idx] += graph.edge(e).prod;
                             peak[idx] = peak[idx].max(tokens[idx]);
@@ -279,14 +281,15 @@ impl FineIntersectionGraph {
                     *step += 1;
                 }
                 SasNode::Branch { count, left, right } => {
-                    for _ in 0..*count {
-                        walk(left, graph, step, tokens, peak, open, done);
-                        walk(right, graph, step, tokens, peak, open, done);
+                    for _ in 0..count {
+                        walk(sas, left, graph, step, tokens, peak, open, done);
+                        walk(sas, right, graph, step, tokens, peak, open, done);
                     }
                 }
             }
         }
         walk(
+            sas,
             sas.root(),
             graph,
             &mut step,
@@ -364,11 +367,11 @@ mod tests {
         g.add_edge(a, b, 20, 10).unwrap();
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         (g, q, sas)
     }
 
@@ -442,7 +445,7 @@ mod tests {
         let b = g.add_actor("B");
         g.add_edge_with_delay(a, b, 1, 1, 2).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)));
+        let sas = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1));
         let fine = FineIntersectionGraph::build(&g, &q, &sas);
         let lt = &fine.buffers()[0].lifetime;
         assert_eq!(lt.start(), 0);
@@ -500,7 +503,7 @@ mod tests {
         let q = RepetitionsVector::compute(&g).unwrap();
         let _ = q;
         // Minimal q = (1,1); schedule A B: single interval [0, 2).
-        let sas = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)));
+        let sas = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1));
         let fine = FineIntersectionGraph::build(&g, &q, &sas);
         assert_eq!(fine.buffers()[0].lifetime.intervals(), &[(0, 2)]);
     }

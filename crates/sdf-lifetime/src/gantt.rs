@@ -72,7 +72,7 @@ pub fn render_gantt(
 mod tests {
     use super::*;
     use sdf_core::repetitions::RepetitionsVector;
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
 
     fn fig17() -> (SdfGraph, ScheduleTree, IntersectionGraph) {
         let mut g = SdfGraph::new("fig17");
@@ -86,19 +86,19 @@ mod tests {
             g.add_edge(w[0], w[1], 1, 1).unwrap();
         }
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(s, 1),
-            SasNode::branch(
+            SasTree::leaf(s, 1),
+            SasTree::branch(
                 2,
-                SasNode::branch(
+                SasTree::branch(
                     2,
-                    SasNode::branch(1, SasNode::leaf(ids[0], 1), SasNode::leaf(ids[1], 1)),
-                    SasNode::branch(1, SasNode::leaf(ids[2], 1), SasNode::leaf(ids[3], 1)),
+                    SasTree::branch(1, SasTree::leaf(ids[0], 1), SasTree::leaf(ids[1], 1)),
+                    SasTree::branch(1, SasTree::leaf(ids[2], 1), SasTree::leaf(ids[3], 1)),
                 ),
-                SasNode::leaf(ids[4], 2),
+                SasTree::leaf(ids[4], 2),
             ),
-        ));
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         (g, tree, wig)

@@ -522,7 +522,7 @@ pub fn buffer_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
 
     /// The §8.4 worked example: S 2( 2( (A B)(C D) ) (2E) ), chain S→A→…→E
     /// with a rate-4 source so q = (1, 4, 4, 4, 4, 4).
@@ -538,19 +538,19 @@ mod tests {
             g.add_edge(w[0], w[1], 1, 1).unwrap();
         }
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(s, 1),
-            SasNode::branch(
+            SasTree::leaf(s, 1),
+            SasTree::branch(
                 2,
-                SasNode::branch(
+                SasTree::branch(
                     2,
-                    SasNode::branch(1, SasNode::leaf(ids[0], 1), SasNode::leaf(ids[1], 1)),
-                    SasNode::branch(1, SasNode::leaf(ids[2], 1), SasNode::leaf(ids[3], 1)),
+                    SasTree::branch(1, SasTree::leaf(ids[0], 1), SasTree::leaf(ids[1], 1)),
+                    SasTree::branch(1, SasTree::leaf(ids[2], 1), SasTree::leaf(ids[3], 1)),
                 ),
-                SasNode::leaf(ids[4], 2),
+                SasTree::leaf(ids[4], 2),
             ),
-        ));
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         (g, q, tree)
     }
@@ -647,7 +647,7 @@ mod tests {
         let b = g.add_actor("B");
         let e = g.add_edge_with_delay(a, b, 1, 1, 3).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)));
+        let sas = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1));
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let lt = buffer_lifetime(&g, &q, &tree, e);
         assert!(lt.is_solid());
@@ -794,7 +794,7 @@ mod tests {
         g.add_edge(a, b, 1, 1).unwrap();
         let e = g.add_edge_with_delay(a, a, 1, 1, 1).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)));
+        let sas = SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1));
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let lt = buffer_lifetime(&g, &q, &tree, e);
         assert!(lt.is_solid());

@@ -16,7 +16,7 @@
 //! # Examples
 //!
 //! ```
-//! use sdf_core::{SdfGraph, RepetitionsVector, SasNode, SasTree};
+//! use sdf_core::{SdfGraph, RepetitionsVector, SasTree};
 //! use sdf_lifetime::{tree::ScheduleTree, wig::IntersectionGraph};
 //! use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 //!
@@ -28,11 +28,11 @@
 //! g.add_edge(a, b, 20, 10)?;
 //! g.add_edge(b, c, 20, 10)?;
 //! let q = RepetitionsVector::compute(&g)?;
-//! let sas = SasTree::new(SasNode::branch(
+//! let sas = SasTree::branch(
 //!     1,
-//!     SasNode::leaf(a, 1),
-//!     SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-//! ));
+//!     SasTree::leaf(a, 1),
+//!     SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+//! );
 //! let tree = ScheduleTree::build(&g, &q, &sas)?;
 //! let wig = IntersectionGraph::build(&g, &q, &tree);
 //! assert!(mcw_optimistic(&wig) <= mcw_pessimistic(&wig));

@@ -223,7 +223,7 @@ mod tests {
     use super::*;
     use crate::tree::ScheduleTree;
     use sdf_core::repetitions::RepetitionsVector;
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
 
     /// Chain A -> B -> C, homogeneous rate 4: both buffers hold 4 words.
     fn chain() -> (SdfGraph, IntersectionGraph) {
@@ -234,11 +234,11 @@ mod tests {
         g.add_edge(a, b, 4, 4).unwrap();
         g.add_edge(b, c, 4, 4).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(1, SasNode::leaf(b, 1), SasNode::leaf(c, 1)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(1, SasTree::leaf(b, 1), SasTree::leaf(c, 1)),
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         (g, wig)
@@ -344,11 +344,11 @@ mod tests {
         g.add_edge(a, b, 2, 2).unwrap();
         g.add_edge(c, d, 2, 2).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)),
-            SasNode::branch(1, SasNode::leaf(c, 1), SasNode::leaf(d, 1)),
-        ));
+            SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1)),
+            SasTree::branch(1, SasTree::leaf(c, 1), SasTree::leaf(d, 1)),
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let wig = IntersectionGraph::build(&g, &q, &tree);
         let merged = MergedGraph::build(&g, &wig, &CbpSpec::all_in_place(&g));

@@ -232,7 +232,7 @@ impl ConflictGraph for ModeConflictGraph {
 mod tests {
     use super::*;
     use crate::tree::ScheduleTree;
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
     use sdf_core::{RepetitionsVector, SdfGraph};
 
     /// Two toy modes sharing a persistent edge `x -> y`.
@@ -245,15 +245,15 @@ mod tests {
         let pe0 = g0.add_edge_with_delay(x, y, 1, 1, 1).unwrap();
         g0.add_edge(a, b, 2, 1).unwrap();
         let q0 = RepetitionsVector::compute(&g0).unwrap();
-        let sas0 = SasTree::new(SasNode::branch(
+        let sas0 = SasTree::branch(
             1,
-            SasNode::leaf(x, 1),
-            SasNode::branch(
+            SasTree::leaf(x, 1),
+            SasTree::branch(
                 1,
-                SasNode::leaf(y, 1),
-                SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 2)),
+                SasTree::leaf(y, 1),
+                SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 2)),
             ),
-        ));
+        );
         let tree0 = ScheduleTree::build(&g0, &q0, &sas0).unwrap();
         let wig0 = IntersectionGraph::build(&g0, &q0, &tree0);
 
@@ -264,11 +264,11 @@ mod tests {
         let pe1 = g1.add_edge_with_delay(x, y, 1, 1, 1).unwrap();
         g1.add_edge(y, c, 1, 1).unwrap();
         let q1 = RepetitionsVector::compute(&g1).unwrap();
-        let sas1 = SasTree::new(SasNode::branch(
+        let sas1 = SasTree::branch(
             1,
-            SasNode::leaf(x, 1),
-            SasNode::branch(1, SasNode::leaf(y, 1), SasNode::leaf(c, 1)),
-        ));
+            SasTree::leaf(x, 1),
+            SasTree::branch(1, SasTree::leaf(y, 1), SasTree::leaf(c, 1)),
+        );
         let tree1 = ScheduleTree::build(&g1, &q1, &sas1).unwrap();
         let wig1 = IntersectionGraph::build(&g1, &q1, &tree1);
 

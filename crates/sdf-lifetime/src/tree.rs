@@ -1,8 +1,8 @@
 //! The schedule tree: an R-schedule annotated with abstract time (§8.1–8.3).
 //!
 //! Each invocation of a *leaf* of the schedule tree is one schedule step
-//! (one unit of abstract time).  Durations, start times and stop times of
-//! every loop nest follow by depth-first search:
+//! (one unit of abstract time).  Durations of every loop nest follow in
+//! one pass over the SAS's postorder arena, children before parents:
 //!
 //! ```text
 //! dur(leaf) = 1
@@ -10,48 +10,27 @@
 //! ```
 //!
 //! `start`/`stop` locate each node's **first** iteration inside its parent's
-//! first iteration; periodicity (later iterations) is handled symbolically
-//! by [`crate::interval::PeriodicLifetime`].
+//! first iteration, in one pass the other way, parents before children;
+//! periodicity (later iterations) is handled symbolically by
+//! [`crate::interval::PeriodicLifetime`].
 
 use sdf_core::error::SdfError;
 use sdf_core::graph::{ActorId, SdfGraph};
 use sdf_core::repetitions::RepetitionsVector;
+pub use sdf_core::schedule::TreeNodeId;
 use sdf_core::schedule::{SasNode, SasTree};
 
-/// Identifies a node of a [`ScheduleTree`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TreeNodeId(usize);
-
-impl TreeNodeId {
-    /// Returns the dense index of the node.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
+/// The timing of one node of a [`ScheduleTree`].
 #[derive(Clone, Debug)]
-enum TreeNodeKind {
-    Leaf { actor: ActorId },
-    Internal { left: TreeNodeId, right: TreeNodeId },
-}
-
-#[derive(Clone, Debug)]
-struct TreeNode {
-    kind: TreeNodeKind,
+struct Timing {
     parent: Option<TreeNodeId>,
     /// Lowest id in the node's subtree.  Nodes are numbered in postorder,
     /// so the subtree of `v` is exactly the ids `first..=v`.
     first: usize,
-    /// `loop(v)`: iteration count (leaf residual factors count as loop
-    /// factors of a single-leaf nest; see `ScheduleTree::build`).
-    loop_count: u64,
     /// `dur(v)` in schedule steps.
     dur: u64,
     /// Start of the node's first iteration.
     start: u64,
-    /// `start + dur`: end of the node's *last* iteration relative to its
-    /// parent's first iteration.
-    stop: u64,
     /// Iterations of this node per schedule period: the product of
     /// `loop(w)` for `w` on the path from the root to this node, inclusive.
     iterations: u64,
@@ -59,14 +38,15 @@ struct TreeNode {
 
 /// An R-schedule as a timed binary tree.
 ///
-/// Built from a [`SasTree`]; leaves keep their residual repetition count as
-/// the leaf's `loop` value (a leaf invocation of `(3 B)` is **one** schedule
-/// step, matching the paper's convention that `2(A 3B)` takes 4 steps).
+/// Annotates a clone of a [`SasTree`]'s arena in place, so node ids are the
+/// SAS's own.  Leaves keep their residual repetition count out of the
+/// timing (a leaf invocation of `(3 B)` is **one** schedule step, matching
+/// the paper's convention that `2(A 3B)` takes 4 steps).
 ///
 /// # Examples
 ///
 /// ```
-/// use sdf_core::{SdfGraph, RepetitionsVector, SasNode, SasTree};
+/// use sdf_core::{SdfGraph, RepetitionsVector, SasTree};
 /// use sdf_lifetime::tree::ScheduleTree;
 ///
 /// # fn main() -> Result<(), sdf_core::SdfError> {
@@ -78,11 +58,11 @@ struct TreeNode {
 /// g.add_edge(b, c, 20, 10)?;
 /// let q = RepetitionsVector::compute(&g)?;
 /// // A (2 B (2C))
-/// let sas = SasTree::new(SasNode::branch(
+/// let sas = SasTree::branch(
 ///     1,
-///     SasNode::leaf(a, 1),
-///     SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-/// ));
+///     SasTree::leaf(a, 1),
+///     SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+/// );
 /// let tree = ScheduleTree::build(&g, &q, &sas)?;
 /// assert_eq!(tree.total_duration(), 1 + 2 * (1 + 1));
 /// # Ok(())
@@ -90,8 +70,9 @@ struct TreeNode {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ScheduleTree {
-    nodes: Vec<TreeNode>,
-    root: TreeNodeId,
+    sas: SasTree,
+    /// Indexed by node id.
+    timing: Vec<Timing>,
     /// Leaf node of each actor, indexed by actor index.
     leaf_of: Vec<Option<TreeNodeId>>,
 }
@@ -107,81 +88,62 @@ impl ScheduleTree {
         let _span = sdf_trace::span!("lifetime.tree", actors = graph.actor_count());
         sas.validate(graph, q)?;
         sdf_trace::counter_inc("lifetime.tree.builds");
+        let mut leaf_of = vec![None; graph.actor_count()];
+        // Postorder: children before parents, so durations go bottom-up.
+        let mut timing: Vec<Timing> = Vec::with_capacity(sas.nodes().len());
+        for (v, node) in sas.nodes().iter().enumerate() {
+            let (first, dur) = match *node {
+                SasNode::Leaf { actor, .. } => {
+                    leaf_of[actor.index()] = Some(TreeNodeId::from_index(v));
+                    (v, 1)
+                }
+                SasNode::Branch { count, left, right } => {
+                    let (l, r) = (&timing[left.index()], &timing[right.index()]);
+                    (l.first, count * (l.dur + r.dur))
+                }
+            };
+            timing.push(Timing {
+                parent: None,
+                first,
+                dur,
+                start: 0,
+                iterations: 1,
+            });
+        }
         let mut tree = ScheduleTree {
-            // A SAS over n actors is a full binary tree of 2n - 1 nodes.
-            nodes: Vec::with_capacity(2 * graph.actor_count()),
-            root: TreeNodeId(0),
-            leaf_of: vec![None; graph.actor_count()],
+            sas: sas.clone(),
+            timing,
+            leaf_of,
         };
-        let root = tree.convert(sas.root());
-        tree.root = root;
-        tree.annotate(root, None, 0, 1);
+        // Reverse postorder: parents before children, so start times and
+        // iteration counts go top-down.
+        let root = tree.root();
+        tree.timing[root.index()].iterations = tree.loop_count(root);
+        for v in (0..tree.timing.len()).rev().map(TreeNodeId::from_index) {
+            let Some((left, right)) = tree.children(v) else {
+                continue;
+            };
+            let Timing {
+                start, iterations, ..
+            } = tree.timing[v.index()];
+            let left_stop = start + tree.dur(left);
+            for (child, start) in [(left, start), (right, left_stop)] {
+                let iterations = iterations * tree.loop_count(child);
+                let t = &mut tree.timing[child.index()];
+                (t.parent, t.start, t.iterations) = (Some(v), start, iterations);
+            }
+        }
         Ok(tree)
-    }
-
-    /// Recursively converts a [`SasNode`], computing durations bottom-up.
-    fn convert(&mut self, node: &SasNode) -> TreeNodeId {
-        match node {
-            SasNode::Leaf { actor, reps } => {
-                let id = TreeNodeId(self.nodes.len());
-                self.nodes.push(TreeNode {
-                    kind: TreeNodeKind::Leaf { actor: *actor },
-                    parent: None,
-                    first: id.0,
-                    loop_count: *reps,
-                    dur: 1,
-                    start: 0,
-                    stop: 0,
-                    iterations: 1,
-                });
-                self.leaf_of[actor.index()] = Some(id);
-                id
-            }
-            SasNode::Branch { count, left, right } => {
-                let l = self.convert(left);
-                let r = self.convert(right);
-                let dur = count * (self.nodes[l.0].dur + self.nodes[r.0].dur);
-                let id = TreeNodeId(self.nodes.len());
-                self.nodes.push(TreeNode {
-                    kind: TreeNodeKind::Internal { left: l, right: r },
-                    parent: None,
-                    first: self.nodes[l.0].first,
-                    loop_count: *count,
-                    dur,
-                    start: 0,
-                    stop: 0,
-                    iterations: 1,
-                });
-                self.nodes[l.0].parent = Some(id);
-                self.nodes[r.0].parent = Some(id);
-                id
-            }
-        }
-    }
-
-    /// Second pass: start/stop times and per-period iteration counts.
-    fn annotate(&mut self, id: TreeNodeId, parent: Option<TreeNodeId>, start: u64, iters: u64) {
-        let node = &mut self.nodes[id.0];
-        node.parent = parent;
-        node.start = start;
-        node.stop = start + node.dur;
-        node.iterations = iters * node.loop_count;
-        let iters = node.iterations;
-        if let TreeNodeKind::Internal { left, right } = node.kind {
-            let left_dur = self.nodes[left.0].dur;
-            self.annotate(left, Some(id), start, iters);
-            self.annotate(right, Some(id), start + left_dur, iters);
-        }
     }
 
     /// The root node.
     pub fn root(&self) -> TreeNodeId {
-        self.root
+        self.sas.root()
     }
 
     /// Total schedule duration in steps (`dur(root)`).
     pub fn total_duration(&self) -> u64 {
-        self.nodes[self.root.0].dur
+        self.dur(self.root())
     }
 
     /// `loop(v)` — iteration count of the node (leaf residual factors are
@@ -192,18 +154,9 @@ impl ScheduleTree {
     ///
     /// Panics if `v` is out of range.
     pub fn loop_count(&self, v: TreeNodeId) -> u64 {
-        match self.nodes[v.0].kind {
-            TreeNodeKind::Leaf { .. } => 1,
-            TreeNodeKind::Internal { .. } => self.nodes[v.0].loop_count,
-        }
-    }
-
-    /// The residual repetition count of a leaf (e.g. 3 for `(3 B)`), or
-    /// `None` for internal nodes.
-    pub fn leaf_reps(&self, v: TreeNodeId) -> Option<u64> {
-        match self.nodes[v.0].kind {
-            TreeNodeKind::Leaf { .. } => Some(self.nodes[v.0].loop_count),
-            TreeNodeKind::Internal { .. } => None,
+        match self.sas.node(v) {
+            SasNode::Leaf { .. } => 1,
+            SasNode::Branch { count, .. } => count,
         }
     }
 
@@ -213,17 +166,18 @@ impl ScheduleTree {
     ///
     /// Panics if `v` is out of range.
     pub fn dur(&self, v: TreeNodeId) -> u64 {
-        self.nodes[v.0].dur
+        self.timing[v.index()].dur
     }
 
     /// Start time of the node's first iteration.
     pub fn start(&self, v: TreeNodeId) -> u64 {
-        self.nodes[v.0].start
+        self.timing[v.index()].start
     }
 
-    /// Stop time (`start + dur`).
+    /// Stop time (`start + dur`): the end of the node's *last* iteration
+    /// relative to its parent's first iteration.
     pub fn stop(&self, v: TreeNodeId) -> u64 {
-        self.nodes[v.0].stop
+        self.start(v) + self.dur(v)
     }
 
     /// Iterations of `v` per schedule period (product of loop counts from
@@ -231,31 +185,19 @@ impl ScheduleTree {
     /// ancestors — a leaf's own residual factor is excluded since all its
     /// firings share one step).
     pub fn iterations(&self, v: TreeNodeId) -> u64 {
-        match self.nodes[v.0].kind {
-            // `iterations` accumulated the leaf's residual factor; undo it.
-            TreeNodeKind::Leaf { .. } => self.nodes[v.0].iterations / self.nodes[v.0].loop_count,
-            TreeNodeKind::Internal { .. } => self.nodes[v.0].iterations,
-        }
+        self.timing[v.index()].iterations
     }
 
     /// Parent of `v`, or `None` for the root.
     pub fn parent(&self, v: TreeNodeId) -> Option<TreeNodeId> {
-        self.nodes[v.0].parent
+        self.timing[v.index()].parent
     }
 
     /// Children of an internal node.
     pub fn children(&self, v: TreeNodeId) -> Option<(TreeNodeId, TreeNodeId)> {
-        match self.nodes[v.0].kind {
-            TreeNodeKind::Leaf { .. } => None,
-            TreeNodeKind::Internal { left, right } => Some((left, right)),
-        }
-    }
-
-    /// The actor at a leaf, or `None` for internal nodes.
-    pub fn leaf_actor(&self, v: TreeNodeId) -> Option<ActorId> {
-        match self.nodes[v.0].kind {
-            TreeNodeKind::Leaf { actor } => Some(actor),
-            TreeNodeKind::Internal { .. } => None,
+        match self.sas.node(v) {
+            SasNode::Leaf { .. } => None,
+            SasNode::Branch { left, right, .. } => Some((left, right)),
         }
     }
 
@@ -286,12 +228,7 @@ impl ScheduleTree {
     /// (every node is its own ancestor): an interval test on the
     /// postorder numbering.
     pub fn is_ancestor(&self, ancestor: TreeNodeId, descendant: TreeNodeId) -> bool {
-        (self.nodes[ancestor.0].first..=ancestor.0).contains(&descendant.0)
-    }
-
-    /// Number of nodes in the tree.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        (self.timing[ancestor.index()].first..=ancestor.index()).contains(&descendant.index())
     }
 
     /// Renders the tree as indented ASCII with timing annotations, e.g.
@@ -304,29 +241,27 @@ impl ScheduleTree {
     /// ```
     pub fn render(&self, graph: &SdfGraph) -> String {
         let mut out = String::new();
-        self.render_node(graph, self.root, 0, &mut out);
+        self.render_node(graph, self.root(), 0, &mut out);
         out
     }
 
     fn render_node(&self, graph: &SdfGraph, v: TreeNodeId, depth: usize, out: &mut String) {
         use std::fmt::Write as _;
         let pad = "  ".repeat(depth);
-        match self.nodes[v.0].kind {
-            TreeNodeKind::Leaf { actor } => {
+        match self.sas.node(v) {
+            SasNode::Leaf { actor, reps } => {
                 let _ = writeln!(
                     out,
-                    "{pad}leaf {} x{}  [start {}, dur {}]",
+                    "{pad}leaf {} x{reps}  [start {}, dur {}]",
                     graph.actor_name(actor),
-                    self.nodes[v.0].loop_count,
                     self.start(v),
                     self.dur(v)
                 );
             }
-            TreeNodeKind::Internal { left, right } => {
+            SasNode::Branch { count, left, right } => {
                 let _ = writeln!(
                     out,
-                    "{pad}loop x{}  [start {}, dur {}, iters {}]",
-                    self.nodes[v.0].loop_count,
+                    "{pad}loop x{count}  [start {}, dur {}, iters {}]",
                     self.start(v),
                     self.dur(v),
                     self.iterations(v)
@@ -360,19 +295,19 @@ mod tests {
         g.add_edge(c, d, 1, 1).unwrap();
         g.add_edge(d, e, 1, 1).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(s, 1),
-            SasNode::branch(
+            SasTree::leaf(s, 1),
+            SasTree::branch(
                 2,
-                SasNode::branch(
+                SasTree::branch(
                     2,
-                    SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)),
-                    SasNode::branch(1, SasNode::leaf(c, 1), SasNode::leaf(d, 1)),
+                    SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1)),
+                    SasTree::branch(1, SasTree::leaf(c, 1), SasTree::leaf(d, 1)),
                 ),
-                SasNode::leaf(e, 2),
+                SasTree::leaf(e, 2),
             ),
-        ));
+        );
         (g, q, sas)
     }
 
@@ -406,16 +341,15 @@ mod tests {
         g.add_edge(a, b, 3, 1).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
         assert_eq!(q.as_slice(), &[1, 2, 6]);
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(x, 1),
-            SasNode::branch(2, SasNode::leaf(a, 1), SasNode::leaf(b, 3)),
-        ));
+            SasTree::leaf(x, 1),
+            SasTree::branch(2, SasTree::leaf(a, 1), SasTree::leaf(b, 3)),
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         assert_eq!(tree.total_duration(), 5);
         let bleaf = tree.leaf(b);
         assert_eq!(tree.dur(bleaf), 1);
-        assert_eq!(tree.leaf_reps(bleaf), Some(3));
         assert_eq!(tree.loop_count(bleaf), 1);
         // First invocation of (3B) spans [2, 3).
         assert_eq!(tree.start(bleaf), 2);
@@ -514,6 +448,67 @@ mod tests {
             false
         }
 
+        /// The recursive definition the two arena passes replaced: `dur`
+        /// bottom-up, then `start`, `iterations` and `parent` top-down,
+        /// as `(dur, start, iterations, parent)` per node.
+        fn reference_timing(sas: &SasTree) -> Vec<(u64, u64, u64, Option<TreeNodeId>)> {
+            fn dur(sas: &SasTree, v: TreeNodeId) -> u64 {
+                match sas.node(v) {
+                    SasNode::Leaf { .. } => 1,
+                    SasNode::Branch { count, left, right } => {
+                        count * (dur(sas, left) + dur(sas, right))
+                    }
+                }
+            }
+            fn annotate(
+                sas: &SasTree,
+                v: TreeNodeId,
+                parent: Option<TreeNodeId>,
+                start: u64,
+                iters: u64,
+                out: &mut [(u64, u64, u64, Option<TreeNodeId>)],
+            ) {
+                match sas.node(v) {
+                    SasNode::Leaf { .. } => out[v.index()] = (1, start, iters, parent),
+                    SasNode::Branch { count, left, right } => {
+                        let iters = iters * count;
+                        out[v.index()] = (dur(sas, v), start, iters, parent);
+                        annotate(sas, left, Some(v), start, iters, out);
+                        let right_start = start + dur(sas, left);
+                        annotate(sas, right, Some(v), right_start, iters, out);
+                    }
+                }
+            }
+            let mut out = vec![(0, 0, 0, None); sas.nodes().len()];
+            annotate(sas, sas.root(), None, 0, 1, &mut out);
+            out
+        }
+
+        /// A random R-schedule over `order[lo..=hi]` composed with
+        /// [`SasTree::branch`], each split and factoring drawn from `rng`.
+        fn random_sas(
+            order: &[ActorId],
+            q: &RepetitionsVector,
+            lo: usize,
+            hi: usize,
+            applied: u64,
+            rng: &mut impl Rng,
+        ) -> SasTree {
+            if lo == hi {
+                return SasTree::leaf(order[lo], q.get(order[lo]) / applied);
+            }
+            let k = rng.gen_range(lo..hi);
+            let (count, inner) = if rng.gen_range(0..2) == 1 {
+                let g = sdf_core::math::gcd_iter(order[lo..=hi].iter().map(|&a| q.get(a)));
+                (g / applied, g)
+            } else {
+                (1, applied)
+            };
+            let left = random_sas(order, q, lo, k, inner, rng);
+            let right = random_sas(order, q, k + 1, hi, inner, rng);
+            SasTree::branch(count, left, right)
+        }
+
         /// A chain of `n` actors with rates drawn from 1..=4.
         fn random_chain(n: usize, rng: &mut impl Rng) -> SdfGraph {
             let mut g = SdfGraph::new("chain");
@@ -551,8 +546,9 @@ mod tests {
                     sdf_sched::dppo(&g, &q, &order).unwrap().tree,
                 ] {
                     let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
-                    for u in (0..tree.node_count()).map(TreeNodeId) {
-                        for v in (0..tree.node_count()).map(TreeNodeId) {
+                    let ids = || (0..sas.nodes().len()).map(TreeNodeId::from_index);
+                    for u in ids() {
+                        for v in ids() {
                             prop_assert_eq!(
                                 tree.least_parent(u, v),
                                 least_parent_by_ancestor_set(&tree, u, v)
@@ -562,6 +558,40 @@ mod tests {
                                 is_ancestor_by_parent_walk(&tree, u, v)
                             );
                         }
+                    }
+                }
+            }
+
+            /// On random SDPPO, DPPO and `SasTree::branch`-built trees,
+            /// every node's `dur`, `start`, `stop`, `iterations` and
+            /// `parent` match the recursive definition.
+            #[test]
+            fn arena_passes_match_the_recursive_definition(
+                seed in 0u64..10_000,
+                size in 1usize..24,
+                chain in 0u8..2,
+            ) {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let g = if chain == 1 {
+                    random_chain(size, &mut rng)
+                } else {
+                    random_sdf_graph(&RandomGraphConfig::paper_style(size), &mut rng)
+                };
+                let q = RepetitionsVector::compute(&g).unwrap();
+                let order = sdf_sched::random_topological_sort(&g, &mut rng).unwrap();
+                for sas in [
+                    sdf_sched::sdppo(&g, &q, &order).unwrap().tree,
+                    sdf_sched::dppo(&g, &q, &order).unwrap().tree,
+                    random_sas(&order, &q, 0, order.len() - 1, 1, &mut rng),
+                ] {
+                    let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
+                    for (v, &(dur, start, iters, parent)) in reference_timing(&sas).iter().enumerate() {
+                        let v = TreeNodeId::from_index(v);
+                        prop_assert_eq!(tree.dur(v), dur);
+                        prop_assert_eq!(tree.start(v), start);
+                        prop_assert_eq!(tree.stop(v), start + dur);
+                        prop_assert_eq!(tree.iterations(v), iters);
+                        prop_assert_eq!(tree.parent(v), parent);
                     }
                 }
             }
@@ -585,7 +615,7 @@ mod tests {
     fn invalid_sas_rejected() {
         let (g, q, _) = paper_example();
         let a = g.actor_by_name("A").unwrap();
-        let bad = SasTree::new(SasNode::leaf(a, 1));
+        let bad = SasTree::leaf(a, 1);
         assert!(ScheduleTree::build(&g, &q, &bad).is_err());
     }
 }

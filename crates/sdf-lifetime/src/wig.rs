@@ -228,7 +228,7 @@ impl ConflictGraph for IntersectionGraph {
 /// # Examples
 ///
 /// ```
-/// use sdf_core::{SdfGraph, RepetitionsVector, SasNode, SasTree};
+/// use sdf_core::{SdfGraph, RepetitionsVector, SasTree};
 /// use sdf_lifetime::{tree::ScheduleTree, wig::IntersectionGraph};
 ///
 /// # fn main() -> Result<(), sdf_core::SdfError> {
@@ -239,11 +239,11 @@ impl ConflictGraph for IntersectionGraph {
 /// g.add_edge(a, b, 20, 10)?;
 /// g.add_edge(b, c, 20, 10)?;
 /// let q = RepetitionsVector::compute(&g)?;
-/// let sas = SasTree::new(SasNode::branch(
+/// let sas = SasTree::branch(
 ///     1,
-///     SasNode::leaf(a, 1),
-///     SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-/// ));
+///     SasTree::leaf(a, 1),
+///     SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+/// );
 /// let tree = ScheduleTree::build(&g, &q, &sas)?;
 /// let wig = IntersectionGraph::build(&g, &q, &tree);
 /// assert_eq!(wig.len(), 2);
@@ -390,7 +390,7 @@ impl IntersectionGraph {
 mod tests {
     use super::*;
     use crate::interval::{intersects_by_enumeration, Period, PeriodicLifetime};
-    use sdf_core::schedule::{SasNode, SasTree};
+    use sdf_core::schedule::SasTree;
 
     fn lt(start: u64, dur: u64, size: u64) -> PeriodicLifetime {
         PeriodicLifetime::solid(start, dur, size)
@@ -466,11 +466,11 @@ mod tests {
         g.add_edge(a, b, 20, 10).unwrap();
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
-        let sas = SasTree::new(SasNode::branch(
+        let sas = SasTree::branch(
             1,
-            SasNode::leaf(a, 1),
-            SasNode::branch(2, SasNode::leaf(b, 1), SasNode::leaf(c, 2)),
-        ));
+            SasTree::leaf(a, 1),
+            SasTree::branch(2, SasTree::leaf(b, 1), SasTree::leaf(c, 2)),
+        );
         let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
         let w = IntersectionGraph::build(&g, &q, &tree);
         assert_eq!(w.len(), 2);

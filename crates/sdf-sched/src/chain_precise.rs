@@ -20,7 +20,7 @@
 use sdf_core::error::SdfError;
 use sdf_core::graph::SdfGraph;
 use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::schedule::{SasNode, SasTree};
+use sdf_core::schedule::{SasNode, SasTree, TreeNodeId};
 
 use crate::chain::ChainTables;
 
@@ -167,7 +167,8 @@ pub fn chain_precise(
         .enumerate()
         .min_by_key(|(_, e)| (e.t.center, e.t.left + e.t.right))
         .expect("top cell cannot be empty");
-    let tree = SasTree::new(build_node(&cells, &ct, q, 0, n - 1, best_idx, 1));
+    let mut tree = SasTree::with_capacity(2 * n - 1);
+    push_subtree(&mut tree, &cells, &ct, 0, n - 1, best_idx, 1);
     if sdf_trace::enabled() {
         // Post-hoc over the finished table — no per-iteration counting in
         // the DP loops when tracing is off.
@@ -227,28 +228,31 @@ fn insert_pareto(frontier: &mut Vec<Entry>, e: Entry) {
     frontier.push(e);
 }
 
-fn build_node(
+/// Pushes the subtree of `[i..=j]` under frontier entry `entry` in
+/// postorder and returns its root.
+fn push_subtree(
+    tree: &mut SasTree,
     cells: &[Vec<Entry>],
     ct: &ChainTables,
-    q: &RepetitionsVector,
     i: usize,
     j: usize,
     entry: usize,
     applied: u64,
-) -> SasNode {
+) -> TreeNodeId {
     let n = ct.len();
     let e = cells[i * n + j][entry];
     if i == j {
-        let actor = ct.actor(i);
-        return SasNode::leaf(actor, q.get(actor) / applied);
+        // `gcd_range(i, i)` is `q(x_i)`.
+        let (actor, reps) = (ct.actor(i), ct.gcd_range(i, i) / applied);
+        return tree.push(SasNode::Leaf { actor, reps });
     }
     // Chains always have the internal (crossing) edge, so every merge is
     // factored (§5.1 heuristic).
     let g = ct.gcd_range(i, j);
     let count = g / applied;
-    let left = build_node(cells, ct, q, i, e.k, e.li, g);
-    let right = build_node(cells, ct, q, e.k + 1, j, e.ri, g);
-    SasNode::branch(count, left, right)
+    let left = push_subtree(tree, cells, ct, i, e.k, e.li, g);
+    let right = push_subtree(tree, cells, ct, e.k + 1, j, e.ri, g);
+    tree.push(SasNode::Branch { count, left, right })
 }
 
 #[cfg(test)]

@@ -86,9 +86,8 @@ pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -
     // windowed scan provably reproduces the exact scan's smallest-k
     // tie-break, and resolving a cell always computes the two children
     // its tree decision visits next.
-    let solver = std::cell::RefCell::new(solver);
-    let tree = build_tree(ct, q, &|i, j| SplitDecision {
-        k: solver.borrow_mut().tree_split(i, j),
+    let tree = build_tree(ct, q, |i, j| SplitDecision {
+        k: solver.tree_split(i, j),
         factored: true,
     });
     if sdf_trace::enabled() {
@@ -98,9 +97,9 @@ pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -
         // Actual crossing-cost evaluations, not the closed form — the
         // windowed scan does far fewer and the regression sentinel gates
         // on this counter.
-        sdf_trace::counter_add("sched.dppo.split_probes", solver.borrow().probes());
+        sdf_trace::counter_add("sched.dppo.split_probes", solver.probes());
         sdf_trace::counter_add("sched.dppo.fallbacks", u64::from(fell_back));
-        sdf_trace::counter_add("sched.dppo.floor_stops", solver.borrow().floor_stops());
+        sdf_trace::counter_add("sched.dppo.floor_stops", solver.floor_stops());
     }
     DppoResult { tree, bufmem }
 }

@@ -142,14 +142,11 @@ pub fn sdppo_from_tables(
     let shared_cost = solver.value(0, n - 1);
     // As in DPPO, tree decisions read argmin splits straight from the
     // solver — the windowed tie-break provably matches the exact scan's.
-    let solver = std::cell::RefCell::new(solver);
-    let factored_splits = std::cell::Cell::new(0u64);
-    let tree = build_tree(ct, q, &|i, j| {
-        let k = solver.borrow_mut().tree_split(i, j);
+    let mut factored_splits = 0u64;
+    let tree = build_tree(ct, q, |i, j| {
+        let k = solver.tree_split(i, j);
         let factored = policy.factors(ct.crosses(i, k, j));
-        if factored {
-            factored_splits.set(factored_splits.get() + 1);
-        }
+        factored_splits += u64::from(factored);
         SplitDecision { k, factored }
     });
     if sdf_trace::enabled() {
@@ -159,12 +156,12 @@ pub fn sdppo_from_tables(
         let nn = n as u64;
         sdf_trace::counter_inc("sched.sdppo.runs");
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
-        sdf_trace::counter_add("sched.sdppo.split_probes", solver.borrow().probes());
-        sdf_trace::counter_add("sched.sdppo.splits_pruned", solver.borrow().pruned());
-        sdf_trace::counter_add("sched.sdppo.floor_stops", solver.borrow().floor_stops());
+        sdf_trace::counter_add("sched.sdppo.split_probes", solver.probes());
+        sdf_trace::counter_add("sched.sdppo.splits_pruned", solver.pruned());
+        sdf_trace::counter_add("sched.sdppo.floor_stops", solver.floor_stops());
         // Factored decisions the schedule actually takes (one candidate
         // per tree split), not a census of the whole table.
-        sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits.get());
+        sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits);
     }
     SdppoResult { tree, shared_cost }
 }

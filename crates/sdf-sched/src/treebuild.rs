@@ -1,7 +1,7 @@
 //! Construction of R-schedule trees from dynamic-programming split tables.
 
 use sdf_core::repetitions::RepetitionsVector;
-use sdf_core::schedule::{SasNode, SasTree};
+use sdf_core::schedule::{SasNode, SasTree, TreeNodeId};
 
 use crate::chain::ChainTables;
 
@@ -17,31 +17,36 @@ pub struct SplitDecision {
 }
 
 /// Builds the R-schedule tree for the whole chain from per-subchain split
-/// decisions.
+/// decisions, pushing its 2n − 1 nodes into one arena in postorder.
 ///
 /// `decision(i, j)` must return the chosen split for every subchain with at
-/// least two actors.  `factored == true` wraps `[i..=j]` in a loop of count
+/// least two actors; it is called parent first, then left subtree, then
+/// right.  `factored == true` wraps `[i..=j]` in a loop of count
 /// `g(i..j) / applied` where `applied` is the product of enclosing loop
 /// factors; leaves fire `q(x) / applied` times.
 pub fn build_tree(
     ct: &ChainTables,
     q: &RepetitionsVector,
-    decision: &impl Fn(usize, usize) -> SplitDecision,
+    mut decision: impl FnMut(usize, usize) -> SplitDecision,
 ) -> SasTree {
-    SasTree::new(build_node(ct, q, decision, 0, ct.len() - 1, 1))
+    let mut tree = SasTree::with_capacity(2 * ct.len() - 1);
+    push_subtree(&mut tree, ct, q, &mut decision, 0, ct.len() - 1, 1);
+    tree
 }
 
-fn build_node(
+fn push_subtree(
+    tree: &mut SasTree,
     ct: &ChainTables,
     q: &RepetitionsVector,
-    decision: &impl Fn(usize, usize) -> SplitDecision,
+    decision: &mut impl FnMut(usize, usize) -> SplitDecision,
     i: usize,
     j: usize,
     applied: u64,
-) -> SasNode {
+) -> TreeNodeId {
     if i == j {
         let actor = ct.actor(i);
-        return SasNode::leaf(actor, q.get(actor) / applied);
+        let reps = q.get(actor) / applied;
+        return tree.push(SasNode::Leaf { actor, reps });
     }
     let d = decision(i, j);
     debug_assert!(d.k >= i && d.k < j, "split {} outside [{i}, {j})", d.k);
@@ -55,9 +60,9 @@ fn build_node(
     } else {
         (1, applied)
     };
-    let left = build_node(ct, q, decision, i, d.k, inner_applied);
-    let right = build_node(ct, q, decision, d.k + 1, j, inner_applied);
-    SasNode::branch(count, left, right)
+    let left = push_subtree(tree, ct, q, decision, i, d.k, inner_applied);
+    let right = push_subtree(tree, ct, q, decision, d.k + 1, j, inner_applied);
+    tree.push(SasNode::Branch { count, left, right })
 }
 
 #[cfg(test)]
@@ -77,7 +82,7 @@ mod tests {
         g.add_edge(b, c, 20, 10).unwrap();
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build(&g, &q, &[a, b, c]).unwrap();
-        let tree = build_tree(&ct, &q, &|i, _j| SplitDecision {
+        let tree = build_tree(&ct, &q, |i, _j| SplitDecision {
             k: i,
             factored: true,
         });
@@ -94,7 +99,7 @@ mod tests {
         g.add_edge(a, b, 1, 1).unwrap(); // q = (1, 1) -> trivial factors
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build(&g, &q, &[a, b]).unwrap();
-        let tree = build_tree(&ct, &q, &|i, _| SplitDecision {
+        let tree = build_tree(&ct, &q, |i, _| SplitDecision {
             k: i,
             factored: false,
         });
@@ -116,7 +121,7 @@ mod tests {
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build(&g, &q, &[d, a, b, c]).unwrap();
         // Split D | A B C unfactored; then A | B C factored; then B | C.
-        let tree = build_tree(&ct, &q, &|i, j| SplitDecision {
+        let tree = build_tree(&ct, &q, |i, j| SplitDecision {
             k: i,
             factored: !(i == 0 && j == 3),
         });
@@ -125,5 +130,55 @@ mod tests {
         // form inlines.
         let s = tree.to_looped_schedule().display(&g).to_string();
         assert_eq!(s, "D(2A B C)");
+    }
+
+    /// `[i..=j]` under the same decisions, composed one subtree at a time
+    /// with [`SasTree::branch`].
+    fn composed(
+        ct: &ChainTables,
+        q: &RepetitionsVector,
+        decision: &impl Fn(usize, usize) -> SplitDecision,
+        i: usize,
+        j: usize,
+        applied: u64,
+    ) -> SasTree {
+        if i == j {
+            let actor = ct.actor(i);
+            return SasTree::leaf(actor, q.get(actor) / applied);
+        }
+        let d = decision(i, j);
+        let (count, inner) = if d.factored {
+            let g = ct.gcd_range(i, j);
+            (g / applied, g)
+        } else {
+            (1, applied)
+        };
+        let left = composed(ct, q, decision, i, d.k, inner);
+        let right = composed(ct, q, decision, d.k + 1, j, inner);
+        SasTree::branch(count, left, right)
+    }
+
+    #[test]
+    fn arena_equals_branch_composition() {
+        let mut g = SdfGraph::new("chain");
+        let rates = [(2, 3), (4, 1), (1, 2), (6, 4), (3, 3), (1, 5)];
+        let actors: Vec<_> = (0..=rates.len())
+            .map(|i| g.add_actor(format!("a{i}")))
+            .collect();
+        for (w, &(p, c)) in actors.windows(2).zip(&rates) {
+            g.add_edge(w[0], w[1], p, c).unwrap();
+        }
+        let q = RepetitionsVector::compute(&g).unwrap();
+        let ct = ChainTables::build(&g, &q, &actors).unwrap();
+        for seed in 0..64 {
+            // A fixed pseudo-random split and factoring per subchain.
+            let decision = |i: usize, j: usize| SplitDecision {
+                k: i + (i * 7 + j * 13 + seed) % (j - i),
+                factored: !(i * 3 + j + seed).is_multiple_of(3),
+            };
+            let arena = build_tree(&ct, &q, decision);
+            arena.validate(&g, &q).unwrap();
+            assert_eq!(arena, composed(&ct, &q, &decision, 0, ct.len() - 1, 1));
+        }
     }
 }

@@ -7,14 +7,18 @@
 //! renders its C, and asserts the count stays at or below a ceiling set
 //! from the measured count. The count is deterministic for a given
 //! build: it moves only when the code changes, so a ceiling that trips
-//! names the layer that started allocating again.
+//! names the layer that started allocating again. The schedule-tree
+//! builder is pinned exactly: one allocation, its node arena, whatever
+//! the chain's length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sdfmem::apps::{registry, scale};
-use sdfmem::core::SdfGraph;
+use sdfmem::core::{RepetitionsVector, SdfGraph};
 use sdfmem::engine::AnalysisBuilder;
+use sdfmem::sched::treebuild::{build_tree, SplitDecision};
+use sdfmem::sched::ChainTables;
 
 struct Counting;
 
@@ -78,21 +82,44 @@ fn assert_at_most(graph: &SdfGraph, ceiling: u64) {
 
 #[test]
 fn qmf23_2d_compile_allocations() {
-    assert_at_most(&registry::by_name("qmf23_2d").unwrap(), 590);
+    assert_at_most(&registry::by_name("qmf23_2d").unwrap(), 413);
 }
 
 #[test]
 fn satrec_compile_allocations() {
-    assert_at_most(&registry::by_name("satrec").unwrap(), 668);
+    assert_at_most(&registry::by_name("satrec").unwrap(), 471);
 }
 
 #[test]
 fn scale_chain_128_compile_allocations() {
-    assert_at_most(&scale::scale_chain(128), 2531);
+    assert_at_most(&scale::scale_chain(128), 1779);
 }
 
 #[test]
 fn counts_are_deterministic() {
     let g = registry::by_name("satrec").unwrap();
     assert_eq!(compile_allocations(&g), compile_allocations(&g));
+}
+
+/// Allocations of one `build_tree` over `scale_chain(n)` in actor order,
+/// each subchain split in the middle and factored.
+fn build_tree_allocations(n: usize) -> u64 {
+    let g = scale::scale_chain(n);
+    let q = RepetitionsVector::compute(&g).unwrap();
+    let order: Vec<_> = g.actors().collect();
+    let ct = ChainTables::build(&g, &q, &order).unwrap();
+    let before = allocations();
+    let tree = build_tree(&ct, &q, |i, j| SplitDecision {
+        k: (i + j) / 2,
+        factored: true,
+    });
+    let counted = allocations() - before;
+    tree.validate(&g, &q).unwrap();
+    counted
+}
+
+#[test]
+fn build_tree_allocates_one_arena() {
+    assert_eq!(build_tree_allocations(64), 1);
+    assert_eq!(build_tree_allocations(128), 1);
 }

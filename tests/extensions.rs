@@ -54,7 +54,7 @@ fn fine_model_strictly_helps_on_feedback_ring() {
     // A 4-ring with a unit-delay feedback edge: the feedback buffer drains
     // at the first firing and refills at the last, so the fine model sees
     // the gap [1, 3) while the coarse model pins it for the whole period.
-    use sdfmem::core::{SasNode, SasTree, SdfGraph};
+    use sdfmem::core::{SasTree, SdfGraph};
     let mut g = SdfGraph::new("ring4");
     let a = g.add_actor("A");
     let b = g.add_actor("B");
@@ -65,11 +65,11 @@ fn fine_model_strictly_helps_on_feedback_ring() {
     g.add_edge(c, d, 1, 1).unwrap();
     g.add_edge_with_delay(d, a, 1, 1, 1).unwrap();
     let q = RepetitionsVector::compute(&g).unwrap();
-    let sas = SasTree::new(SasNode::branch(
+    let sas = SasTree::branch(
         1,
-        SasNode::branch(1, SasNode::leaf(a, 1), SasNode::leaf(b, 1)),
-        SasNode::branch(1, SasNode::leaf(c, 1), SasNode::leaf(d, 1)),
-    ));
+        SasTree::branch(1, SasTree::leaf(a, 1), SasTree::leaf(b, 1)),
+        SasTree::branch(1, SasTree::leaf(c, 1), SasTree::leaf(d, 1)),
+    );
     let tree = ScheduleTree::build(&g, &q, &sas).unwrap();
     let coarse = IntersectionGraph::build(&g, &q, &tree);
     let fine = FineIntersectionGraph::build(&g, &q, &sas);

@@ -12,7 +12,7 @@ use sdfmem::alloc::{allocate, AllocationOrder, PlacementPolicy};
 use sdfmem::apps::random::{random_sdf_graph, RandomGraphConfig};
 use sdfmem::core::math::gcd_iter;
 use sdfmem::core::simulate::validate_schedule;
-use sdfmem::core::{ActorId, RepetitionsVector, SasNode, SasTree, SdfGraph};
+use sdfmem::core::{ActorId, RepetitionsVector, SasTree, SdfGraph};
 use sdfmem::lifetime::{tree::ScheduleTree, wig::IntersectionGraph};
 use sdfmem::sched::{dppo::dppo, sdppo::sdppo};
 
@@ -24,9 +24,9 @@ fn enumerate_trees(
     lo: usize,
     hi: usize,
     applied: u64,
-) -> Vec<SasNode> {
+) -> Vec<SasTree> {
     if lo == hi {
-        return vec![SasNode::leaf(order[lo], q.get(order[lo]) / applied)];
+        return vec![SasTree::leaf(order[lo], q.get(order[lo]) / applied)];
     }
     let g = gcd_iter(order[lo..=hi].iter().map(|&a| q.get(a)));
     let count = g / applied;
@@ -34,7 +34,7 @@ fn enumerate_trees(
     for k in lo..hi {
         for left in enumerate_trees(order, q, lo, k, g) {
             for right in enumerate_trees(order, q, k + 1, hi, g) {
-                out.push(SasNode::branch(count, left.clone(), right.clone()));
+                out.push(SasTree::branch(count, left.clone(), right.clone()));
             }
         }
     }
@@ -44,8 +44,7 @@ fn enumerate_trees(
 fn brute_force_best_bufmem(graph: &SdfGraph, q: &RepetitionsVector, order: &[ActorId]) -> u64 {
     enumerate_trees(order, q, 0, order.len() - 1, 1)
         .into_iter()
-        .map(|root| {
-            let tree = SasTree::new(root);
+        .map(|tree| {
             tree.validate(graph, q).expect("enumerated trees are valid");
             validate_schedule(graph, &tree.to_looped_schedule(), q)
                 .expect("SAS executes")
@@ -58,8 +57,7 @@ fn brute_force_best_bufmem(graph: &SdfGraph, q: &RepetitionsVector, order: &[Act
 fn brute_force_best_shared(graph: &SdfGraph, q: &RepetitionsVector, order: &[ActorId]) -> u64 {
     enumerate_trees(order, q, 0, order.len() - 1, 1)
         .into_iter()
-        .map(|root| {
-            let sas = SasTree::new(root);
+        .map(|sas| {
             let tree = ScheduleTree::build(graph, q, &sas).expect("valid");
             let wig = IntersectionGraph::build(graph, q, &tree);
             let d = allocate(

@@ -48,10 +48,20 @@ const ROWS: &[(Parser, &str, &str)] = &[
     (Graph, "graph\n", r#"line 1: missing graph name: "graph""#),
     (
         Graph,
+        "graph a b\n",
+        r#"line 1: trailing tokens after graph name: "graph a b""#,
+    ),
+    (
+        Graph,
         "graph a\ngraph b\n",
         r#"line 2: duplicate graph declaration: "graph b""#,
     ),
     (Graph, "actor\n", r#"line 1: missing actor name: "actor""#),
+    (
+        Graph,
+        "actor A junk\n",
+        r#"line 1: trailing tokens after actor name: "actor A junk""#,
+    ),
     (
         Graph,
         "actor A\nactor A\n",
@@ -78,6 +88,11 @@ const ROWS: &[(Parser, &str, &str)] = &[
         Graph,
         "edge A B 1\n",
         r#"line 1: missing consumption rate: "edge A B 1""#,
+    ),
+    (
+        Graph,
+        "edge A B +5 1\n",
+        r#"line 1: bad production rate `+5`: "edge A B +5 1""#,
     ),
     (
         Graph,
@@ -267,6 +282,16 @@ const ROWS: &[(Parser, &str, &str)] = &[
         Edits,
         "set-delay A B 1 @-1\n",
         r#"line 1: expected `@ORD`, got `@-1`: "set-delay A B 1 @-1""#,
+    ),
+    (
+        Edits,
+        "set-delay A B 1 @+1\n",
+        r#"line 1: expected `@ORD`, got `@+1`: "set-delay A B 1 @+1""#,
+    ),
+    (
+        Edits,
+        "set-delay A B +1\n",
+        r#"line 1: bad delay `+1`: "set-delay A B +1""#,
     ),
     (
         Edits,
